@@ -14,6 +14,13 @@ echo "==> cargo test -q (workspace, trace-dump-on-failure armed)"
 # as JSON lines for offline diffing.
 SELETH_TRACE_ON_FAIL="$(mktemp -d)" cargo test --workspace -q
 
+echo "==> perfbench build + harness tests"
+# The benchmark is a package of its own, outside the workspace, that
+# calls the simulators and the classify/accounting APIs directly: build
+# it here so an API change that breaks it fails CI, not the benchmark.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -7,7 +7,7 @@
 //! uncle reference-distance histogram needed for the paper's Scenario 1/2
 //! revenue normalizations and for Table II.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use serde::{Deserialize, Serialize};
 
@@ -43,8 +43,9 @@ impl MinerRewards {
 /// Complete accounting of a block tree under a reward schedule.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RewardReport {
-    /// Tally per miner.
-    pub per_miner: HashMap<MinerId, MinerRewards>,
+    /// Tally per miner, in `MinerId` order (so sums over it come out the
+    /// same bits on every run).
+    pub per_miner: BTreeMap<MinerId, MinerRewards>,
     /// Number of regular blocks (excluding genesis).
     pub regular_count: u64,
     /// Number of uncle blocks.
@@ -138,19 +139,23 @@ pub fn account_with_events(
     events: &[UncleEvent],
 ) -> RewardReport {
     let mut report = RewardReport::default();
-    let on_chain: std::collections::HashSet<BlockId> = main_chain.iter().copied().collect();
-    let uncles: std::collections::HashSet<BlockId> = events.iter().map(|e| e.uncle).collect();
+    let on_chain = classify::mask(tree, main_chain.iter().copied());
+    let uncles = classify::mask(tree, events.iter().map(|e| e.uncle));
+    // Tally through a hash map, which keeps the per-block lookup cheap.
+    // Each miner's sums follow block and event order whatever the map, so
+    // only the report's map needs to be ordered.
+    let mut per_miner: HashMap<MinerId, MinerRewards> = HashMap::new();
 
     for block in tree.iter() {
         if block.is_genesis() {
             continue;
         }
-        let entry = report.per_miner.entry(block.miner()).or_default();
-        if on_chain.contains(&block.id()) {
+        let entry = per_miner.entry(block.miner()).or_default();
+        if on_chain[block.id().index()] {
             entry.static_reward += schedule.static_reward();
             entry.regular_blocks += 1;
             report.regular_count += 1;
-        } else if uncles.contains(&block.id()) {
+        } else if uncles[block.id().index()] {
             entry.uncle_blocks += 1;
             report.uncle_count += 1;
         } else {
@@ -162,22 +167,17 @@ pub fn account_with_events(
     for ev in events {
         let uncle_miner = tree.block(ev.uncle).miner();
         let nephew_miner = tree.block(ev.nephew).miner();
-        report
-            .per_miner
-            .entry(uncle_miner)
-            .or_default()
-            .uncle_reward += schedule.uncle_reward(ev.distance);
-        report
-            .per_miner
-            .entry(nephew_miner)
-            .or_default()
-            .nephew_reward += schedule.nephew_reward(ev.distance);
+        per_miner.entry(uncle_miner).or_default().uncle_reward +=
+            schedule.uncle_reward(ev.distance);
+        per_miner.entry(nephew_miner).or_default().nephew_reward +=
+            schedule.nephew_reward(ev.distance);
         let d = ev.distance as usize;
         if report.distance_histogram.len() < d {
             report.distance_histogram.resize(d, 0);
         }
         report.distance_histogram[d - 1] += 1;
     }
+    report.per_miner = per_miner.into_iter().collect();
     report
 }
 

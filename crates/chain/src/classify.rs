@@ -12,8 +12,13 @@
 //! The *reference distance* between an uncle and its nephew is the height
 //! difference `height(nephew) − height(uncle)`; it determines the uncle
 //! reward via `Ku(d)`.
+//!
+//! The whole uncle rule lives here, in two halves: [`select_uncles`]
+//! picks the references a miner writes into a new header, and
+//! [`uncle_events_with_cap`] decides which references in main-chain
+//! headers are paid.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use crate::block::BlockId;
 use crate::tree::BlockTree;
@@ -69,9 +74,9 @@ pub fn classify(
     max_distance: u64,
 ) -> HashMap<BlockId, BlockClass> {
     let mut classes: HashMap<BlockId, BlockClass> = HashMap::with_capacity(tree.len());
-    let on_chain: HashSet<BlockId> = main_chain.iter().copied().collect();
+    let on_chain = mask(tree, main_chain.iter().copied());
     for block in tree.iter() {
-        let class = if on_chain.contains(&block.id()) {
+        let class = if on_chain[block.id().index()] {
             BlockClass::Regular
         } else {
             BlockClass::Stale
@@ -117,25 +122,22 @@ pub fn uncle_events_with_cap(
     max_distance: u64,
     cap: Option<usize>,
 ) -> Vec<UncleEvent> {
-    let on_chain: HashSet<BlockId> = main_chain.iter().copied().collect();
-    let mut referenced: HashSet<BlockId> = HashSet::new();
+    let on_chain = mask(tree, main_chain.iter().copied());
+    let mut referenced = vec![false; tree.len()];
     let mut events = Vec::new();
     for &nephew in main_chain {
         let nephew_height = tree.height(nephew);
         let mut accepted = 0usize;
-        // Clone refs out to keep the borrow checker happy without an
-        // unnecessary tree API; headers carry at most a handful of refs.
-        let refs: Vec<BlockId> = tree.block(nephew).uncle_refs().to_vec();
-        for uncle in refs {
+        for &uncle in tree.block(nephew).uncle_refs() {
             if cap.is_some_and(|c| accepted >= c) {
                 break;
             }
-            if referenced.contains(&uncle) || on_chain.contains(&uncle) {
+            if referenced[uncle.index()] || on_chain[uncle.index()] {
                 continue;
             }
             let ub = tree.block(uncle);
             let Some(parent) = ub.parent() else { continue };
-            if !on_chain.contains(&parent) {
+            if !on_chain[parent.index()] {
                 continue;
             }
             let uncle_height = ub.height();
@@ -146,7 +148,7 @@ pub fn uncle_events_with_cap(
             if distance > max_distance {
                 continue;
             }
-            referenced.insert(uncle);
+            referenced[uncle.index()] = true;
             accepted += 1;
             events.push(UncleEvent {
                 uncle,
@@ -156,6 +158,87 @@ pub fn uncle_events_with_cap(
         }
     }
     events
+}
+
+/// Mining-time uncle selection: the references a block mined on `parent`
+/// carries.
+///
+/// Walks the `max_distance` ancestors above `parent`, newest first, and
+/// takes their children in insertion order, up to `cap` of them. A child
+/// is skipped when it is the chain child (the ancestor one step below, or
+/// `parent` itself), when one of the `max_distance + 1` window blocks
+/// from `parent` upward already references it, or when `visible` rejects
+/// it. Every pick therefore sits at distance `1..=max_distance` from the
+/// new block. `max_distance = 0` or `cap = Some(0)` selects nothing.
+///
+/// The window counts every reference in an ancestor's header as taken,
+/// accepted or not, so this is not the validator run early: on
+/// hand-built trees [`uncle_events_with_cap`] can still reject a pick.
+///
+/// # Panics
+///
+/// Panics if `parent` is not in the tree.
+///
+/// ```
+/// use seleth_chain::{classify, BlockTree, MinerId};
+/// let m = MinerId(0);
+/// let mut t = BlockTree::new();
+/// let a = t.add_block(t.genesis(), m, &[]).unwrap();
+/// let stale = t.add_block(a, m, &[]).unwrap();
+/// let b = t.add_block(a, m, &[]).unwrap();
+/// assert_eq!(classify::select_uncles(&t, b, 6, None, |_| true), vec![stale]);
+/// assert!(classify::select_uncles(&t, b, 6, None, |u| u != stale).is_empty());
+/// ```
+pub fn select_uncles(
+    tree: &BlockTree,
+    parent: BlockId,
+    max_distance: u64,
+    cap: Option<usize>,
+    mut visible: impl FnMut(BlockId) -> bool,
+) -> Vec<BlockId> {
+    let cap = cap.unwrap_or(usize::MAX);
+    let mut refs = Vec::new();
+    if cap == 0 {
+        return refs;
+    }
+    let taken = |u: BlockId| {
+        let mut window = Some(parent);
+        for _ in 0..=max_distance {
+            let Some(id) = window else { break };
+            let block = tree.block(id);
+            if block.uncle_refs().contains(&u) {
+                return true;
+            }
+            window = block.parent();
+        }
+        false
+    };
+    let mut chain_child = parent;
+    let mut ancestor = tree.block(parent).parent();
+    for _ in 0..max_distance {
+        let Some(a) = ancestor else { break };
+        for &u in tree.children(a) {
+            if u == chain_child || taken(u) || !visible(u) {
+                continue;
+            }
+            refs.push(u);
+            if refs.len() >= cap {
+                return refs;
+            }
+        }
+        chain_child = a;
+        ancestor = tree.block(a).parent();
+    }
+    refs
+}
+
+/// An index-addressed membership mask over `tree`'s blocks.
+pub(crate) fn mask(tree: &BlockTree, ids: impl IntoIterator<Item = BlockId>) -> Vec<bool> {
+    let mut mask = vec![false; tree.len()];
+    for id in ids {
+        mask[id.index()] = true;
+    }
+    mask
 }
 
 /// Count blocks per class (excluding genesis): `(regular, uncle, stale)`.
@@ -301,6 +384,82 @@ mod tests {
         let chain = vec![t.genesis(), a, b, c, d];
         let events = uncle_events(&t, &chain, 6);
         assert!(events.is_empty());
+    }
+
+    /// `a` on genesis with three stale children `u1`, `u2`, `u3` and the
+    /// chain child `b` inserted between `u1` and `u2`.
+    fn fan() -> (BlockTree, BlockId, [BlockId; 3]) {
+        let m = MinerId(0);
+        let mut t = BlockTree::new();
+        let a = t.add_block(t.genesis(), m, &[]).unwrap();
+        let u1 = t.add_block(a, m, &[]).unwrap();
+        let b = t.add_block(a, m, &[]).unwrap();
+        let u2 = t.add_block(a, m, &[]).unwrap();
+        let u3 = t.add_block(a, m, &[]).unwrap();
+        (t, b, [u1, u2, u3])
+    }
+
+    #[test]
+    fn selector_takes_children_in_insertion_order() {
+        let (t, b, us) = fan();
+        assert_eq!(select_uncles(&t, b, 6, None, |_| true), us.to_vec());
+    }
+
+    #[test]
+    fn selector_zero_window_or_cap_selects_nothing() {
+        let (t, b, _) = fan();
+        assert!(select_uncles(&t, b, 0, None, |_| true).is_empty());
+        assert!(select_uncles(&t, b, 6, Some(0), |_| true).is_empty());
+    }
+
+    #[test]
+    fn selector_stops_at_the_cap() {
+        let (t, b, [u1, u2, _]) = fan();
+        assert_eq!(select_uncles(&t, b, 6, Some(2), |_| true), vec![u1, u2]);
+    }
+
+    #[test]
+    fn selector_skips_invisible_candidates() {
+        let (t, b, [u1, u2, u3]) = fan();
+        assert_eq!(select_uncles(&t, b, 6, None, |u| u != u1), vec![u2, u3]);
+    }
+
+    #[test]
+    fn selector_window_stops_at_genesis() {
+        let m = MinerId(0);
+        let mut t = BlockTree::new();
+        let a = t.add_block(t.genesis(), m, &[]).unwrap();
+        let s = t.add_block(t.genesis(), m, &[]).unwrap();
+        let b = t.add_block(a, m, &[]).unwrap();
+        // Genesis is one ancestor above `b`'s parent: `s` at distance 2.
+        assert_eq!(select_uncles(&t, b, 6, None, |_| true), vec![s]);
+        assert!(select_uncles(&t, b, 1, None, |_| true).is_empty());
+    }
+
+    #[test]
+    fn selector_skips_uncles_the_window_references() {
+        let (mut t, b, [u1, u2, u3]) = fan();
+        // `u2` is taken whether the referencing block is the parent...
+        let c = t.add_block(b, MinerId(0), &[u2]).unwrap();
+        assert_eq!(select_uncles(&t, c, 6, None, |_| true), vec![u1, u3]);
+        // ...or an ancestor further up the window.
+        let d = t.add_block(c, MinerId(0), &[u1]).unwrap();
+        assert_eq!(select_uncles(&t, d, 6, None, |_| true), vec![u3]);
+    }
+
+    #[test]
+    fn selector_reaches_a_64_deep_window() {
+        let m = MinerId(0);
+        let mut t = BlockTree::new();
+        let a = t.add_block(t.genesis(), m, &[]).unwrap();
+        let stale = t.add_block(a, m, &[]).unwrap();
+        let mut tip = a;
+        for _ in 0..64 {
+            tip = t.add_block(tip, m, &[]).unwrap();
+        }
+        // The next block sits at height 66, `stale` at height 2.
+        assert_eq!(select_uncles(&t, tip, 64, None, |_| true), vec![stale]);
+        assert!(select_uncles(&t, tip, 63, None, |_| true).is_empty());
     }
 
     #[test]

@@ -97,7 +97,7 @@ use serde::{Deserialize, Serialize};
 
 use seleth_chain::accounting::{self, MinerRewards};
 use seleth_chain::forkchoice::{longest_chain, TieBreak};
-use seleth_chain::{BlockId, BlockTree, MinerId, RewardSchedule};
+use seleth_chain::{classify, BlockId, BlockTree, MinerId, RewardSchedule};
 use seleth_mdp::{Action, Fork, PolicyTable, StateSpace};
 use seleth_net::Topology;
 use seleth_obs::{EventKind, EventLog};
@@ -1580,19 +1580,7 @@ impl DelaySimulation {
             let s = &self.strategists[i];
             (s.private.last().copied().unwrap_or(s.fork_base), s.miner)
         };
-        let refs = self.collect_refs(parent, miner);
-        let id = self
-            .tree
-            .add_block(parent, miner, &refs)
-            .expect("engine-created ids");
-        record_event(
-            &self.events,
-            EventKind::Mine,
-            miner.0,
-            id.index() as u64,
-            self.tree.height(id),
-        );
-        self.pub_time.push(f64::INFINITY);
+        let id = self.mint(parent, miner);
         let s = &mut self.strategists[i];
         s.private.push(id);
         if s.fork != Fork::Active {
@@ -1650,10 +1638,53 @@ impl DelaySimulation {
             }
         }
 
-        let refs = self.collect_refs(tip, miner);
+        let id = self.mint(tip, miner);
+        self.release(id, self.now, miner);
+    }
+
+    /// Create a withheld block on `parent` referencing every eligible
+    /// uncle ([`classify::select_uncles`]) *visible to the miner*:
+    /// released and propagated, or released and self-mined. Withheld
+    /// blocks are invisible to everyone, so abandoning a private branch
+    /// leaves plain stales, exactly like the engine.
+    fn mint(&mut self, parent: BlockId, miner: MinerId) -> BlockId {
+        let schedule = &self.config.schedule;
+        let horizon = self.now - self.config.delay;
+        let visible = |u: BlockId| {
+            let released = self.pub_time[u.index()] < f64::INFINITY;
+            // Graph mode: visibility is per-pair — the block must
+            // have finished its graph path *to this miner* by the
+            // horizon. The uniform expression is untouched (the
+            // complete/uniform surcharge is exactly 0.0, but keeping
+            // the original comparison makes the bit-identity claim
+            // local to this line).
+            let heard = match &self.graph {
+                Some(net) => {
+                    self.pub_time[u.index()]
+                        + net.extra(u.index(), self.config.shares.len(), miner.0 as usize)
+                        <= horizon
+                }
+                None => self.pub_time[u.index()] <= horizon,
+            };
+            let propagated = heard
+                && (!self.partition_faults
+                    || !self.config.faults.cross_blocked(
+                        self.tree.block(u).miner().0 as usize,
+                        miner.0 as usize,
+                        self.now,
+                    ));
+            propagated || (released && self.tree.block(u).miner() == miner)
+        };
+        let refs = classify::select_uncles(
+            &self.tree,
+            parent,
+            schedule.max_uncle_distance(),
+            schedule.max_uncles_per_block(),
+            visible,
+        );
         let id = self
             .tree
-            .add_block(tip, miner, &refs)
+            .add_block(parent, miner, &refs)
             .expect("engine-created ids");
         record_event(
             &self.events,
@@ -1663,80 +1694,7 @@ impl DelaySimulation {
             self.tree.height(id),
         );
         self.pub_time.push(f64::INFINITY);
-        self.release(id, self.now, miner);
-    }
-
-    /// Ethereum uncle referencing against the blocks *visible to the
-    /// miner*: released and propagated, or released and self-mined.
-    /// Withheld blocks are invisible to everyone — abandoning a private
-    /// branch leaves plain stales, exactly like the engine.
-    fn collect_refs(&self, parent: BlockId, miner: MinerId) -> Vec<BlockId> {
-        let schedule = &self.config.schedule;
-        let max_d = schedule.max_uncle_distance();
-        if max_d == 0 {
-            return Vec::new();
-        }
-        let cap = schedule.max_uncles_per_block().unwrap_or(usize::MAX);
-        if cap == 0 {
-            return Vec::new();
-        }
-        let new_height = self.tree.height(parent) + 1;
-        let horizon = self.now - self.config.delay;
-
-        let mut ancestors = Vec::with_capacity(max_d as usize + 1);
-        let mut cur = parent;
-        for _ in 0..=max_d {
-            ancestors.push(cur);
-            match self.tree.block(cur).parent() {
-                Some(p) => cur = p,
-                None => break,
-            }
-        }
-        let on_chain: std::collections::HashSet<BlockId> = ancestors.iter().copied().collect();
-        let referenced: std::collections::HashSet<BlockId> = ancestors
-            .iter()
-            .flat_map(|&a| self.tree.block(a).uncle_refs().iter().copied())
-            .collect();
-
-        let mut refs = Vec::new();
-        'outer: for &a in &ancestors[1..] {
-            if new_height - self.tree.height(a) > max_d + 1 {
-                break;
-            }
-            for &u in self.tree.children(a) {
-                let released = self.pub_time[u.index()] < f64::INFINITY;
-                // Graph mode: visibility is per-pair — the block must
-                // have finished its graph path *to this miner* by the
-                // horizon. The uniform expression is untouched (the
-                // complete/uniform surcharge is exactly 0.0, but keeping
-                // the original comparison makes the bit-identity claim
-                // local to this line).
-                let heard = match &self.graph {
-                    Some(net) => {
-                        self.pub_time[u.index()]
-                            + net.extra(u.index(), self.config.shares.len(), miner.0 as usize)
-                            <= horizon
-                    }
-                    None => self.pub_time[u.index()] <= horizon,
-                };
-                let propagated = heard
-                    && (!self.partition_faults
-                        || !self.config.faults.cross_blocked(
-                            self.tree.block(u).miner().0 as usize,
-                            miner.0 as usize,
-                            self.now,
-                        ));
-                let visible = propagated || (released && self.tree.block(u).miner() == miner);
-                if on_chain.contains(&u) || referenced.contains(&u) || !visible {
-                    continue;
-                }
-                refs.push(u);
-                if refs.len() >= cap {
-                    break 'outer;
-                }
-            }
-        }
-        refs
+        id
     }
 }
 
@@ -1799,10 +1757,21 @@ impl DelayReport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use seleth_chain::Scenario;
     use seleth_mdp::RewardModel;
+
+    /// Mine `config`'s whole block budget and return the tree. Every
+    /// uncle reference is chosen at mining time, so this tree carries the
+    /// same headers as the one [`DelaySimulation::run`] accounts.
+    pub(crate) fn mined_tree(config: DelayConfig) -> BlockTree {
+        let mut sim = DelaySimulation::new(config);
+        for _ in 0..sim.config.blocks {
+            sim.step();
+        }
+        sim.tree
+    }
 
     fn run(shares: Vec<f64>, delay: f64, schedule: RewardSchedule, seed: u64) -> DelayReport {
         let config = DelayConfig::builder()
@@ -2099,7 +2068,7 @@ mod tests {
     /// A hand-written SM1 table in the MDP's state encoding (the richer
     /// parametric generators live upstream in `seleth-zoo`; this inline
     /// rule keeps the engine tests self-contained).
-    fn sm1_table(alpha: f64, gamma: f64, max_len: u32) -> PolicyTable {
+    pub(crate) fn sm1_table(alpha: f64, gamma: f64, max_len: u32) -> PolicyTable {
         PolicyTable::from_fn3(
             alpha,
             gamma,

@@ -33,14 +33,14 @@
 //! *adopt*. Table lookups are flat-array arithmetic; the playback hot path
 //! allocates nothing beyond what the block tree itself needs.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
-use seleth_chain::{BlockId, BlockTree, MinerId};
+use seleth_chain::{classify, BlockId, BlockTree, MinerId};
 use seleth_mdp::{Action, Fork, StateSpace};
 use seleth_obs::{EventKind, EventLog};
 
@@ -492,9 +492,21 @@ impl Simulation {
     // Plumbing
     // ------------------------------------------------------------------
 
-    /// Create a block on `parent` with protocol-valid uncle references.
+    /// Create a block on `parent` referencing every published eligible
+    /// uncle ([`classify::select_uncles`]). Miners never need to tell pool
+    /// from honest visibility here: unpublished pool blocks are always
+    /// ancestors of the pool's own next block, and ancestors are never
+    /// candidates.
     fn mint(&mut self, parent: BlockId, miner: MinerId) -> BlockId {
-        let refs = self.collect_uncle_refs(parent);
+        let schedule = self.config.schedule();
+        let published = &self.published;
+        let refs = classify::select_uncles(
+            &self.tree,
+            parent,
+            schedule.max_uncle_distance(),
+            schedule.max_uncles_per_block(),
+            |u| published[u.index()],
+        );
         let id = self
             .tree
             .add_block(parent, miner, &refs)
@@ -536,62 +548,6 @@ impl Simulation {
         self.private.clear();
         self.published_count = 0;
         self.honest_branch.clear();
-    }
-
-    /// Ethereum's uncle-reference rule, applied at mining time: reference
-    /// every known (published) block `U` such that `U`'s parent is an
-    /// ancestor of the new block within the maximum distance, `U` is not
-    /// itself an ancestor, and no ancestor in the reference window already
-    /// references `U` — up to the schedule's per-block cap.
-    ///
-    /// Miners never need to distinguish pool from honest visibility here:
-    /// unpublished pool blocks are always ancestors of the pool's own next
-    /// block, and ancestors are excluded anyway.
-    fn collect_uncle_refs(&mut self, parent: BlockId) -> Vec<BlockId> {
-        let schedule = self.config.schedule();
-        let max_d = schedule.max_uncle_distance();
-        if max_d == 0 {
-            return Vec::new();
-        }
-        let cap = schedule.max_uncles_per_block().unwrap_or(usize::MAX);
-        if cap == 0 {
-            return Vec::new();
-        }
-        let new_height = self.tree.height(parent) + 1;
-
-        // Ancestors of the new block within the window, newest first.
-        let mut ancestors = Vec::with_capacity(max_d as usize + 1);
-        let mut cur = parent;
-        for _ in 0..=max_d {
-            ancestors.push(cur);
-            match self.tree.block(cur).parent() {
-                Some(p) => cur = p,
-                None => break,
-            }
-        }
-        let on_chain: HashSet<BlockId> = ancestors.iter().copied().collect();
-        let referenced: HashSet<BlockId> = ancestors
-            .iter()
-            .flat_map(|&a| self.tree.block(a).uncle_refs().iter().copied())
-            .collect();
-
-        let mut refs = Vec::new();
-        // Uncle parents sit at heights [new_height − 1 − max_d, new_height − 2].
-        'outer: for &a in &ancestors[1..] {
-            if new_height - self.tree.height(a) > max_d + 1 {
-                break;
-            }
-            for &u in self.tree.children(a) {
-                if on_chain.contains(&u) || referenced.contains(&u) || !self.published[u.index()] {
-                    continue;
-                }
-                refs.push(u);
-                if refs.len() >= cap {
-                    break 'outer;
-                }
-            }
-        }
-        refs
     }
 }
 

@@ -61,6 +61,8 @@ pub mod faults;
 pub mod multi;
 pub mod pools;
 mod stats;
+#[cfg(test)]
+mod uncle_audit;
 
 pub use config::{PoolStrategy, SimConfig, SimConfigBuilder, SimError};
 pub use diagnose::{

@@ -23,9 +23,13 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+# perfbench is outside the workspace, so the workspace lint and format
+# checks do not reach it.
+cargo clippy --release --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
+cargo fmt --manifest-path perfbench/Cargo.toml --check
 
 echo "==> cargo doc (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

@@ -229,10 +229,10 @@ impl StateSpace {
     /// honest branch has length `h`: the published prefix's first block
     /// will be referenced at exactly that distance, capped at
     /// [`MATCH_D_CAP`] where rewards vanish. This is the single
-    /// first-match rule shared by every replay executor (the
-    /// instant-broadcast engine and the delay simulator's strategists),
-    /// mirroring the MDP's own transition dynamics — kept here, next to
-    /// [`PolicyTable::decide`], so the two executors cannot drift.
+    /// first-match rule of the replay executor (`seleth-sim`'s private
+    /// fork, shared by both simulators), mirroring the MDP's own
+    /// transition dynamics — kept here, next to [`PolicyTable::decide`],
+    /// so the executor cannot drift from the solver.
     /// Re-matches keep the previously fixed distance; callers apply this
     /// only when no prefix is public yet (`match_d == 0`).
     #[inline]

@@ -63,8 +63,7 @@ const STREAM_LATENCY: u64 = 1;
 /// Stream tag of per-edge loss coins in the splitmix64 chain.
 const STREAM_LOSS: u64 = 2;
 
-/// The splitmix64 finalizer: a cheap, well-mixed 64-bit permutation
-/// (the same construction the fault layer uses for its per-link coins).
+/// The splitmix64 finalizer: a cheap, well-mixed 64-bit permutation.
 fn splitmix64(seed: u64) -> u64 {
     let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -73,13 +72,14 @@ fn splitmix64(seed: u64) -> u64 {
 }
 
 /// Map a hash to `[0, 1)` with the standard 53-bit mantissa trick.
-fn unit(h: u64) -> f64 {
+pub fn unit(h: u64) -> f64 {
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// One splitmix64 chain over `(seed, stream, block, edge, attempt)` — the
-/// entire randomness of a topology. Counter-based, never stateful.
-fn hash(seed: u64, stream: u64, block: u64, edge: u64, attempt: u32) -> u64 {
+/// entire randomness of a topology, and of the simulator's fault plans
+/// (`edge` is then the receiver). Counter-based, never stateful.
+pub fn hash(seed: u64, stream: u64, block: u64, edge: u64, attempt: u32) -> u64 {
     let mut h = splitmix64(seed ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15));
     h = splitmix64(h ^ block);
     h = splitmix64(h ^ edge);

@@ -222,6 +222,9 @@ impl Event {
 }
 
 /// The splitmix64 finalizer: a cheap, well-mixed 64-bit permutation.
+/// `seleth-net` exports the same finalizer's counter chain; this crate
+/// keeps its own copy because it has no dependencies, and an edge to
+/// `seleth-net` would rewrite the workspace and `perfbench` lock files.
 fn splitmix64(seed: u64) -> u64 {
     let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -19,10 +19,11 @@
 //!   consult the table at every event they observe (mining a block,
 //!   hearing a released block) in the MDP's decision order, and execute
 //!   the prescribed *adopt / override / match / wait* over the real block
-//!   tree. Lookups go through [`seleth_mdp::PolicyTable::decide`], the
-//!   same fallback-resolving procedure the instant-broadcast engine uses:
-//!   states outside the table's truncation and illegal prescriptions
-//!   degrade to a forced adopt, never a panic.
+//!   tree through the same private-fork executor (`PrivateFork`) the
+//!   instant-broadcast engine's table playback runs. Lookups go through
+//!   [`seleth_mdp::PolicyTable::decide`]: states outside the table's
+//!   truncation and illegal prescriptions degrade to a forced adopt,
+//!   never a panic.
 //!
 //! Several strategists may run concurrently — one [`MinerStrategy::Table`]
 //! per attacking miner, each with its own artifact. Every strategist keeps
@@ -98,13 +99,14 @@ use serde::{Deserialize, Serialize};
 use seleth_chain::accounting::{self, MinerRewards};
 use seleth_chain::forkchoice::{longest_chain, TieBreak};
 use seleth_chain::{classify, BlockId, BlockTree, MinerId, RewardSchedule};
-use seleth_mdp::{Action, Fork, PolicyTable, StateSpace};
+use seleth_mdp::{Action, Fork, PolicyTable};
 use seleth_net::Topology;
 use seleth_obs::{EventKind, EventLog};
 
 use crate::config::SimError;
 use crate::engine::record_event;
 use crate::faults::{CrashTimeline, FaultPlan};
+use crate::fork::PrivateFork;
 
 /// The behaviour of one miner in the delay simulator.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -421,29 +423,17 @@ impl DelayConfig {
     }
 }
 
-/// A strategic miner's private-fork bookkeeping: the delay-world analogue
-/// of the engine's epoch state, except that `h` is *the pool's view* of
-/// the public chain — it lags reality by up to one propagation delay.
+/// A strategic miner: its table, its private fork (the executor the
+/// instant-broadcast engine shares, [`crate::fork::PrivateFork`], whose
+/// `h` here is the miner's *heard* view of the public chain) and its
+/// network state.
 #[derive(Debug)]
 struct Strategist {
     miner: MinerId,
     table: Arc<PolicyTable>,
-    /// Last block this miner considers settled; both branches fork here.
-    fork_base: BlockId,
-    /// The private chain above `fork_base`, oldest first.
-    private: Vec<BlockId>,
-    /// How many of `private` have been released.
-    published_count: usize,
+    epoch: PrivateFork,
     /// Highest block heard from other miners so far.
     best_heard: BlockId,
-    /// Heard public-branch length above `fork_base`.
-    h: u64,
-    /// MDP fork qualifier, maintained exactly as in the engine.
-    fork: Fork,
-    /// Published-prefix reference distance, maintained exactly as in the
-    /// engine: fixed at the heard height of the epoch's first match,
-    /// cleared when the epoch settles. Four-axis tables consult it.
-    match_d: u8,
     /// Released blocks by other miners, not yet heard; an entry is heard
     /// at `pub_time + delay + extra`. Kept sorted by that due time
     /// (without faults every `extra` is zero and release times never
@@ -766,13 +756,8 @@ impl DelaySimulation {
                 MinerStrategy::Table(table) => Some(Strategist {
                     miner: MinerId(i as u32),
                     table: Arc::clone(table),
-                    fork_base: genesis,
-                    private: Vec::new(),
-                    published_count: 0,
+                    epoch: PrivateFork::new(genesis),
                     best_heard: genesis,
-                    h: 0,
-                    fork: Fork::Irrelevant,
-                    match_d: 0,
                     inbox: VecDeque::new(),
                     crashed: false,
                 }),
@@ -861,12 +846,10 @@ impl DelaySimulation {
             self.step();
         }
         for i in 0..self.strategists.len() {
-            let pending: Vec<BlockId> = {
-                let s = &mut self.strategists[i];
-                s.private.drain(s.published_count..).collect()
-            };
-            for b in pending {
-                self.release(b, self.now, self.strategists[i].miner);
+            let s = &self.strategists[i];
+            let (miner, unreleased) = (s.miner, s.epoch.published..s.epoch.private.len());
+            for k in unreleased {
+                self.release(self.strategists[i].epoch.private[k], self.now, miner);
             }
         }
         let chain = longest_chain(&self.tree, TieBreak::FirstSeen);
@@ -1336,8 +1319,10 @@ impl DelaySimulation {
 
     /// Crash gate for strategist `i` at event time `t`: `true` while the
     /// miner is down (the event is lost). The first gated event marks the
-    /// miner crashed; the first event after recovery resynchronizes it via
-    /// the forced-adopt path before normal processing resumes.
+    /// miner crashed. The first event after recovery resynchronizes it
+    /// the way a restarted node rejoins: it syncs to the public tip its
+    /// view currently holds and concedes whatever private fork it held
+    /// before the crash, exactly like losing an epoch.
     fn strategist_down(&mut self, i: usize, t: f64) -> bool {
         if !self.crash_faults {
             return false;
@@ -1348,49 +1333,36 @@ impl DelaySimulation {
             return true;
         }
         if self.strategists[i].crashed {
-            self.resync_strategist(i, t);
-            self.strategists[i].crashed = false;
+            self.counters.crash_resyncs += 1;
+            record_event(
+                &self.events,
+                EventKind::CrashResync,
+                m as u32,
+                0,
+                t.to_bits(),
+            );
+            let tip = self.views[self.view_of(m, t)].best;
+            let s = &mut self.strategists[i];
+            s.epoch.concede(&self.tree, tip);
+            if self.tree.height(tip) > self.tree.height(s.best_heard) {
+                s.best_heard = tip;
+            }
+            s.crashed = false;
         }
         false
     }
 
-    /// A recovering strategist rejoins the network the way a restarted
-    /// node does: it syncs to the public tip its group currently sees and
-    /// concedes whatever private fork it held before the crash — the
-    /// forced-adopt path, identical to losing an epoch.
-    fn resync_strategist(&mut self, i: usize, t: f64) {
-        self.counters.crash_resyncs += 1;
-        record_event(
-            &self.events,
-            EventKind::CrashResync,
-            self.strategists[i].miner.0,
-            0,
-            t.to_bits(),
-        );
-        let m = self.strategists[i].miner.0 as usize;
-        let g = if self.graph.is_some() {
-            m // per-miner views in graph mode
+    /// The public view miner `m` mines on at time `t`: its own frontier
+    /// in graph mode, its partition group's view under a partition, and
+    /// the shared view 0 otherwise.
+    fn view_of(&self, m: usize, t: f64) -> usize {
+        if self.graph.is_some() {
+            m
         } else if self.partition_faults {
             self.config.faults.group_of(m, t)
         } else {
             0
-        };
-        let tip = self.views[g].best;
-        let Self {
-            tree, strategists, ..
-        } = self;
-        let s = &mut strategists[i];
-        if tree.height(tip) > tree.height(s.fork_base) {
-            s.fork_base = tip;
         }
-        if tree.height(tip) > tree.height(s.best_heard) {
-            s.best_heard = tip;
-        }
-        s.private.clear();
-        s.published_count = 0;
-        s.h = 0;
-        s.fork = Fork::Irrelevant;
-        s.match_d = 0;
     }
 
     /// Strategic miner `i` hears `block` at time `t`: update its private
@@ -1417,40 +1389,35 @@ impl DelaySimulation {
             return;
         }
         s.best_heard = block;
-        let base_h = tree.height(s.fork_base);
+        let epoch = &mut s.epoch;
+        let base_h = tree.height(epoch.base);
         let tip_h = tree.height(block);
         if tip_h <= base_h {
             return;
         }
         let anchor = tree.ancestor_at(block, base_h).expect("height checked");
-        if anchor == s.fork_base {
+        if anchor == epoch.base {
             // How much of our released prefix the heard chain builds on.
             let mut k = 0usize;
-            while k < s.published_count
-                && tree.ancestor_at(block, base_h + k as u64 + 1) == Some(s.private[k])
+            while k < epoch.published
+                && tree.ancestor_at(block, base_h + k as u64 + 1) == Some(epoch.private[k])
             {
                 k += 1;
             }
             if k > 0 {
                 // The network adopted our published prefix (the MDP's γβ
                 // outcome): those blocks are settled wins; rebase on them.
-                s.fork_base = s.private[k - 1];
-                s.private.drain(..k);
-                s.published_count -= k;
-                if s.published_count == 0 {
-                    // No public prefix left in the new epoch.
-                    s.match_d = 0;
-                }
+                epoch.settle(k);
             }
-            s.h = tip_h - tree.height(s.fork_base);
-            s.fork = Fork::Relevant;
+            epoch.h = (tip_h - tree.height(epoch.base)) as usize;
+            epoch.fork = Fork::Relevant;
         } else {
             // A branch that forked below our epoch (e.g. honest blocks
             // released before they heard an override) — outside the MDP's
             // state abstraction. If it has caught up with the private
             // chain the epoch is lost: forced adopt. While we are still
             // strictly ahead, ignore it.
-            if tip_h >= base_h + s.private.len() as u64 {
+            if tip_h >= base_h + epoch.private.len() as u64 {
                 counters.forced_adopts += 1;
                 record_event(
                     events,
@@ -1459,133 +1426,48 @@ impl DelaySimulation {
                     block.index() as u64,
                     tip_h,
                 );
-                s.fork_base = block;
-                s.private.clear();
-                s.published_count = 0;
-                s.h = 0;
-                s.fork = Fork::Irrelevant;
-                s.match_d = 0;
+                epoch.reset(block);
             }
             return;
         }
         self.consult(i, t);
     }
 
-    /// Consult the table at the live state; decisions (and the release
-    /// timestamps they produce) happen at event time `t`.
+    /// Consult the table at the live state and execute the decision:
+    /// count and record it, release the blocks it names at event time
+    /// `t`, then apply it to the epoch. Releasing first is safe because a
+    /// release only writes the *other* strategists' inboxes.
     fn consult(&mut self, i: usize, t: f64) {
         let s = &self.strategists[i];
-        let a = u32::try_from(s.private.len()).unwrap_or(u32::MAX);
-        let h = u32::try_from(s.h).unwrap_or(u32::MAX);
-        let miner = s.miner.0;
-        match s.table.decide(a, h, s.fork, s.match_d) {
-            Action::Wait => {}
-            Action::Adopt => {
-                self.counters.adopts += 1;
-                record_event(
-                    &self.events,
-                    EventKind::Adopt,
-                    miner,
-                    u64::from(a),
-                    u64::from(h),
-                );
-                self.strategic_adopt(i);
-            }
-            Action::Override => {
-                self.counters.overrides += 1;
-                record_event(
-                    &self.events,
-                    EventKind::Override,
-                    miner,
-                    u64::from(a),
-                    u64::from(h),
-                );
-                self.strategic_override(i, t);
-            }
-            Action::Match => {
-                self.counters.matches += 1;
-                record_event(
-                    &self.events,
-                    EventKind::Match,
-                    miner,
-                    u64::from(a),
-                    u64::from(h),
-                );
-                self.strategic_match(i, t);
-            }
+        let action = s.epoch.decide(&s.table);
+        let (kind, count) = match action {
+            Action::Wait => return,
+            Action::Adopt => (EventKind::Adopt, &mut self.counters.adopts),
+            Action::Override => (EventKind::Override, &mut self.counters.overrides),
+            Action::Match => (EventKind::Match, &mut self.counters.matches),
+        };
+        *count += 1;
+        record_event(
+            &self.events,
+            kind,
+            s.miner.0,
+            s.epoch.private.len() as u64,
+            s.epoch.h as u64,
+        );
+        let (miner, released) = (s.miner, s.epoch.releases(action));
+        for k in released {
+            self.release(self.strategists[i].epoch.private[k], t, miner);
         }
-    }
-
-    /// *Adopt*: concede the epoch — mine on the best heard tip, abandoning
-    /// unreleased private blocks (they settle as stale).
-    fn strategic_adopt(&mut self, i: usize) {
         let s = &mut self.strategists[i];
-        if self.tree.height(s.best_heard) > self.tree.height(s.fork_base) {
-            s.fork_base = s.best_heard;
-        }
-        s.private.clear();
-        s.published_count = 0;
-        s.h = 0;
-        s.fork = Fork::Irrelevant;
-        s.match_d = 0;
-    }
-
-    /// *Override*: release the first `h + 1` private blocks, outracing the
-    /// heard public branch; the fork base moves to the last released block.
-    fn strategic_override(&mut self, i: usize, t: f64) {
-        let (to_release, producer) = {
-            let s = &mut self.strategists[i];
-            let h = usize::try_from(s.h).unwrap_or(usize::MAX);
-            debug_assert!(s.private.len() > h, "override needs a > h");
-            let released: Vec<BlockId> = s.private.drain(..=h).collect();
-            s.fork_base = *released.last().expect("h + 1 >= 1 blocks");
-            s.published_count = s.published_count.saturating_sub(h + 1);
-            s.h = 0;
-            s.fork = Fork::Irrelevant;
-            s.match_d = 0;
-            (released, s.miner)
-        };
-        for b in to_release {
-            self.release(b, t, producer);
-        }
-    }
-
-    /// *Match*: release a private prefix of length `h`, tying the heard
-    /// public branch; honest miners split by `tie_gamma` once it
-    /// propagates.
-    fn strategic_match(&mut self, i: usize, t: f64) {
-        let (to_release, producer) = {
-            let s = &mut self.strategists[i];
-            let h = usize::try_from(s.h).unwrap_or(usize::MAX);
-            debug_assert!(s.private.len() >= h && h >= 1);
-            let released: Vec<BlockId> = s.private[s.published_count.min(h)..h].to_vec();
-            s.published_count = h;
-            s.fork = Fork::Active;
-            // The epoch's first match fixes the prefix's reference
-            // distance (the MDP's match_d); re-matches keep it.
-            if s.match_d == 0 {
-                s.match_d = StateSpace::first_match_d(u32::try_from(s.h).unwrap_or(u32::MAX));
-            }
-            (released, s.miner)
-        };
-        for b in to_release {
-            self.release(b, t, producer);
-        }
+        s.epoch.apply(action, &self.tree, s.best_heard);
     }
 
     /// A strategic miner mines: always privately (releasing is the
     /// policy's job), on its own fork; then a decision point.
     fn strategic_mines(&mut self, i: usize) {
-        let (parent, miner) = {
-            let s = &self.strategists[i];
-            (s.private.last().copied().unwrap_or(s.fork_base), s.miner)
-        };
-        let id = self.mint(parent, miner);
-        let s = &mut self.strategists[i];
-        s.private.push(id);
-        if s.fork != Fork::Active {
-            s.fork = Fork::Irrelevant;
-        }
+        let s = &self.strategists[i];
+        let id = self.mint(s.epoch.tip(), s.miner);
+        self.strategists[i].epoch.push(id);
         self.consult(i, self.now);
     }
 
@@ -1596,13 +1478,7 @@ impl DelaySimulation {
         // shared view 0 outside partitions), with a live race:
         // strategic-vs-honest ties split by tie_gamma, rival-strategist
         // ties split evenly...
-        let g = if self.graph.is_some() {
-            miner.0 as usize // the miner's own frontier in graph mode
-        } else if self.partition_faults {
-            self.config.faults.group_of(miner.0 as usize, self.now)
-        } else {
-            0
-        };
+        let g = self.view_of(miner.0 as usize, self.now);
         let view = &self.views[g];
         let mut tip = view.best;
         if let Some(contender) = view.race {

@@ -16,22 +16,12 @@
 //!
 //! Besides the three hand-coded strategies, the engine can replay an
 //! exported MDP policy artifact ([`seleth_mdp::PolicyTable`],
-//! [`crate::config::PoolStrategy::Table`]). Playback follows the MDP's
-//! decision structure: before every block event the pool consults the
-//! table at the live `(a, h, fork, match_d)` state and executes the
-//! prescribed action over the real block tree — *adopt* (abandon the
-//! private branch), *override* (publish `h + 1` blocks), *match* (publish
-//! a matching prefix, splitting honest mining by `γ`), or *wait*. The
-//! fork qualifier is tracked exactly as in the MDP: *irrelevant* after a
-//! pool block, *relevant* after an honest block, *active* while a
-//! published match race is live. So is the published-prefix reference
-//! distance `match_d` — fixed at the height of the epoch's first match,
-//! cleared when the epoch settles — which four-axis Ethereum-model
-//! artifacts consult as their fourth coordinate (classic tables ignore
-//! it). Fallback semantics: any state outside the table's truncation —
-//! and any action illegal in the live state — degrades to a forced
-//! *adopt*. Table lookups are flat-array arithmetic; the playback hot path
-//! allocates nothing beyond what the block tree itself needs.
+//! [`crate::config::PoolStrategy::Table`]). Before every block event the
+//! pool consults the table at the live `(a, h, fork, match_d)` state and
+//! executes the prescribed action over the real block tree through the
+//! executor the delay simulator shares ([`crate::fork::PrivateFork`]).
+//! During a live match race an honest block extends the pool's prefix
+//! with probability `γ`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -41,10 +31,11 @@ use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
 use seleth_chain::{classify, BlockId, BlockTree, MinerId};
-use seleth_mdp::{Action, Fork, StateSpace};
+use seleth_mdp::{Action, Fork};
 use seleth_obs::{EventKind, EventLog};
 
 use crate::config::{PoolStrategy, SimConfig};
+use crate::fork::PrivateFork;
 use crate::stats::SimReport;
 
 /// Record one flight-recorder event if a log is attached. Free function so
@@ -74,24 +65,12 @@ pub struct Simulation {
     rng: ChaCha12Rng,
     tree: BlockTree,
     published: Vec<bool>,
-    // --- epoch state (everything above the last consensus block) ---
-    /// Last consensus block; both branches fork from here.
-    fork_base: BlockId,
-    /// The pool's private chain above `fork_base`, oldest first.
-    private: Vec<BlockId>,
-    /// How many of `private` have been published.
-    published_count: usize,
-    /// The honest public branch above `fork_base`, oldest first.
-    honest_branch: Vec<BlockId>,
-    /// MDP fork qualifier, maintained by the policy-playback executor
-    /// (the hand-coded strategies ignore it).
-    fork: Fork,
-    /// Published-prefix reference distance, maintained by the
-    /// policy-playback executor exactly as in the MDP: 0 while no prefix
-    /// of the private branch is public this epoch, otherwise the honest
-    /// height at the epoch's *first* match (capped at [`seleth_mdp::MATCH_D_CAP`]),
-    /// fixed until the epoch settles. Four-axis tables consult it.
-    match_d: u8,
+    /// The pool's epoch: everything above the last consensus block. The
+    /// honest branch above the fork base is `epoch.h` blocks long (the
+    /// hand-coded strategies ignore `fork` and `match_d`).
+    epoch: PrivateFork,
+    /// The honest branch's tip; meaningful only while `epoch.h > 0`.
+    honest_tip: BlockId,
     // --- statistics ---
     blocks_mined: u64,
     state_visits: HashMap<(u32, u32), u64>,
@@ -105,18 +84,14 @@ impl Simulation {
     pub fn new(config: SimConfig) -> Self {
         let tree = BlockTree::new();
         let rng = ChaCha12Rng::seed_from_u64(config.seed());
-        let fork_base = tree.genesis();
+        let genesis = tree.genesis();
         Simulation {
             config,
             rng,
             tree,
             published: vec![true], // genesis
-            fork_base,
-            private: Vec::new(),
-            published_count: 0,
-            honest_branch: Vec::new(),
-            fork: Fork::Irrelevant,
-            match_d: 0,
+            epoch: PrivateFork::new(genesis),
+            honest_tip: genesis,
             blocks_mined: 0,
             state_visits: HashMap::new(),
             events: None,
@@ -156,19 +131,15 @@ impl Simulation {
         self.tree.reset();
         self.published.clear();
         self.published.push(true); // genesis
-        self.fork_base = self.tree.genesis();
-        self.private.clear();
-        self.published_count = 0;
-        self.honest_branch.clear();
-        self.fork = Fork::Irrelevant;
-        self.match_d = 0;
+        self.epoch.reset(self.tree.genesis());
+        self.honest_tip = self.tree.genesis();
         self.blocks_mined = 0;
         self.state_visits.clear();
     }
 
     /// The current `(Ls, Lh)` state, for inspection and testing.
     pub fn state(&self) -> (u32, u32) {
-        (self.private.len() as u32, self.honest_branch.len() as u32)
+        (self.epoch.private.len() as u32, self.epoch.h as u32)
     }
 
     /// Borrow the block tree built so far.
@@ -243,20 +214,18 @@ impl Simulation {
     // ------------------------------------------------------------------
 
     fn pool_mines(&mut self) {
-        let parent = self.private.last().copied().unwrap_or(self.fork_base);
-        let block = self.mint(parent, POOL);
-        self.private.push(block);
+        let block = self.mint(self.epoch.tip(), POOL);
+        self.epoch.push(block);
         // Lines 3-5 of Algorithm 1: with (Ls, Lh) = (2, 1) the advantage is
         // too slim; publish and settle. This state is reachable only from
         // (1, 1). A Lead-Stubborn pool skips this concession and keeps the
         // new block private.
         if self.config.strategy() == PoolStrategy::Selfish
-            && self.private.len() == 2
-            && self.honest_branch.len() == 1
+            && self.epoch.private.len() == 2
+            && self.epoch.h == 1
         {
-            let tip = *self.private.last().expect("just pushed");
             self.publish_all_private();
-            self.reset_epoch(tip);
+            self.epoch.reset(block);
         }
         // Otherwise: keep mining privately (lines 6-7).
     }
@@ -266,28 +235,27 @@ impl Simulation {
     // ------------------------------------------------------------------
 
     fn honest_mines(&mut self, miner: MinerId) {
-        let ls = self.private.len();
-        let lh = self.honest_branch.len();
+        let ls = self.epoch.private.len();
+        let lh = self.epoch.h;
+        let published = self.epoch.published;
         debug_assert!(
-            lh == 0 || self.published_count == lh,
-            "public branches must have equal length (published {} vs honest {lh})",
-            self.published_count
+            lh == 0 || published == lh,
+            "public branches must have equal length (published {published} vs honest {lh})"
         );
 
         // Parent selection: the longest public tip; on ties, the pool's
         // published branch with probability γ (the network model).
-        let prefix_tip = (self.published_count > 0).then(|| self.private[self.published_count - 1]);
-        let parent = match (prefix_tip, self.honest_branch.last()) {
-            (Some(p), Some(&h)) => {
+        let prefix_tip = (published > 0).then(|| self.epoch.private[published - 1]);
+        let parent = match prefix_tip {
+            Some(p) => {
+                debug_assert!(lh > 0, "pool publishes only in response to honest blocks");
                 if self.rng.gen_bool(self.config.gamma()) {
                     p
                 } else {
-                    h
+                    self.honest_tip
                 }
             }
-            (None, Some(&h)) => h,
-            (None, None) => self.fork_base,
-            (Some(_), None) => unreachable!("pool publishes only in response to honest blocks"),
+            None => self.public_tip(),
         };
         let on_prefix = Some(parent) == prefix_tip;
 
@@ -305,33 +273,30 @@ impl Simulation {
             // A stubborn pool may be abandoning withheld blocks here; under
             // Algorithm 1 there is never anything unpublished to discard.
             debug_assert!(
-                stubborn || self.private.len() == self.published_count,
+                stubborn || ls == published,
                 "Algorithm 1 never abandons unpublished blocks"
             );
-            self.reset_epoch(block);
+            self.epoch.reset(block);
         } else if ls == lh_inc + 1 && !stubborn {
             // Lines 15-17: lead of one left; publish everything and win.
-            let tip = *self.private.last().expect("lead is positive");
+            let tip = self.epoch.tip();
             self.publish_all_private();
-            self.reset_epoch(tip);
+            self.epoch.reset(tip);
         } else {
             // Lines 13-14 (ls == lh_inc: reveal the last block, branches
             // tie) and lines 18-20 (comfortable lead: reveal the first
             // unpublished block) share the same mechanics: publish exactly
             // one more block. For the stubborn pool this branch also
             // handles ls == lh_inc + 1.
-            self.published_count += 1;
-            self.publish(self.private[self.published_count - 1]);
+            self.publish(self.epoch.private[published]);
+            self.epoch.published += 1;
             if on_prefix {
-                // The fork point moves up to the honest block's parent:
-                // state (Ls − Lh + 1, 1) after the line-9 increment.
-                let cut = lh; // blocks at or below the new fork base
-                self.fork_base = parent;
-                self.private.drain(..cut);
-                self.published_count = 1;
-                self.honest_branch.clear();
+                // The fork point moves up to the honest block's parent
+                // (the lh-th private block): state (Ls − Lh + 1, 1) after
+                // the line-9 increment.
+                self.epoch.settle(lh);
             }
-            self.honest_branch.push(block);
+            self.extend_honest(block);
         }
     }
 
@@ -341,151 +306,66 @@ impl Simulation {
     // ------------------------------------------------------------------
 
     /// Consult the table at the live `(a, h, fork, match_d)` state and
-    /// execute the prescribed action.
-    ///
-    /// Fallback semantics (both documented and tested): if the live state
-    /// lies outside the table's truncation region, or the table prescribes
-    /// an action that is illegal in the live state (override without a
-    /// longer chain, match without a relevant length-`h ≥ 1` race), the
-    /// pool performs a forced **adopt** — it concedes the epoch and
-    /// returns to the table's covered region within one action. The
-    /// resolution itself lives in [`seleth_mdp::PolicyTable::decide`], so
-    /// every executor (this engine, the delay simulator's strategic
-    /// miners) shares one decision procedure.
+    /// execute the prescribed action: record the decision, publish the
+    /// blocks it releases, then apply it to the epoch. Out-of-truncation
+    /// states and illegal prescriptions resolve to a forced *adopt*
+    /// ([`seleth_mdp::PolicyTable::decide`]).
     fn policy_act(&mut self) {
         let table = self.config.policy().expect("Table strategy has a table");
-        let a = self.private.len() as u32;
-        let h = self.honest_branch.len() as u32;
-        match table.decide(a, h, self.fork, self.match_d) {
-            Action::Wait => {}
-            Action::Adopt => self.policy_adopt(),
-            Action::Override => self.policy_override(),
-            Action::Match => self.policy_match(),
-        }
-    }
-
-    /// *Adopt*: give up the private branch and mine on the honest tip.
-    /// Unpublished private blocks are abandoned (they stay unpublished and
-    /// settle as stale); an already-published prefix stays in the tree as
-    /// an uncle candidate.
-    fn policy_adopt(&mut self) {
+        let action = self.epoch.decide(table);
+        let kind = match action {
+            Action::Wait => return,
+            Action::Adopt => EventKind::Adopt,
+            Action::Override => EventKind::Override,
+            Action::Match => EventKind::Match,
+        };
         record_event(
             &self.events,
-            EventKind::Adopt,
+            kind,
             POOL.0,
-            self.private.len() as u64,
-            self.honest_branch.len() as u64,
+            self.epoch.private.len() as u64,
+            self.epoch.h as u64,
         );
-        match self.honest_branch.last() {
-            Some(&tip) => self.reset_epoch(tip),
-            None => {
-                // h = 0: nothing to adopt onto; just discard the private
-                // branch. No prefix can be published at h = 0 (matching
-                // requires an honest block), so nothing public is dropped.
-                debug_assert_eq!(self.published_count, 0);
-                self.private.clear();
-                self.published_count = 0;
-            }
+        for i in self.epoch.releases(action) {
+            self.publish(self.epoch.private[i]);
         }
-        self.fork = Fork::Irrelevant;
-        self.match_d = 0;
-    }
-
-    /// *Override*: publish the first `h + 1` private blocks, orphaning the
-    /// honest branch; the fork base moves to the last published block.
-    fn policy_override(&mut self) {
-        record_event(
-            &self.events,
-            EventKind::Override,
-            POOL.0,
-            self.private.len() as u64,
-            self.honest_branch.len() as u64,
-        );
-        let h = self.honest_branch.len();
-        debug_assert!(self.private.len() > h, "override needs a > h");
-        for i in 0..=h {
-            self.publish(self.private[i]);
-        }
-        let new_base = self.private[h];
-        self.private.drain(..=h);
-        self.published_count = 0;
-        self.honest_branch.clear();
-        self.fork_base = new_base;
-        self.fork = Fork::Irrelevant;
-        self.match_d = 0;
-    }
-
-    /// *Match*: publish a private prefix of length `h`, splitting the
-    /// network between two equal-length public branches. The epoch's
-    /// first match fixes the prefix's reference distance at the current
-    /// honest height (the MDP's `match_d` semantics); re-matches — the
-    /// progressive reveal — keep the original distance.
-    fn policy_match(&mut self) {
-        record_event(
-            &self.events,
-            EventKind::Match,
-            POOL.0,
-            self.private.len() as u64,
-            self.honest_branch.len() as u64,
-        );
-        let h = self.honest_branch.len();
-        debug_assert!(self.private.len() >= h && h >= 1);
-        for i in self.published_count..h {
-            self.publish(self.private[i]);
-        }
-        self.published_count = h;
-        self.fork = Fork::Active;
-        if self.match_d == 0 {
-            self.match_d = StateSpace::first_match_d(h as u32);
-        }
+        let tip = self.public_tip();
+        self.epoch.apply(action, &self.tree, tip);
     }
 
     /// Pool block under playback: always mined privately (publication is
-    /// the policy's job). A live match race stays active — the MDP's
-    /// `α`-branch of the *match* dynamics.
+    /// the policy's job).
     fn policy_pool_mines(&mut self) {
-        let parent = self.private.last().copied().unwrap_or(self.fork_base);
-        let block = self.mint(parent, POOL);
-        self.private.push(block);
-        if self.fork != Fork::Active {
-            self.fork = Fork::Irrelevant;
-        }
+        let block = self.mint(self.epoch.tip(), POOL);
+        self.epoch.push(block);
     }
 
     /// Honest block under playback. During an active race the miner picks
     /// the pool's published prefix with probability `γ` (resolving the
-    /// race for the pool — the MDP's `γβ` branch); otherwise the honest
-    /// branch simply grows and any race falls back to *relevant*.
+    /// race for the pool — the MDP's `γβ` branch: the prefix settles and
+    /// the new block starts the next epoch on top of it); otherwise the
+    /// honest branch simply grows and any race falls back to *relevant*.
     fn policy_honest_mines(&mut self, miner: MinerId) {
-        if self.fork == Fork::Active {
+        let won = self.epoch.published;
+        let race_won = self.epoch.fork == Fork::Active && {
             debug_assert_eq!(
-                self.published_count,
-                self.honest_branch.len(),
+                won, self.epoch.h,
                 "an active race is two equal-length public branches"
             );
-            if self.rng.gen_bool(self.config.gamma()) {
-                // The pool's h published blocks win the epoch; the honest
-                // branch is orphaned and the new honest block starts the
-                // next epoch on top of the prefix.
-                let prefix_tip = self.private[self.published_count - 1];
-                let block = self.mint(prefix_tip, miner);
-                self.publish(block);
-                let won = self.published_count;
-                self.fork_base = prefix_tip;
-                self.private.drain(..won);
-                self.published_count = 0;
-                self.honest_branch.clear();
-                self.honest_branch.push(block);
-                self.fork = Fork::Relevant;
-                self.match_d = 0;
-                return;
-            }
-        }
-        let parent = self.honest_branch.last().copied().unwrap_or(self.fork_base);
+            self.rng.gen_bool(self.config.gamma())
+        };
+        let parent = if race_won {
+            self.epoch.private[won - 1]
+        } else {
+            self.public_tip()
+        };
         let block = self.mint(parent, miner);
         self.publish(block);
-        self.honest_branch.push(block);
-        self.fork = Fork::Relevant;
+        if race_won {
+            self.epoch.settle(won);
+        }
+        self.extend_honest(block);
+        self.epoch.fork = Fork::Relevant;
     }
 
     // ------------------------------------------------------------------
@@ -536,18 +416,25 @@ impl Simulation {
     }
 
     fn publish_all_private(&mut self) {
-        for i in self.published_count..self.private.len() {
-            let id = self.private[i];
-            self.publish(id);
+        for i in self.epoch.published..self.epoch.private.len() {
+            self.publish(self.epoch.private[i]);
         }
-        self.published_count = self.private.len();
+        self.epoch.published = self.epoch.private.len();
     }
 
-    fn reset_epoch(&mut self, consensus_tip: BlockId) {
-        self.fork_base = consensus_tip;
-        self.private.clear();
-        self.published_count = 0;
-        self.honest_branch.clear();
+    /// The honest branch's tip, or the fork base while it is empty.
+    fn public_tip(&self) -> BlockId {
+        if self.epoch.h > 0 {
+            self.honest_tip
+        } else {
+            self.epoch.base
+        }
+    }
+
+    /// An honest block extends the public branch above the fork base.
+    fn extend_honest(&mut self, block: BlockId) {
+        self.epoch.h += 1;
+        self.honest_tip = block;
     }
 }
 
@@ -664,7 +551,7 @@ mod tests {
         assert_eq!(s.state(), (5, 0));
         s.force_honest();
         assert_eq!(s.state(), (5, 1));
-        assert_eq!(s.published_count, 1, "exactly one private block published");
+        assert_eq!(s.epoch.published, 1, "exactly one private block published");
         s.force_honest(); // γ decides prefix vs honest branch
         let (ls, lh) = s.state();
         assert!(

@@ -34,6 +34,8 @@ use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use serde::{Deserialize, Serialize};
 
+use seleth_net::unit;
+
 use crate::config::SimError;
 
 /// Hash-stream tags: one per independent fault decision, so loss,
@@ -378,12 +380,10 @@ impl FaultPlan {
     }
 
     /// One splitmix64 chain over `(plan seed, stream, block, receiver,
-    /// attempt)` — the entire per-link randomness of the plan.
+    /// attempt)` — the entire per-link randomness of the plan, hashed
+    /// exactly like the topology's per-edge draws ([`seleth_net::hash`]).
     fn hash(&self, stream: u64, block: u64, receiver: u64, attempt: u32) -> u64 {
-        let mut h = splitmix64(self.seed ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        h = splitmix64(h ^ block);
-        h = splitmix64(h ^ receiver);
-        splitmix64(h ^ attempt as u64)
+        seleth_net::hash(self.seed, stream, block, receiver, attempt)
     }
 
     fn validate_numeric(&self) -> Result<(), SimError> {
@@ -477,19 +477,6 @@ impl FaultPlan {
         }
         Ok(())
     }
-}
-
-/// The splitmix64 finalizer: a cheap, well-mixed 64-bit permutation.
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Map a hash to `[0, 1)` with the standard 53-bit mantissa trick.
-fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// The lazily generated crash schedule of one run: per miner, the merged

@@ -58,6 +58,7 @@ pub mod delay;
 pub mod diagnose;
 mod engine;
 pub mod faults;
+mod fork;
 pub mod multi;
 pub mod pools;
 mod stats;

@@ -18,14 +18,16 @@ echo "==> perfbench build + harness tests"
 # The benchmark is a package of its own, outside the workspace, that
 # calls the simulators and the classify/accounting APIs directly: build
 # it here so an API change that breaks it fails CI, not the benchmark.
-cargo build --release --offline --manifest-path perfbench/Cargo.toml
-cargo test --release --offline --manifest-path perfbench/Cargo.toml
+# `--locked` fails instead of rewriting perfbench/Cargo.lock when a new
+# crate-to-crate edge changes the benchmark's dependency graph.
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 # perfbench is outside the workspace, so the workspace lint and format
 # checks do not reach it.
-cargo clippy --release --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+cargo clippy --release --offline --locked --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check

@@ -680,10 +680,10 @@ impl PolicyTable {
     ///
     /// # Errors
     ///
-    /// [`PolicyError::Parse`] on malformed JSON, a wrong `kind`/`format`
-    /// tag, missing fields, a `dims` descriptor the indexer cannot
-    /// honour, or action strings whose length disagrees with the
-    /// declared state space.
+    /// [`PolicyError::Parse`] on malformed JSON, anything but whitespace
+    /// after the closing `}`, a wrong `kind`/`format` tag, missing fields,
+    /// a `dims` descriptor the indexer cannot honour, or action strings
+    /// whose length disagrees with the declared state space.
     pub fn from_json(text: &str) -> Result<Self, PolicyError> {
         let mut cur = Cursor::new(text);
         cur.skip_ws();
@@ -749,6 +749,13 @@ impl PolicyTable {
             }
             cur.expect(b'}')?;
             break;
+        }
+        cur.skip_ws();
+        if cur.peek().is_some() {
+            return Err(PolicyError::Parse(format!(
+                "trailing bytes after the artifact object at byte {}",
+                cur.pos
+            )));
         }
 
         let missing = |field: &str| PolicyError::Parse(format!("missing field `{field}`"));

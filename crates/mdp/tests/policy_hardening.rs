@@ -11,7 +11,7 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use seleth_mdp::{Fork, PolicyTable};
+use seleth_mdp::{Fork, PolicyError, PolicyTable};
 
 /// The committed artifact texts, loaded once per test process.
 fn artifacts() -> &'static Vec<(String, String)> {
@@ -146,6 +146,21 @@ fn unmutated_artifacts_parse() {
             PolicyTable::from_json(text).unwrap_or_else(|e| panic!("{name} fails to parse: {e}"));
         parse_must_degrade_gracefully(text);
         assert!(table.max_len() > 0, "{name}");
+    }
+}
+
+/// The artifact is one object: trailing whitespace is fine, any other byte
+/// after its closing `}` is a parse error.
+#[test]
+fn trailing_bytes_after_the_object_are_rejected() {
+    for (name, text) in artifacts() {
+        let padded = format!("{text} \t\r\n");
+        assert!(PolicyTable::from_json(&padded).is_ok(), "{name}");
+        let garbage = format!("{text}}} garbage [1,2");
+        assert!(
+            matches!(PolicyTable::from_json(&garbage), Err(PolicyError::Parse(_))),
+            "{name} with trailing garbage must be rejected"
+        );
     }
 }
 

@@ -1,16 +1,15 @@
 //! Zero-dependency telemetry core for the selfish-ethereum workspace.
 //!
 //! The crate is hand-rolled (no external dependencies, matching the offline
-//! `vendor/` policy) and provides four layers:
+//! `vendor/` policy) and provides these layers:
 //!
-//! * **Primitives** ([`metrics`]): atomic [`Counter`]s and [`Gauge`]s for
-//!   shared state, plus fixed-bucket power-of-two [`Histogram`]s and a
-//!   monotonic [`Stopwatch`] for scoped timing.
-//! * **Recorder** ([`recorder`]): the [`Recorder`] trait behind which all
-//!   instrumentation sits.  The default method bodies are empty, so the
-//!   no-op implementation ([`NoopRecorder`]) compiles to nothing on hot
-//!   paths; [`TraceLog`] is an in-memory span sink that can be dumped as
-//!   JSON lines for the `--trace` flag of the study bins.
+//! * **Primitives** ([`metrics`]): fixed-bucket power-of-two
+//!   [`Histogram`]s and a monotonic [`Stopwatch`] for scoped timing.
+//! * **Recorder** ([`recorder`]): the [`Recorder`] trait, a sink for
+//!   spans and flight-recorder events.  The default method bodies are
+//!   empty, so the no-op implementation ([`NoopRecorder`]) compiles to
+//!   nothing on hot paths; [`TraceLog`] is an in-memory span sink that can
+//!   be dumped as JSON lines for the `--trace` flag of the study bins.
 //! * **Shards** ([`telemetry`]): per-worker [`TelemetryShard`]s accumulate
 //!   counters, histograms and busy/queue-wait time without any locking, and
 //!   merge deterministically into a [`Telemetry`] summary whose counter
@@ -47,7 +46,7 @@ pub mod trend;
 
 pub use events::{trace_diff, Divergence, Event, EventKind, EventLog};
 pub use json::{parse_json, JsonError, JsonValue};
-pub use metrics::{Counter, Gauge, Histogram, Stopwatch};
+pub use metrics::{Histogram, Stopwatch};
 pub use profile::render_profile;
 pub use recorder::{NoopRecorder, Recorder, SpanEvent, TraceLog};
 pub use telemetry::{Telemetry, TelemetryShard, WorkerStats};

@@ -1,68 +1,7 @@
-//! Telemetry primitives: atomic counters/gauges, fixed-bucket histograms,
-//! and a monotonic stopwatch.
+//! Telemetry primitives: fixed-bucket histograms and a monotonic
+//! stopwatch.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// A shared, thread-safe monotonically increasing counter.
-///
-/// Uses relaxed atomics: counts are exact (every `add` lands), but no
-/// ordering is implied with respect to other memory operations.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// Creates a counter starting at zero.
-    #[must_use]
-    pub const fn new() -> Self {
-        Self(AtomicU64::new(0))
-    }
-
-    /// Adds `delta` to the counter.
-    #[inline]
-    pub fn add(&self, delta: u64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Increments the counter by one.
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Returns the current value.
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A shared, thread-safe last-write-wins `f64` gauge.
-///
-/// The value is stored as its IEEE-754 bit pattern in an `AtomicU64`, so
-/// reads and writes are lock-free and never tear.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// Creates a gauge initialised to `0.0`.
-    #[must_use]
-    pub const fn new() -> Self {
-        Self(AtomicU64::new(0))
-    }
-
-    /// Sets the gauge to `value`.
-    #[inline]
-    pub fn set(&self, value: f64) {
-        self.0.store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Returns the current value.
-    #[must_use]
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
 
 /// Number of buckets in a [`Histogram`]: one for zero plus one per
 /// power-of-two magnitude of a `u64` sample.
@@ -253,17 +192,6 @@ impl Stopwatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_and_gauge_roundtrip() {
-        let c = Counter::new();
-        c.add(3);
-        c.incr();
-        assert_eq!(c.get(), 4);
-        let g = Gauge::new();
-        g.set(2.5);
-        assert_eq!(g.get(), 2.5);
-    }
 
     #[test]
     fn histogram_buckets_are_powers_of_two() {

@@ -7,7 +7,8 @@ use std::time::Instant;
 
 use crate::events::EventKind;
 
-/// A sink for telemetry signals emitted by instrumented code.
+/// A sink for the spans and flight-recorder events emitted by
+/// instrumented code.
 ///
 /// All methods have empty default bodies, so the no-op implementation
 /// ([`NoopRecorder`]) is literally `impl Recorder for NoopRecorder {}` and
@@ -42,15 +43,6 @@ pub trait Recorder: Send + Sync {
     fn now_ns(&self) -> u64 {
         0
     }
-
-    /// Adds `delta` to the named counter.
-    fn counter_add(&self, _key: &str, _delta: u64) {}
-
-    /// Sets the named gauge to `value` (last write wins).
-    fn gauge_set(&self, _key: &str, _value: f64) {}
-
-    /// Records one sample of the named distribution.
-    fn observe(&self, _key: &str, _value: u64) {}
 
     /// Records a completed span: `name` ran on `worker` from `start_ns` to
     /// `end_ns` (both relative to [`Recorder::now_ns`]'s epoch).
@@ -207,7 +199,6 @@ mod tests {
         let rec = NoopRecorder;
         assert!(!rec.enabled());
         assert_eq!(rec.now_ns(), 0);
-        rec.counter_add("x", 1);
         rec.span("x", 0, 0, 1);
     }
 

@@ -434,10 +434,9 @@ struct Strategist {
     epoch: PrivateFork,
     /// Highest block heard from other miners so far.
     best_heard: BlockId,
-    /// Released blocks by other miners, not yet heard; an entry is heard
-    /// at `pub_time + delay + extra`. Kept sorted by that due time
-    /// (without faults every `extra` is zero and release times never
-    /// decrease, so insertion degenerates to a plain `push_back`).
+    /// Released blocks by other miners, not yet heard; an entry is due at
+    /// `pub_time + delay + extra` and then passes the crash gate and
+    /// [`DelaySimulation::admit`].
     inbox: VecDeque<Pending>,
     /// `true` while the miner is down and has not yet resynchronized
     /// (set by the crash gate, cleared by the forced-adopt resync on the
@@ -445,10 +444,9 @@ struct Strategist {
     crashed: bool,
 }
 
-/// One queued delivery of a released block to a receiver — a public view
-/// or a strategist's inbox — due at `pub_time(block) + delay + extra`
-/// (strategists) or visible at `pub_time(block) + extra + delay` past
-/// release (views; same ordering).
+/// One queued delivery of a released block to a [`Receiver`], due at
+/// `pub_time(block) + delay + extra`; [`DelaySimulation::admit`] decides
+/// whether it lands, retries or is duplicated.
 #[derive(Debug, Clone, Copy)]
 struct Pending {
     block: BlockId,
@@ -460,8 +458,8 @@ struct Pending {
     extra: f64,
     /// Delivery attempts so far; keys the per-attempt fault coins.
     attempt: u32,
-    /// An inert duplicate copy: skips the fault pipeline, exercising only
-    /// the receiver's idempotence.
+    /// An inert duplicate copy: skips the fault gate, exercising only the
+    /// receiver's idempotence.
     dup: bool,
 }
 
@@ -480,9 +478,8 @@ impl Pending {
 /// with partitions there is one additional view per partition group id,
 /// and honest miners read the view of their current group. Every view
 /// receives every delivery at all times (so dormant views track the
-/// shared frontier for free); a delivery into view `v` stalls only while
-/// an *active* partition uses group `v` and assigns the producer
-/// elsewhere — it then retries with backoff until the partition heals.
+/// shared frontier for free); [`DelaySimulation::admit`] decides when one
+/// stalls.
 #[derive(Debug)]
 struct PublicView {
     /// Best (highest, earliest-released) block fully propagated to this
@@ -496,25 +493,18 @@ struct PublicView {
     pending: VecDeque<Pending>,
 }
 
+/// Where a delivery goes: public view `v`, or the inbox of strategist `i`
+/// (an index into the simulation's strategists, not a miner id).
+#[derive(Debug, Clone, Copy)]
+enum Receiver {
+    View(usize),
+    Strategist(usize),
+}
+
 /// Receiver-id namespace of the public views inside the fault plan's hash
 /// streams; strategist receivers use their (small) miner index directly.
 fn view_receiver(v: usize) -> u64 {
     (1u64 << 32) + v as u64
-}
-
-/// Insert `p` into a due-time-ordered queue. Duplicates and retries can
-/// land out of order; the zero-fault path (every `extra` zero, release
-/// times monotone) always takes the `push_back` branch, preserving the
-/// fault-unaware engine's queue order exactly.
-fn enqueue(queue: &mut VecDeque<Pending>, pub_time: &[f64], p: Pending) {
-    let due = pub_time[p.block.index()] + p.extra;
-    match queue.back() {
-        Some(b) if pub_time[b.block.index()] + b.extra > due => {
-            let at = queue.partition_point(|e| pub_time[e.block.index()] + e.extra <= due);
-            queue.insert(at, p);
-        }
-        _ => queue.push_back(p),
-    }
 }
 
 /// Deterministic event counters of one delay run.
@@ -593,34 +583,11 @@ impl DelayCounters {
 
     /// Counter values under their stable telemetry keys.
     pub fn entries(&self) -> [(&'static str, u64); 24] {
-        [
-            ("delay.mining_events", self.mining_events),
-            ("delay.thinned_events", self.thinned_events),
-            ("delay.deliveries", self.deliveries),
-            ("delay.duplicate_deliveries", self.duplicate_deliveries),
-            ("delay.drops", self.drops),
-            ("delay.regossip_attempts", self.regossip_attempts),
-            ("delay.partition_stalls", self.partition_stalls),
-            ("delay.partition_heals", self.partition_heals),
-            ("delay.crash_misses", self.crash_misses),
-            ("delay.crash_resyncs", self.crash_resyncs),
-            ("delay.forced_adopts", self.forced_adopts),
-            ("delay.adopts", self.adopts),
-            ("delay.overrides", self.overrides),
-            ("delay.matches", self.matches),
-            ("delay.released_blocks", self.released_blocks),
-            ("delay.orphan_blocks", self.orphan_blocks),
-            ("delay.gossip_sends", self.gossip_sends),
-            ("delay.gossip_dedup_drops", self.gossip_dedup_drops),
-            ("delay.gossip_loss_retries", self.gossip_loss_retries),
-            ("delay.gossip_unreachable", self.gossip_unreachable),
-            ("delay.gossip_hops_1", self.gossip_hops_1),
-            ("delay.gossip_hops_2", self.gossip_hops_2),
-            ("delay.gossip_hops_3", self.gossip_hops_3),
-            ("delay.gossip_hops_4_plus", self.gossip_hops_4_plus),
-        ]
+        let mut copy = *self;
+        copy.entries_mut().map(|(key, value)| (key, *value))
     }
 
+    /// The one list of counters and their keys, in telemetry order.
     fn entries_mut(&mut self) -> [(&'static str, &mut u64); 24] {
         [
             ("delay.mining_events", &mut self.mining_events),
@@ -883,40 +850,29 @@ impl DelaySimulation {
         // Promote fully propagated blocks into the public frontier views.
         self.promote_public();
 
-        match self.strategists.iter().position(|s| s.miner == miner) {
-            Some(i) => {
-                // A crashed miner's hash power drops out of the Poisson
-                // race: the event slot produces no block (thinning — the
-                // arrival process stays exact for the remaining power).
-                if self.strategist_down(i, self.now) {
-                    self.counters.thinned_events += 1;
-                    record_event(
-                        &self.events,
-                        EventKind::Thinned,
-                        miner.0,
-                        0,
-                        self.now.to_bits(),
-                    );
-                    return;
-                }
-                self.counters.mining_events += 1;
-                self.strategic_mines(i)
-            }
-            None => {
-                if self.crash_faults && self.crashes.is_down(miner.0 as usize, self.now) {
-                    self.counters.thinned_events += 1;
-                    record_event(
-                        &self.events,
-                        EventKind::Thinned,
-                        miner.0,
-                        0,
-                        self.now.to_bits(),
-                    );
-                    return;
-                }
-                self.counters.mining_events += 1;
-                self.honest_mines(miner)
-            }
+        let strategist = self.strategists.iter().position(|s| s.miner == miner);
+        let down = match strategist {
+            Some(i) => self.strategist_down(i, self.now),
+            None => self.crash_faults && self.crashes.is_down(miner.0 as usize, self.now),
+        };
+        // A crashed miner's hash power drops out of the Poisson race: the
+        // event slot produces no block (thinning — the arrival process
+        // stays exact for the remaining power).
+        if down {
+            self.counters.thinned_events += 1;
+            record_event(
+                &self.events,
+                EventKind::Thinned,
+                miner.0,
+                0,
+                self.now.to_bits(),
+            );
+            return;
+        }
+        self.counters.mining_events += 1;
+        match strategist {
+            Some(i) => self.strategic_mines(i),
+            None => self.honest_mines(miner),
         }
     }
 
@@ -941,10 +897,8 @@ impl DelaySimulation {
             .is_some_and(MinerStrategy::is_strategic)
     }
 
-    /// Release a withheld block at time `t`: it enters every public
-    /// view's propagation pipeline and every other strategic miner's
-    /// inbox, each link drawing its own reorder jitter from the fault
-    /// plan (exactly `0.0` without link faults).
+    /// Release a withheld block at time `t`: it is sent to every public
+    /// view and every other strategic miner ([`DelaySimulation::send`]).
     fn release(&mut self, id: BlockId, t: f64, producer: MinerId) {
         if self.pub_time[id.index()] < f64::INFINITY {
             return; // already out (e.g. a matched prefix being overridden)
@@ -958,7 +912,6 @@ impl DelaySimulation {
             t.to_bits(),
         );
         self.pub_time[id.index()] = t;
-        let block = id.index() as u64;
         // Graph mode: one gossip propagation per release. Per-receiver
         // arrivals fold into the queues' `extra` surcharge relative to
         // the base delay: a complete/uniform topology yields exactly
@@ -970,50 +923,11 @@ impl DelaySimulation {
             self.gossip_release(id, producer);
         }
         for v in 0..self.views.len() {
-            let mut extra = match &self.graph {
-                // The producer's own view keeps the shared schedule
-                // (extra 0.0, stored as such by gossip_release).
-                Some(net) => net.extra(id.index(), self.config.shares.len(), v),
-                None => 0.0,
-            };
-            if !extra.is_finite() {
-                continue; // the graph never delivers it to this miner
-            }
-            if self.link_faults {
-                extra += self
-                    .config
-                    .faults
-                    .delivery_jitter(block, view_receiver(v), 0);
-            }
-            enqueue(
-                &mut self.views[v].pending,
-                &self.pub_time,
-                Pending::first(id, extra),
-            );
+            self.send(Receiver::View(v), id);
         }
-        let miners = self.config.shares.len();
-        let link_faults = self.link_faults;
-        let Self {
-            strategists,
-            graph,
-            config,
-            pub_time,
-            ..
-        } = self;
-        let plan = &config.faults;
-        for s in strategists.iter_mut() {
-            if s.miner != producer {
-                let mut extra = match graph {
-                    Some(net) => net.extra(id.index(), miners, s.miner.0 as usize),
-                    None => 0.0,
-                };
-                if !extra.is_finite() {
-                    continue;
-                }
-                if link_faults {
-                    extra += plan.delivery_jitter(block, s.miner.0 as u64, 0);
-                }
-                enqueue(&mut s.inbox, pub_time, Pending::first(id, extra));
+        for i in 0..self.strategists.len() {
+            if self.strategists[i].miner != producer {
+                self.send(Receiver::Strategist(i), id);
             }
         }
     }
@@ -1082,6 +996,125 @@ impl DelaySimulation {
         }
     }
 
+    /// The fault plan's hash-stream id of receiver `r` and its miner row:
+    /// the graph surcharge row, partition membership and event actor (`v`
+    /// for a view — per-miner in graph mode — the miner for a strategist).
+    fn receiver_ids(&self, r: Receiver) -> (u64, usize) {
+        match r {
+            Receiver::View(v) => (view_receiver(v), v),
+            Receiver::Strategist(i) => {
+                let m = self.strategists[i].miner.0 as usize;
+                (m as u64, m)
+            }
+        }
+    }
+
+    /// Queue the first delivery attempt of released block `id` toward
+    /// `r`: the graph surcharge toward `r` (the producer's own view keeps
+    /// the shared schedule, `0.0`; unreachable receivers get nothing) plus
+    /// the link's own reorder jitter (exactly `0.0` without link faults).
+    fn send(&mut self, r: Receiver, id: BlockId) {
+        let (receiver, row) = self.receiver_ids(r);
+        let mut extra = match &self.graph {
+            Some(net) => net.extra(id.index(), self.config.shares.len(), row),
+            None => 0.0,
+        };
+        if !extra.is_finite() {
+            return; // the graph never delivers it to this miner
+        }
+        if self.link_faults {
+            extra += self
+                .config
+                .faults
+                .delivery_jitter(id.index() as u64, receiver, 0);
+        }
+        self.enqueue(r, Pending::first(id, extra));
+    }
+
+    /// Insert `p` into `r`'s due-time-ordered queue. Duplicates and
+    /// retries can land out of order; the zero-fault path (every `extra`
+    /// zero, release times monotone) always takes the `push_back` branch,
+    /// preserving the fault-unaware engine's queue order exactly.
+    fn enqueue(&mut self, r: Receiver, p: Pending) {
+        let pub_time = &self.pub_time;
+        let queue = match r {
+            Receiver::View(v) => &mut self.views[v].pending,
+            Receiver::Strategist(i) => &mut self.strategists[i].inbox,
+        };
+        let due = pub_time[p.block.index()] + p.extra;
+        match queue.back() {
+            Some(b) if pub_time[b.block.index()] + b.extra > due => {
+                let at = queue.partition_point(|e| pub_time[e.block.index()] + e.extra <= due);
+                queue.insert(at, p);
+            }
+            _ => queue.push_back(p),
+        }
+    }
+
+    /// The fault gate every delivery passes, to a public view or a
+    /// strategist alike. A duplicate copy is counted and lands. Otherwise,
+    /// with link or partition faults on: a partition stall at arrival time
+    /// or a lost gossip re-enqueues the entry with capped exponential
+    /// backoff plus fresh jitter and returns `false`; a duplication coin
+    /// adds an inert copy at the same due time. Every delivery that lands
+    /// is counted.
+    ///
+    /// Outside graph mode a view is a partition *group*: it stalls while
+    /// an active partition uses group `v` and places the producer
+    /// elsewhere. Every other receiver is a miner, stalled while a
+    /// partition cuts it from the producer (the graph-cut reading of the
+    /// same timed group vectors).
+    fn admit(&mut self, r: Receiver, p: Pending) -> bool {
+        if p.dup {
+            self.counters.duplicate_deliveries += 1;
+        } else if self.link_faults || self.partition_faults {
+            let (receiver, row) = self.receiver_ids(r);
+            let plan = &self.config.faults;
+            let block = p.block.index() as u64;
+            let arrival = self.pub_time[p.block.index()] + self.config.delay + p.extra;
+            let producer = self.tree.block(p.block).miner().0 as usize;
+            let stalled = self.partition_faults
+                && match r {
+                    Receiver::View(v) if self.graph.is_none() => plan
+                        .active_partition(arrival)
+                        .is_some_and(|part| part.uses_group(v) && part.groups[producer] != v),
+                    _ => plan.cross_blocked(producer, row, arrival),
+                };
+            if stalled || (self.link_faults && plan.drops(block, receiver, p.attempt)) {
+                let retry = Pending {
+                    block: p.block,
+                    extra: p.extra
+                        + plan.retry_backoff(p.attempt)
+                        + plan.delivery_jitter(block, receiver, p.attempt + 1),
+                    attempt: p.attempt + 1,
+                    dup: false,
+                };
+                let (kind, count) = if stalled {
+                    (EventKind::FaultStall, &mut self.counters.partition_stalls)
+                } else {
+                    (EventKind::FaultDrop, &mut self.counters.drops)
+                };
+                *count += 1;
+                self.counters.regossip_attempts += 1;
+                record_event(&self.events, kind, row as u32, block, u64::from(p.attempt));
+                self.enqueue(r, retry);
+                return false;
+            }
+            if self.link_faults && plan.duplicates(block, receiver, p.attempt) {
+                record_event(
+                    &self.events,
+                    EventKind::FaultDuplicate,
+                    row as u32,
+                    block,
+                    u64::from(p.attempt),
+                );
+                self.enqueue(r, Pending { dup: true, ..p });
+            }
+        }
+        self.counters.deliveries += 1;
+        true
+    }
+
     /// Promote fully propagated blocks into the shared honest frontier,
     /// tracking races at the frontier height: strategic-vs-honest ties
     /// (split by `tie_gamma`) and — with several concurrent strategists —
@@ -1095,89 +1128,19 @@ impl DelaySimulation {
         }
     }
 
-    /// Drain view `v`'s pipeline up to the propagation horizon, running
-    /// each non-duplicate delivery through the fault pipeline first: a
-    /// partition stall or a lost gossip re-enqueues the entry with capped
-    /// exponential backoff (plus fresh jitter); a duplication coin adds an
-    /// inert second copy at the same due time.
+    /// Drain view `v`'s pipeline up to the propagation horizon, passing
+    /// each delivery through [`DelaySimulation::admit`] before it can move
+    /// the frontier.
     fn promote_view(&mut self, v: usize, horizon: f64) {
         while let Some(&p) = self.views[v].pending.front() {
             if self.pub_time[p.block.index()] + p.extra > horizon {
                 break;
             }
             self.views[v].pending.pop_front();
+            if !self.admit(Receiver::View(v), p) {
+                continue;
+            }
             let front = p.block;
-            if p.dup {
-                self.counters.duplicate_deliveries += 1;
-            }
-            if !p.dup && (self.link_faults || self.partition_faults) {
-                let plan = &self.config.faults;
-                let block = front.index() as u64;
-                let receiver = view_receiver(v);
-                // The view's group hears the block when it finishes
-                // propagating; a partition active *then* that uses this
-                // group but assigns the producer elsewhere stalls it.
-                let arrival = self.pub_time[front.index()] + self.config.delay + p.extra;
-                let producer = self.tree.block(front).miner().0 as usize;
-                // Graph mode: views are per-miner, so a partition stalls
-                // the delivery exactly when it cuts producer from the
-                // view's miner — the graph-cut reading of the same timed
-                // group vectors.
-                let stalled = self.partition_faults
-                    && if self.graph.is_some() {
-                        plan.cross_blocked(producer, v, arrival)
-                    } else {
-                        plan.active_partition(arrival)
-                            .is_some_and(|part| part.uses_group(v) && part.groups[producer] != v)
-                    };
-                if stalled || (self.link_faults && plan.drops(block, receiver, p.attempt)) {
-                    let retry = Pending {
-                        block: front,
-                        extra: p.extra
-                            + plan.retry_backoff(p.attempt)
-                            + plan.delivery_jitter(block, receiver, p.attempt + 1),
-                        attempt: p.attempt + 1,
-                        dup: false,
-                    };
-                    if stalled {
-                        self.counters.partition_stalls += 1;
-                        record_event(
-                            &self.events,
-                            EventKind::FaultStall,
-                            v as u32,
-                            block,
-                            u64::from(p.attempt),
-                        );
-                    } else {
-                        self.counters.drops += 1;
-                        record_event(
-                            &self.events,
-                            EventKind::FaultDrop,
-                            v as u32,
-                            block,
-                            u64::from(p.attempt),
-                        );
-                    }
-                    self.counters.regossip_attempts += 1;
-                    enqueue(&mut self.views[v].pending, &self.pub_time, retry);
-                    continue;
-                }
-                if self.link_faults && plan.duplicates(block, receiver, p.attempt) {
-                    record_event(
-                        &self.events,
-                        EventKind::FaultDuplicate,
-                        v as u32,
-                        block,
-                        u64::from(p.attempt),
-                    );
-                    enqueue(
-                        &mut self.views[v].pending,
-                        &self.pub_time,
-                        Pending { dup: true, ..p },
-                    );
-                }
-            }
-            self.counters.deliveries += 1;
             let h = self.tree.height(front);
             let best = self.views[v].best;
             let best_h = self.tree.height(best);
@@ -1242,8 +1205,8 @@ impl DelaySimulation {
             };
             let p = self.strategists[chosen].inbox.pop_front().expect("peeked");
             // A down receiver simply misses the gossip; re-gossip retries
-            // (below, for fault plans with link faults) or the forced-adopt
-            // resync on recovery pick the chain back up.
+            // (from the fault gate, for fault plans with link faults) or
+            // the forced-adopt resync on recovery pick the chain back up.
             if self.crash_faults && self.strategist_down(chosen, t) {
                 self.counters.crash_misses += 1;
                 record_event(
@@ -1255,65 +1218,9 @@ impl DelaySimulation {
                 );
                 continue;
             }
-            if p.dup {
-                self.counters.duplicate_deliveries += 1;
+            if self.admit(Receiver::Strategist(chosen), p) {
+                self.hear(chosen, p.block, t);
             }
-            if !p.dup && (self.link_faults || self.partition_faults) {
-                let plan = &self.config.faults;
-                let block = p.block.index() as u64;
-                let receiver = self.strategists[chosen].miner.0 as u64;
-                let producer = self.tree.block(p.block).miner().0 as usize;
-                let stalled =
-                    self.partition_faults && plan.cross_blocked(producer, receiver as usize, t);
-                if stalled || (self.link_faults && plan.drops(block, receiver, p.attempt)) {
-                    let retry = Pending {
-                        block: p.block,
-                        extra: p.extra
-                            + plan.retry_backoff(p.attempt)
-                            + plan.delivery_jitter(block, receiver, p.attempt + 1),
-                        attempt: p.attempt + 1,
-                        dup: false,
-                    };
-                    if stalled {
-                        self.counters.partition_stalls += 1;
-                        record_event(
-                            &self.events,
-                            EventKind::FaultStall,
-                            receiver as u32,
-                            block,
-                            u64::from(p.attempt),
-                        );
-                    } else {
-                        self.counters.drops += 1;
-                        record_event(
-                            &self.events,
-                            EventKind::FaultDrop,
-                            receiver as u32,
-                            block,
-                            u64::from(p.attempt),
-                        );
-                    }
-                    self.counters.regossip_attempts += 1;
-                    enqueue(&mut self.strategists[chosen].inbox, &self.pub_time, retry);
-                    continue;
-                }
-                if self.link_faults && plan.duplicates(block, receiver, p.attempt) {
-                    record_event(
-                        &self.events,
-                        EventKind::FaultDuplicate,
-                        receiver as u32,
-                        block,
-                        u64::from(p.attempt),
-                    );
-                    enqueue(
-                        &mut self.strategists[chosen].inbox,
-                        &self.pub_time,
-                        Pending { dup: true, ..p },
-                    );
-                }
-            }
-            self.counters.deliveries += 1;
-            self.hear(chosen, p.block, t);
         }
     }
 

@@ -14,6 +14,12 @@
 //!   delay-engine strategists under crash resyncs, forced adopts and a
 //!   two-cluster graph (tree, reward bits, action counters). They were
 //!   recorded while each engine still ran its own copy of the executor.
+//! - **Fault-gate anchors** pin the delay engine's delivery fault gate for
+//!   both receiver kinds, public views and strategist inboxes, under loss,
+//!   duplication, jitter, churn, downtime and partitions in uniform and
+//!   graph mode (every counter, reward bits, event digest and count).
+//!   They were recorded while each receiver kind still ran its own copy
+//!   of the gate.
 //! - **A consensus-rule audit** replays the accounting-time validator
 //!   ([`uncle_events_with_cap`]) over random trees from both engines:
 //!   every reference a main-chain header carries must be one the
@@ -32,7 +38,7 @@ use seleth_net::Topology;
 
 use crate::delay::tests::{mined_tree, sm1_table};
 use crate::delay::{DelayConfig, DelaySimulation};
-use crate::{FaultPlan, PoolStrategy, SimConfig, Simulation};
+use crate::{diagnose, FaultPlan, PoolStrategy, SimConfig, Simulation};
 
 /// FNV-1a over every block's parent, miner and reference list, in id
 /// order, plus the total number of references.
@@ -234,6 +240,22 @@ fn delay_anchor(config: DelayConfig) -> [u64; 10] {
     ]
 }
 
+/// One recorded delay run through the fault gate: every counter in
+/// [`crate::delay::DelayCounters::entries`] order, then total and miner-0
+/// reward bits, the flight recorder's digest and its event count.
+fn fault_gate_anchor(config: &DelayConfig) -> ([u64; 24], [u64; 4]) {
+    let (r, log) = diagnose::record_delay_run(config, 1);
+    (
+        r.counters.entries().map(|(_, v)| v),
+        [
+            r.report.total_reward().to_bits(),
+            r.miner(0).total().to_bits(),
+            log.digest(),
+            log.count(),
+        ],
+    )
+}
+
 #[test]
 fn engine_executor_matches_its_anchors() {
     let sm1 = engine_anchor(0.35, Ok(sm1_table(0.35, 0.5, 12)));
@@ -388,6 +410,92 @@ fn delay_executor_matches_its_anchors() {
             0,
             11345
         ]
+    );
+}
+
+#[test]
+fn delay_fault_gate_matches_its_anchors() {
+    // Uniform mode: every link fault, churn, and two partitions; the
+    // second uses a group view (2) that only some miners read.
+    let uniform_faults = FaultPlan::builder()
+        .loss(0.25)
+        .duplication(0.2)
+        .jitter(2.0)
+        .seed(11)
+        .churn(30_000.0, 3_000.0)
+        .partition(10_000.0, 25_000.0, vec![0, 1, 1, 0])
+        .partition(40_000.0, 55_000.0, vec![2, 2, 0, 0])
+        .build()
+        .unwrap();
+    let uniform = fault_gate_anchor(
+        &DelayConfig::builder()
+            .shares(vec![0.3, 0.25, 0.2, 0.25])
+            .policy(0, artifact("ethereum_a030_g050"))
+            .policy(1, artifact("bitcoin_a040_g050_d6"))
+            .tie_gamma(0.5)
+            .delay(3.0)
+            .blocks(8_000)
+            .seed(31)
+            .schedule(RewardSchedule::ethereum())
+            .faults(uniform_faults)
+            .build()
+            .unwrap(),
+    );
+    // Graph mode: per-miner views, a strategist down for a window, and a
+    // partition acting as a graph cut.
+    let graph_faults = FaultPlan::builder()
+        .loss(0.2)
+        .duplication(0.15)
+        .jitter(1.5)
+        .seed(13)
+        .downtime(0, 15_000.0, 22_000.0)
+        .partition(5_000.0, 20_000.0, vec![0, 0, 1, 1])
+        .build()
+        .unwrap();
+    let graph = fault_gate_anchor(
+        &DelayConfig::builder()
+            .shares(vec![0.35, 0.2, 0.25, 0.2])
+            .policy(0, artifact("bitcoin_a040_g050_d6"))
+            .policy(2, artifact("ethereum_a030_g050"))
+            .tie_gamma(0.5)
+            .delay(6.0)
+            .blocks(8_000)
+            .seed(37)
+            .schedule(RewardSchedule::ethereum())
+            .topology(Topology::two_clusters(2, 2, 1.5, 6.0).unwrap())
+            .faults(graph_faults)
+            .build()
+            .unwrap(),
+    );
+    assert_eq!(
+        uniform,
+        (
+            [
+                7692, 308, 35574, 5929, 9968, 417_996, 408_028, 2, 563, 6, 482, 1371, 687, 2418,
+                6687, 4539, 0, 0, 0, 0, 0, 0, 0, 0
+            ],
+            [
+                0x40af_8f70_0000_0000,
+                0x4094_a780_0000_0000,
+                0x2799_5d3c_cc10_7fe9,
+                455_657
+            ]
+        )
+    );
+    assert_eq!(
+        graph,
+        (
+            [
+                7776, 224, 39152, 4995, 8582, 330_068, 321_486, 1, 668, 1, 266, 840, 829, 2157,
+                6522, 4958, 39132, 19566, 0, 0, 9829, 6522, 3215, 0
+            ],
+            [
+                0x40ab_6790_0000_0000,
+                0x4089_e600_0000_0000,
+                0x7e7c_e37c_bde7_b387,
+                393_833
+            ]
+        )
     );
 }
 

@@ -54,7 +54,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use serde::{Deserialize, Serialize};
 
@@ -80,10 +83,27 @@ pub fn unit(h: u64) -> f64 {
 /// entire randomness of a topology, and of the simulator's fault plans
 /// (`edge` is then the receiver). Counter-based, never stateful.
 pub fn hash(seed: u64, stream: u64, block: u64, edge: u64, attempt: u32) -> u64 {
-    let mut h = splitmix64(seed ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    h = splitmix64(h ^ block);
-    h = splitmix64(h ^ edge);
-    splitmix64(h ^ u64::from(attempt))
+    hash_tail(hash_prefix(seed, stream, block), edge, attempt)
+}
+
+/// The `(seed, stream, block)` half of [`hash`]: constant over one
+/// propagation, so it is computed once per block, not once per edge.
+fn hash_prefix(seed: u64, stream: u64, block: u64) -> u64 {
+    splitmix64(splitmix64(seed ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15)) ^ block)
+}
+
+/// The `(edge, attempt)` half of [`hash`].
+fn hash_tail(prefix: u64, edge: u64, attempt: u32) -> u64 {
+    splitmix64(splitmix64(prefix ^ edge) ^ u64::from(attempt))
+}
+
+/// The integer form of the coin `unit(h) < p` for `p` in `[0, 1)`:
+/// `unit(h) < p` holds exactly when `(h >> 11) < loss_cut(p)`, because
+/// `unit(h)` is the 53-bit integer `h >> 11` scaled by the exact power
+/// `2^-53`, and an integer lies below a real exactly when it lies below
+/// the real's ceiling.
+fn loss_cut(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
 }
 
 /// What a graph node is.
@@ -243,6 +263,11 @@ pub struct GossipStats {
     /// held the block, or an equal-or-earlier copy was already queued).
     pub dedup_drops: u64,
     /// Loss-coin failures that forced a backoff re-send on some edge.
+    /// Coins are drawn on every send, including copies a receiver's
+    /// seen-set then drops, so retries of dropped copies count too. That
+    /// is why propagation skips only the latency draw of a copy toward a
+    /// node that already holds the block, never its coins: this total
+    /// stays what a full draw of every send gives.
     pub loss_retries: u64,
 }
 
@@ -256,7 +281,7 @@ impl GossipStats {
 }
 
 /// Earliest-arrival schedule of one block over the graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Propagation {
     /// Per miner id: time after release at which the miner first holds
     /// the block. `0.0` for the producer, [`f64::INFINITY`] if the graph
@@ -283,6 +308,82 @@ struct StaticPlan {
     stats: Vec<GossipStats>,
 }
 
+/// One out-edge as the propagation loop reads it: a [`Link`] compiled
+/// once at build time into the numbers its draws need.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Edge {
+    /// Destination node index.
+    to: usize,
+    /// Index of the source [`Link`] (the `edge` input of every draw).
+    link: u64,
+    /// The fixed latency, or the lower bound of a uniform draw.
+    lo: f64,
+    /// `hi - lo` of a uniform draw (unused for a fixed latency).
+    span: f64,
+    /// Whether the latency is drawn per block ([`Latency::Uniform`]).
+    draw: bool,
+    /// [`loss_cut`] of the link's loss; `0` (never lost) for shortcuts
+    /// and lossless links, which draw no coins at all.
+    loss_cut: u64,
+}
+
+/// Reusable working memory of [`Topology::propagate_into`]: Dijkstra's
+/// per-node arrays plus the frontier bitset. It adapts to any topology
+/// size, so one `Scratch` can serve several topologies in turn; once it
+/// has grown to the largest of them, propagation allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct Scratch {
+    /// Tentative (then final) arrival per node.
+    dist: Vec<f64>,
+    /// Edges on the current best path per node.
+    hops: Vec<u32>,
+    /// Settled nodes: their arrival is final.
+    settled: Vec<bool>,
+    /// Bitset of reached but unsettled nodes (64 per word).
+    frontier: Vec<u64>,
+}
+
+impl Scratch {
+    /// Reset for a Dijkstra over `n` nodes from `src`.
+    fn reset(&mut self, n: usize, src: usize) {
+        self.dist.clear();
+        self.dist.resize(n, f64::INFINITY);
+        self.hops.clear();
+        self.hops.resize(n, 0);
+        self.settled.clear();
+        self.settled.resize(n, false);
+        self.frontier.clear();
+        self.frontier.resize(n.div_ceil(64), 0);
+        self.dist[src] = 0.0;
+        self.frontier[src / 64] |= 1 << (src % 64);
+    }
+
+    /// The frontier node with the lowest tentative arrival, the lowest
+    /// index on ties (bits ascend, and the strict `<` keeps the earlier
+    /// one); `None` once the frontier is empty.
+    fn pop_nearest(&mut self) -> Option<usize> {
+        let (mut u, mut best) = (usize::MAX, f64::INFINITY);
+        for (w, &word) in self.frontier.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let v = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                // Every frontier arrival is finite, so the first node
+                // always beats the initial `INFINITY`.
+                if self.dist[v] < best {
+                    (u, best) = (v, self.dist[v]);
+                }
+            }
+        }
+        if u == usize::MAX {
+            return None;
+        }
+        self.frontier[u / 64] &= !(1 << (u % 64));
+        self.settled[u] = true;
+        Some(u)
+    }
+}
+
 /// A validated peer graph. Build one with [`Topology::builder`] or a
 /// canonical-shape constructor, then hand it to the delay simulator as a
 /// `PropagationModel` (or query [`Topology::propagate`] directly).
@@ -290,9 +391,11 @@ struct StaticPlan {
 pub struct Topology {
     nodes: Vec<NodeRole>,
     links: Vec<Link>,
-    /// Outgoing link indices per node (insertion order — part of the
-    /// deterministic tie-break contract).
-    out: Vec<Vec<usize>>,
+    /// Compiled out-edges grouped by source node, each group in link
+    /// insertion order (part of the deterministic tie-break contract).
+    edges: Vec<Edge>,
+    /// Node `u`'s out-edges are `edges[edge_start[u]..edge_start[u + 1]]`.
+    edge_start: Vec<usize>,
     /// Node index of each dense miner id.
     miner_nodes: Vec<usize>,
     seed: u64,
@@ -450,9 +553,38 @@ impl TopologyBuilder {
                 return Err(NetError::InvalidLoss { loss: link.loss });
             }
         }
-        let mut out = vec![Vec::new(); self.nodes.len()];
-        for (e, link) in self.links.iter().enumerate() {
-            out[link.from].push(e);
+        // CSR out-edges: a stable sort by source keeps each node's links
+        // in insertion order.
+        let mut order: Vec<usize> = (0..self.links.len()).collect();
+        order.sort_by_key(|&e| self.links[e].from);
+        let edges = order
+            .into_iter()
+            .map(|e| {
+                let link = &self.links[e];
+                let (lo, span, draw) = match link.latency {
+                    Latency::Fixed(l) => (l, 0.0, false),
+                    Latency::Uniform { lo, hi } => (lo, hi - lo, true),
+                };
+                Edge {
+                    to: link.to,
+                    link: e as u64,
+                    lo,
+                    span,
+                    draw,
+                    loss_cut: if link.shortcut {
+                        0
+                    } else {
+                        loss_cut(link.loss)
+                    },
+                }
+            })
+            .collect();
+        let mut edge_start = vec![0usize; self.nodes.len() + 1];
+        for link in &self.links {
+            edge_start[link.from + 1] += 1;
+        }
+        for u in 0..self.nodes.len() {
+            edge_start[u + 1] += edge_start[u];
         }
         let mut miner_nodes = vec![0usize; miners];
         for (n, role) in self.nodes.iter().enumerate() {
@@ -463,7 +595,8 @@ impl TopologyBuilder {
         let mut topology = Topology {
             nodes: self.nodes.clone(),
             links: self.links.clone(),
-            out,
+            edges,
+            edge_start,
             miner_nodes,
             seed: self.seed,
             max_attempts: self.max_attempts,
@@ -649,14 +782,18 @@ impl Topology {
             return 0.0;
         }
         let mut total = 0.0;
+        let mut scratch = Scratch::default();
         for p in 0..m {
-            let mut stats = GossipStats::default();
-            let (dist, _) = self.shortest_from(self.miner_nodes[p], &mut stats, |link, _, _| {
-                link.latency.expected()
-            });
+            self.shortest_from(
+                self.miner_nodes[p],
+                &mut scratch,
+                &mut GossipStats::default(),
+                |_| 0,
+                |edge, _| self.links[edge.link as usize].latency.expected(),
+            );
             for r in 0..m {
                 if r != p {
-                    total += dist[self.miner_nodes[r]];
+                    total += scratch.dist[self.miner_nodes[r]];
                 }
             }
         }
@@ -698,124 +835,189 @@ impl Topology {
     }
 
     /// Gossip `block` from miner `producer` through the graph and return
-    /// the earliest-arrival schedule per miner.
-    ///
-    /// Every reached node forwards to all its out-links; per-node
-    /// seen-sets drop all but the first copy. Lost copies (per-edge,
-    /// per-attempt counter-hashed coins) re-send with capped exponential
-    /// backoff added to the traversal time. The result is a deterministic
-    /// function of `(topology, producer, block)` alone.
+    /// the earliest-arrival schedule per miner: [`Topology::propagate_into`]
+    /// with fresh buffers.
     ///
     /// # Panics
     ///
     /// If `producer` is not a valid miner id.
     pub fn propagate(&self, producer: usize, block: u64) -> Propagation {
-        assert!(
-            producer < self.miner_count(),
-            "producer {producer} out of range for {} miners",
-            self.miner_count()
-        );
-        if let Some(plan) = &self.static_plan {
-            let m = self.miner_count();
-            let row = producer * m;
+        if let Some((arrival, hops, stats)) = self.static_row(producer) {
             return Propagation {
-                arrival: plan.arrival[row..row + m].to_vec(),
-                hops: plan.hops[row..row + m].to_vec(),
-                stats: plan.stats[producer],
+                arrival: arrival.to_vec(),
+                hops: hops.to_vec(),
+                stats,
             };
         }
-        self.propagate_dynamic(producer, block)
+        let mut out = Propagation::default();
+        self.propagate_dynamic(producer, block, &mut Scratch::default(), &mut out);
+        out
+    }
+
+    /// Gossip `block` from miner `producer` through the graph and write
+    /// the earliest-arrival schedule per miner into `out`.
+    ///
+    /// Every reached node forwards to all its out-links; per-node
+    /// seen-sets drop all but the first copy. Lost copies (per-edge,
+    /// per-attempt counter-hashed coins) re-send with capped exponential
+    /// backoff added to the traversal time. The result is a deterministic
+    /// function of `(topology, producer, block)` alone — not of `scratch`
+    /// or of what `out` held before. Once `scratch` and `out` have grown
+    /// to this topology's size, the call allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// If `producer` is not a valid miner id.
+    pub fn propagate_into(
+        &self,
+        producer: usize,
+        block: u64,
+        scratch: &mut Scratch,
+        out: &mut Propagation,
+    ) {
+        if let Some((arrival, hops, stats)) = self.static_row(producer) {
+            out.arrival.clear();
+            out.arrival.extend_from_slice(arrival);
+            out.hops.clear();
+            out.hops.extend_from_slice(hops);
+            out.stats = stats;
+            return;
+        }
+        self.propagate_dynamic(producer, block, scratch, out);
+    }
+
+    /// The precompiled schedule of `producer` on a static graph; `None`
+    /// when propagation is per-block.
+    ///
+    /// # Panics
+    ///
+    /// If `producer` is not a valid miner id.
+    #[inline]
+    fn static_row(&self, producer: usize) -> Option<(&[f64], &[u32], GossipStats)> {
+        let m = self.miner_count();
+        assert!(
+            producer < m,
+            "producer {producer} out of range for {m} miners"
+        );
+        let plan = self.static_plan.as_ref()?;
+        let row = producer * m..(producer + 1) * m;
+        Some((
+            &plan.arrival[row.clone()],
+            &plan.hops[row],
+            plan.stats[producer],
+        ))
     }
 
     /// The general (per-block) propagation path.
-    fn propagate_dynamic(&self, producer: usize, block: u64) -> Propagation {
+    fn propagate_dynamic(
+        &self,
+        producer: usize,
+        block: u64,
+        scratch: &mut Scratch,
+        out: &mut Propagation,
+    ) {
+        let latency = hash_prefix(self.seed, STREAM_LATENCY, block);
+        let loss = hash_prefix(self.seed, STREAM_LOSS, block);
         let mut stats = GossipStats::default();
-        let (dist, hops) =
-            self.shortest_from(self.miner_nodes[producer], &mut stats, |link, e, stats| {
-                self.traversal_time(link, e, block, stats)
-            });
-        let arrival = self.miner_nodes.iter().map(|&n| dist[n]).collect();
-        let hops = self.miner_nodes.iter().map(|&n| hops[n]).collect();
-        Propagation {
-            arrival,
-            hops,
-            stats,
-        }
+        self.shortest_from(
+            self.miner_nodes[producer],
+            scratch,
+            &mut stats,
+            |edge| self.lost_attempts(edge, loss),
+            |edge, lost| self.traversal_time(edge, latency, lost),
+        );
+        out.arrival.clear();
+        out.arrival
+            .extend(self.miner_nodes.iter().map(|&n| scratch.dist[n]));
+        out.hops.clear();
+        out.hops
+            .extend(self.miner_nodes.iter().map(|&n| scratch.hops[n]));
+        out.stats = stats;
     }
 
-    /// Effective traversal time of link `e` for `block`: the latency draw
-    /// plus re-send backoff for every lost attempt. Shortcut links bypass
-    /// the loss pipeline.
-    fn traversal_time(&self, link: &Link, e: usize, block: u64, stats: &mut GossipStats) -> f64 {
-        let base = match link.latency {
-            Latency::Fixed(l) => l,
-            Latency::Uniform { lo, hi } => {
-                lo + unit(hash(self.seed, STREAM_LATENCY, block, e as u64, 0)) * (hi - lo)
-            }
+    /// Effective traversal time of `edge`, given the block's latency hash
+    /// prefix and the attempts the edge lost: the latency draw plus
+    /// re-send backoff for every lost attempt. Shortcut and lossless
+    /// links skip the loss pipeline.
+    fn traversal_time(&self, edge: &Edge, latency: u64, lost: u32) -> f64 {
+        let base = if edge.draw {
+            edge.lo + unit(hash_tail(latency, edge.link, 0)) * edge.span
+        } else {
+            edge.lo
         };
-        if link.shortcut || link.loss == 0.0 {
+        if edge.loss_cut == 0 {
             return base;
         }
         let mut extra = 0.0;
-        let mut attempt = 0u32;
-        while attempt < self.max_attempts
-            && unit(hash(self.seed, STREAM_LOSS, block, e as u64, attempt)) < link.loss
-        {
+        for attempt in 0..lost {
             // Capped exponential backoff, mirroring the fault layer's
             // re-gossip schedule.
             let exp = attempt.min(6) as i32;
             extra += self.backoff_base * 2f64.powi(exp);
-            stats.loss_retries += 1;
-            attempt += 1;
         }
         base + extra
     }
 
-    /// Deterministic Dijkstra from `src`: an O(n²) selection loop (the
-    /// graphs here are tens of nodes) with ties broken by node index, and
-    /// gossip accounting folded into `stats`. `weight` computes the
-    /// traversal cost of one link.
+    /// Attempts lost on `edge` before one goes through (or the cap
+    /// forces it), given the block's loss hash prefix: the coin of
+    /// attempt `a` is `hash_tail(loss, link, a)`, lost when
+    /// `unit(coin) < loss`, tested in its integer form.
+    fn lost_attempts(&self, edge: &Edge, loss: u64) -> u32 {
+        if edge.loss_cut == 0 {
+            return 0;
+        }
+        let mut attempt = 0u32;
+        while attempt < self.max_attempts
+            && (hash_tail(loss, edge.link, attempt) >> 11) < edge.loss_cut
+        {
+            attempt += 1;
+        }
+        attempt
+    }
+
+    /// Deterministic Dijkstra from `src` into `s`, with ties broken by
+    /// node index and gossip accounting folded into `stats`. Selection
+    /// scans only the frontier bitset of reached, unsettled nodes.
+    ///
+    /// Every send draws its loss coins (`lost_attempts`), so retries
+    /// count whether or not the copy then hits a seen-set. `weight`
+    /// prices a copy from its lost attempts, and only toward an unsettled
+    /// node: a copy to a settled node cannot change any arrival, so it
+    /// skips its latency draw.
     fn shortest_from(
         &self,
         src: usize,
+        s: &mut Scratch,
         stats: &mut GossipStats,
-        mut weight: impl FnMut(&Link, usize, &mut GossipStats) -> f64,
-    ) -> (Vec<f64>, Vec<u32>) {
-        let n = self.nodes.len();
-        let mut dist = vec![f64::INFINITY; n];
-        let mut hops = vec![0u32; n];
-        let mut settled = vec![false; n];
-        dist[src] = 0.0;
-        loop {
-            // Lowest tentative arrival, lowest node index on ties: the
-            // strict `<` keeps the earlier index.
-            let mut u = usize::MAX;
-            for v in 0..n {
-                if !settled[v] && dist[v] < f64::INFINITY && (u == usize::MAX || dist[v] < dist[u])
-                {
-                    u = v;
-                }
-            }
-            if u == usize::MAX {
-                break;
-            }
-            settled[u] = true;
-            for &e in &self.out[u] {
-                let link = self.links[e];
-                stats.sends += 1;
-                let w = weight(&link, e, stats);
-                let cand = dist[u] + w;
-                if settled[link.to] || cand >= dist[link.to] {
-                    // The receiver's seen-set drops the copy: it already
-                    // holds the block or an earlier copy is in flight.
+        lost_attempts: impl Fn(&Edge) -> u32,
+        weight: impl Fn(&Edge, u32) -> f64,
+    ) {
+        s.reset(self.nodes.len(), src);
+        while let Some(u) = s.pop_nearest() {
+            let (du, hu) = (s.dist[u], s.hops[u]);
+            let out = &self.edges[self.edge_start[u]..self.edge_start[u + 1]];
+            stats.sends += out.len() as u64;
+            for edge in out {
+                let lost = lost_attempts(edge);
+                stats.loss_retries += u64::from(lost);
+                let v = edge.to;
+                // The receiver's seen-set drops the copy when it already
+                // holds the block (no latency draw: the copy cannot change
+                // any arrival) or an equal-or-earlier copy is in flight.
+                if s.settled[v] {
                     stats.dedup_drops += 1;
                     continue;
                 }
-                dist[link.to] = cand;
-                hops[link.to] = hops[u] + 1;
+                let cand = du + weight(edge, lost);
+                if cand >= s.dist[v] {
+                    stats.dedup_drops += 1;
+                    continue;
+                }
+                s.dist[v] = cand;
+                s.hops[v] = hu + 1;
+                s.frontier[v / 64] |= 1 << (v % 64);
             }
         }
-        (dist, hops)
     }
 
     /// All-pairs schedule of a static graph (every latency fixed, no
@@ -826,8 +1028,9 @@ impl Topology {
         let mut arrival = Vec::with_capacity(m * m);
         let mut hops_flat = Vec::with_capacity(m * m);
         let mut stats = Vec::with_capacity(m);
+        let (mut scratch, mut prop) = (Scratch::default(), Propagation::default());
         for p in 0..m {
-            let prop = self.propagate_dynamic(p, 0);
+            self.propagate_dynamic(p, 0, &mut scratch, &mut prop);
             arrival.extend_from_slice(&prop.arrival);
             hops_flat.extend_from_slice(&prop.hops);
             stats.push(prop.stats);
@@ -1074,7 +1277,8 @@ mod tests {
         assert!(t.is_static());
         for p in 0..5 {
             let cached = t.propagate(p, 123);
-            let fresh = t.propagate_dynamic(p, 123);
+            let mut fresh = Propagation::default();
+            t.propagate_dynamic(p, 123, &mut Scratch::default(), &mut fresh);
             assert_eq!(cached, fresh);
         }
     }
@@ -1098,5 +1302,35 @@ mod tests {
         let s1 = Topology::complete(3, 2.0).unwrap();
         let s2 = s1.with_seed(99);
         assert_eq!(s1.propagate(0, 0), s2.propagate(0, 0));
+    }
+
+    #[test]
+    fn loss_cut_is_the_integer_form_of_the_float_coin() {
+        let tiny = f64::from_bits(1); // smallest positive f64
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        let mut losses = vec![0.05, 0.5, 1.0 - ulp, tiny];
+        losses.extend([1u64, 3, 12_345, 1 << 52].map(|k| k as f64 * ulp));
+        let mut low = 0x5eed_u64;
+        for loss in losses {
+            let cut = loss_cut(loss);
+            assert!((1..=1 << 53).contains(&cut), "cut {cut} for loss {loss:e}");
+            for k in [cut.wrapping_sub(1), cut, cut + 1] {
+                if k >= 1 << 53 {
+                    continue; // `h >> 11` never reaches 2^53
+                }
+                for _ in 0..16 {
+                    low = splitmix64(low);
+                    let h = (k << 11) | (low & 0x7ff);
+                    assert_eq!(
+                        (h >> 11) < cut,
+                        unit(h) < loss,
+                        "loss {loss:e}, cut {cut}, k {k}"
+                    );
+                }
+                // The boundary sits exactly at the cut.
+                assert_eq!(k < cut, unit(k << 11) < loss);
+            }
+        }
+        assert_eq!(loss_cut(0.0), 0);
     }
 }

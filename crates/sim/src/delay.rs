@@ -100,7 +100,7 @@ use seleth_chain::accounting::{self, MinerRewards};
 use seleth_chain::forkchoice::{longest_chain, TieBreak};
 use seleth_chain::{classify, BlockId, BlockTree, MinerId, RewardSchedule};
 use seleth_mdp::{Action, Fork, PolicyTable};
-use seleth_net::Topology;
+use seleth_net::{Propagation, Scratch, Topology};
 use seleth_obs::{EventKind, EventLog};
 
 use crate::config::SimError;
@@ -636,11 +636,15 @@ impl DelayCounters {
 }
 
 /// Graph-propagation state of a run ([`PropagationModel::Graph`]): the
-/// topology plus the per-(block, receiver) arrival surcharges its gossip
-/// schedule produced.
+/// topology, the per-(block, receiver) arrival surcharges its gossip
+/// schedule produced, and the propagation buffers every release reuses.
 #[derive(Debug)]
 struct GraphNet {
     topology: Arc<Topology>,
+    /// Dijkstra working memory of [`Topology::propagate_into`].
+    scratch: Scratch,
+    /// The schedule of the block being released.
+    prop: Propagation,
     /// Flattened `[block_index * miners + receiver]` queue surcharges:
     /// `arrival - delay` for cross-miner deliveries, `0.0` for the
     /// producer's own view (its frontier adopts the block on the shared
@@ -734,7 +738,14 @@ impl DelaySimulation {
             PropagationModel::Uniform => None,
             PropagationModel::Graph(topology) => Some(GraphNet {
                 topology: Arc::clone(topology),
-                extras: Vec::new(),
+                scratch: Scratch::default(),
+                prop: Propagation::default(),
+                // One row per block the run can mint (genesis included),
+                // so releases never grow the buffer.
+                extras: usize::try_from(config.blocks())
+                    .ok()
+                    .and_then(|b| b.checked_add(1)?.checked_mul(config.shares().len()))
+                    .map_or_else(Vec::new, Vec::with_capacity),
             }),
         };
         let plan = config.faults();
@@ -919,9 +930,7 @@ impl DelaySimulation {
         // values), which keeps every downstream comparison the same
         // operation as under the uniform model. The schedule is a pure
         // function of (topology, producer, block) — never the sim RNG.
-        if self.graph.is_some() {
-            self.gossip_release(id, producer);
-        }
+        self.gossip_release(id, producer);
         for v in 0..self.views.len() {
             self.send(Receiver::View(v), id);
         }
@@ -932,18 +941,21 @@ impl DelaySimulation {
         }
     }
 
-    /// Graph-mode half of [`DelaySimulation::release`]: run the gossip
-    /// schedule for one released block, store the per-receiver surcharges,
-    /// count edge-level activity, and (with a recorder attached) emit the
+    /// Graph-mode half of [`DelaySimulation::release`] (a no-op under the
+    /// uniform model): run the gossip schedule for one released block into
+    /// the reused buffers, store the per-receiver surcharges, count
+    /// edge-level activity, and (with a recorder attached) emit the
     /// per-receiver `EdgeDelivery`/`RelayHop` events.
     fn gossip_release(&mut self, id: BlockId, producer: MinerId) {
+        let Some(net) = self.graph.as_mut() else {
+            return;
+        };
         let miners = self.config.shares.len();
         let src = producer.0 as usize;
         let block = id.index() as u64;
-        let prop = {
-            let net = self.graph.as_ref().expect("caller checked graph mode");
-            net.topology.propagate(src, block)
-        };
+        net.topology
+            .propagate_into(src, block, &mut net.scratch, &mut net.prop);
+        let prop = &net.prop;
         self.counters.gossip_sends += prop.stats.sends;
         self.counters.gossip_dedup_drops += prop.stats.dedup_drops;
         self.counters.gossip_loss_retries += prop.stats.loss_retries;
@@ -986,7 +998,6 @@ impl DelaySimulation {
             }
         }
         let delay = self.config.delay;
-        let net = self.graph.as_mut().expect("caller checked graph mode");
         let base = id.index() * miners;
         if net.extras.len() < base + miners {
             net.extras.resize(base + miners, f64::INFINITY);

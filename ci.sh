@@ -5,14 +5,17 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 echo "==> cargo build --release"
-cargo build --release
+# `--locked` fails instead of rewriting the committed Cargo.lock when a
+# manifest change leaves it stale; `--offline` because every dependency
+# is vendored.
+cargo build --release --offline --locked
 
 echo "==> cargo test -q (workspace, trace-dump-on-failure armed)"
 # SELETH_TRACE_ON_FAIL points the first-divergence diagnostics at a
 # scratch dir: when a bit-identity suite trips, the failure message
 # carries the first divergent event and both event traces land there
 # as JSON lines for offline diffing.
-SELETH_TRACE_ON_FAIL="$(mktemp -d)" cargo test --workspace -q
+SELETH_TRACE_ON_FAIL="$(mktemp -d)" cargo test --workspace -q --offline --locked
 
 echo "==> perfbench build + harness tests"
 # The benchmark is a package of its own, outside the workspace, that

@@ -26,28 +26,13 @@
 //! Usage: `cargo run --release -p seleth-bench --bin bench_net`.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
+use seleth_bench::best_of;
 use seleth_bench::report::{trace_arg, write_trace};
 use seleth_chain::RewardSchedule;
 use seleth_net::{Latency, Topology};
 use seleth_obs::{Stopwatch, Telemetry, TraceLog};
 use seleth_sim::delay::{DelayConfig, DelaySimulation};
-
-fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        let value = f();
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed < best {
-            best = elapsed;
-            out = Some(value);
-        }
-    }
-    (best, out.expect("at least one repetition"))
-}
 
 fn main() {
     let trace_path = trace_arg();

@@ -46,6 +46,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use seleth_bench::best_of;
 use seleth_bench::report::{trace_arg, write_trace};
 use seleth_mdp::{Fork, MdpConfig, PolicyTable, RewardModel, StateSpace};
 use seleth_obs::{
@@ -75,23 +76,6 @@ fn workers_json(shards: &[TelemetryShard], wall_s: f64) -> String {
         })
         .collect();
     format!("[{}]", rows.join(", "))
-}
-
-// Keeps the value from the fastest repetition, so per-worker timing in
-// the returned value lines up with the reported wall time.
-fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        let value = f();
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed < best {
-            best = elapsed;
-            out = Some(value);
-        }
-    }
-    (best, out.expect("at least one repetition"))
 }
 
 fn main() {

@@ -33,25 +33,13 @@
 //! takes a few minutes of total runtime; CI smoke runs use e.g. 16).
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
+use seleth_bench::best_of;
 use seleth_bench::report::{trace_arg, write_trace};
 use seleth_chain::RewardSchedule;
 use seleth_core::{stationary, ModelParams};
 use seleth_mdp::{MdpConfig, RewardModel};
 use seleth_obs::{NoopRecorder, Recorder, Stopwatch, Telemetry, TraceLog};
-
-fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        let value = f();
-        best = best.min(start.elapsed().as_secs_f64());
-        out = Some(value);
-    }
-    (best, out.expect("at least one repetition"))
-}
 
 fn main() {
     let trace_path = trace_arg();
@@ -63,10 +51,7 @@ fn main() {
     };
     let wall = Stopwatch::start();
     let mut telemetry = Telemetry::new();
-    let reps: usize = std::env::var("SELETH_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
+    let reps = usize::try_from(seleth_bench::env_u64("SELETH_BENCH_REPS", 3)).unwrap_or(3);
     let mdp_len: u32 = std::env::var("SELETH_MDP_LEN")
         .ok()
         .and_then(|v| v.parse().ok())

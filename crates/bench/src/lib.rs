@@ -43,6 +43,7 @@
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
+use std::time::Instant;
 
 use seleth_obs::{Recorder, Stopwatch, TelemetryShard};
 
@@ -429,6 +430,24 @@ pub fn env_u64(key: &str, default: u64) -> u64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
+}
+
+/// Run `f` `reps` times (at least once) and return the fastest wall time
+/// in seconds with the value from that repetition, so timing carried in
+/// the value (per-worker busy time, say) lines up with the reported time.
+pub fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut best = f64::INFINITY;
+    let mut out = None;
+    for _ in 0..reps.max(1) {
+        let start = Instant::now();
+        let value = f();
+        let elapsed = start.elapsed().as_secs_f64();
+        if elapsed < best {
+            best = elapsed;
+            out = Some(value);
+        }
+    }
+    (best, out.expect("at least one repetition"))
 }
 
 /// Inclusive floating-point range with a fixed step, robust to rounding

@@ -41,11 +41,10 @@
 //! carry a strategy-family name ([`PolicyTable::with_family`]), written
 //! as an optional `family` field; delay-aware tables record their delay
 //! ratio in an optional `delay` field. Floats are written with Rust's shortest round-trip formatting,
-//! so save → load is bit-identical. The reader is a small hand-rolled
-//! parser (the vendored `serde` is marker-only; see `vendor/README.md`)
-//! that accepts any field order and ignores unknown string, string-array
-//! and number fields (other JSON value kinds are outside the artifact
-//! grammar and rejected).
+//! so save → load is bit-identical. The reader is the workspace JSON
+//! parser ([`seleth_obs::parse_json`]): fields may come in any order,
+//! unknown fields of any JSON type are ignored, and a backslash escape
+//! anywhere is rejected, because the artifact grammar is escape-free.
 //!
 //! # Lowering
 //!
@@ -61,6 +60,7 @@
 //!
 //! [`seleth-sim`]: https://docs.rs/seleth-sim
 
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::fs;
@@ -69,6 +69,7 @@ use std::path::Path;
 use serde::{Deserialize, Serialize};
 
 use seleth_chain::Scenario;
+use seleth_obs::{parse_json, JsonValue};
 
 use crate::model::{Action, Fork, MdpConfig, MdpState, RewardModel, MATCH_D_CAP};
 use crate::solver::Solution;
@@ -600,7 +601,7 @@ impl PolicyTable {
     }
 
     // ------------------------------------------------------------------
-    // Serialization (hand-rolled: the vendored serde is marker-only)
+    // Serialization: written by hand, read through `seleth_obs::parse_json`
     // ------------------------------------------------------------------
 
     /// Render the artifact JSON: format 1 for classic three-axis
@@ -676,87 +677,47 @@ impl PolicyTable {
     }
 
     /// Parse an artifact produced by [`PolicyTable::to_json`] — either
-    /// format version.
+    /// format version — through [`seleth_obs::parse_json`].
     ///
     /// # Errors
     ///
-    /// [`PolicyError::Parse`] on malformed JSON, anything but whitespace
-    /// after the closing `}`, a wrong `kind`/`format` tag, missing fields,
-    /// a `dims` descriptor the indexer cannot honour, or action strings
-    /// whose length disagrees with the declared state space.
+    /// [`PolicyError::Parse`] on malformed JSON (including anything but
+    /// whitespace after the closing `}`), a document that is not an
+    /// object, a backslash escape anywhere, a known field of the wrong
+    /// JSON type, a wrong `kind`/`format` tag, missing fields, a `dims`
+    /// descriptor the indexer cannot honour, or action strings whose
+    /// length disagrees with the declared state space.
     pub fn from_json(text: &str) -> Result<Self, PolicyError> {
-        let mut cur = Cursor::new(text);
-        cur.skip_ws();
-        cur.expect(b'{')?;
-
-        let mut kind: Option<String> = None;
-        let mut format: Option<f64> = None;
-        let mut alpha: Option<f64> = None;
-        let mut gamma: Option<f64> = None;
-        let mut rewards: Option<String> = None;
-        let mut scenario: Option<String> = None;
-        let mut max_len: Option<f64> = None;
-        let mut revenue: Option<f64> = None;
-        let mut delay: Option<f64> = None;
-        let mut family: Option<String> = None;
-        let mut dims: Option<Vec<String>> = None;
-        let mut flat_actions: Option<String> = None;
-        let mut irrelevant: Option<String> = None;
-        let mut relevant: Option<String> = None;
-        let mut active: Option<String> = None;
-
-        loop {
-            cur.skip_ws();
-            if cur.eat(b'}') {
-                break;
-            }
-            let key = cur.parse_string()?;
-            cur.skip_ws();
-            cur.expect(b':')?;
-            cur.skip_ws();
-            match key.as_str() {
-                "kind" => kind = Some(cur.parse_string()?),
-                "family" => family = Some(cur.parse_string()?),
-                "rewards" => rewards = Some(cur.parse_string()?),
-                "scenario" => scenario = Some(cur.parse_string()?),
-                "irrelevant" => irrelevant = Some(cur.parse_string()?),
-                "relevant" => relevant = Some(cur.parse_string()?),
-                "active" => active = Some(cur.parse_string()?),
-                "actions" => flat_actions = Some(cur.parse_string()?),
-                "dims" => dims = Some(cur.parse_string_array()?),
-                "format" => format = Some(cur.parse_number()?),
-                "alpha" => alpha = Some(cur.parse_number()?),
-                "gamma" => gamma = Some(cur.parse_number()?),
-                "max_len" => max_len = Some(cur.parse_number()?),
-                "revenue" => revenue = Some(cur.parse_number()?),
-                "delay" => delay = Some(cur.parse_number()?),
-                // Unknown fields are skipped for forward compatibility.
-                _ => match cur.peek() {
-                    Some(b'"') => {
-                        cur.parse_string()?;
-                    }
-                    Some(b'[') => {
-                        cur.parse_string_array()?;
-                    }
-                    _ => {
-                        cur.parse_number()?;
-                    }
-                },
-            }
-            cur.skip_ws();
-            if cur.eat(b',') {
-                continue;
-            }
-            cur.expect(b'}')?;
-            break;
+        // The artifact grammar is escape-free, so a loaded `family` always
+        // re-saves byte-identically. A backslash can only appear inside a
+        // JSON string, so one scan of the text enforces that.
+        if text.contains('\\') {
+            return Err(PolicyError::Parse(
+                "escape sequences are not part of the artifact format".into(),
+            ));
         }
-        cur.skip_ws();
-        if cur.peek().is_some() {
-            return Err(PolicyError::Parse(format!(
-                "trailing bytes after the artifact object at byte {}",
-                cur.pos
-            )));
-        }
+        let mut map = match parse_json(text) {
+            Ok(JsonValue::Object(map)) => map,
+            Ok(_) => return Err(PolicyError::Parse("artifact is not a JSON object".into())),
+            Err(e) => return Err(PolicyError::Parse(e.to_string())),
+        };
+        // Every known field is read with its JSON type up front, so a
+        // mistyped field fails whichever format the artifact declares.
+        let kind = take(&mut map, "kind", string)?;
+        let format = take(&mut map, "format", number)?;
+        let alpha = take(&mut map, "alpha", number)?;
+        let gamma = take(&mut map, "gamma", number)?;
+        let rewards = take(&mut map, "rewards", string)?;
+        let scenario = take(&mut map, "scenario", string)?;
+        let max_len = take(&mut map, "max_len", number)?;
+        let revenue = take(&mut map, "revenue", number)?;
+        let delay = take(&mut map, "delay", number)?;
+        let family = take(&mut map, "family", string)?;
+        let dims = take(&mut map, "dims", strings)?;
+        let flat_actions = take(&mut map, "actions", string)?;
+        let irrelevant = take(&mut map, "irrelevant", string)?;
+        let relevant = take(&mut map, "relevant", string)?;
+        let active = take(&mut map, "active", string)?;
 
         let missing = |field: &str| PolicyError::Parse(format!("missing field `{field}`"));
         let kind = kind.ok_or_else(|| missing("kind"))?;
@@ -802,18 +763,17 @@ impl PolicyTable {
             ));
         }
 
-        let (space, actions) = if format == f64::from(FORMAT_V1) {
+        // Validate every declared length before allocating anything sized
+        // by the artifact's own claims.
+        let (space, texts) = if format == f64::from(FORMAT_V1) {
             let space = StateSpace::classic(max_len);
             let slice = space.side() * space.side();
-            // Validate every declared length before allocating anything
-            // sized by the artifact's own claims.
-            let tables = [
+            let mut texts = Vec::new();
+            for (name, text) in [
                 ("irrelevant", irrelevant),
                 ("relevant", relevant),
                 ("active", active),
-            ];
-            let mut texts = Vec::with_capacity(tables.len());
-            for (name, text) in tables {
+            ] {
                 let text = text.ok_or_else(|| missing(name))?;
                 if text.len() != slice {
                     return Err(PolicyError::Parse(format!(
@@ -823,13 +783,7 @@ impl PolicyTable {
                 }
                 texts.push(text);
             }
-            let mut actions = Vec::with_capacity(space.len());
-            for text in &texts {
-                for byte in text.bytes() {
-                    actions.push(decode_action(byte)?);
-                }
-            }
-            (space, actions)
+            (space, texts)
         } else {
             let dims = dims.ok_or_else(|| missing("dims"))?;
             let space = parse_dims(&dims, max_len)?;
@@ -841,12 +795,20 @@ impl PolicyTable {
                     space.len()
                 )));
             }
-            let actions = text
-                .bytes()
-                .map(decode_action)
-                .collect::<Result<Vec<Action>, PolicyError>>()?;
-            (space, actions)
+            (space, vec![text])
         };
+        let mut actions = Vec::with_capacity(space.len());
+        for text in &texts {
+            for byte in text.bytes() {
+                actions.push(match byte {
+                    b'a' => Action::Adopt,
+                    b'o' => Action::Override,
+                    b'm' => Action::Match,
+                    b'w' => Action::Wait,
+                    other => return Err(unknown_action(other)),
+                });
+            }
+        }
 
         Ok(PolicyTable {
             alpha: alpha.ok_or_else(|| missing("alpha"))?,
@@ -949,120 +911,43 @@ fn encode_action(action: Action) -> char {
     }
 }
 
-fn decode_action(byte: u8) -> Result<Action, PolicyError> {
-    match byte {
-        b'a' => Ok(Action::Adopt),
-        b'o' => Ok(Action::Override),
-        b'm' => Ok(Action::Match),
-        b'w' => Ok(Action::Wait),
-        other => Err(PolicyError::Parse(format!(
-            "unknown action code `{}`",
-            char::from(other)
-        ))),
+#[cold]
+fn unknown_action(byte: u8) -> PolicyError {
+    PolicyError::Parse(format!("unknown action code `{}`", char::from(byte)))
+}
+
+/// Move field `key` out of the artifact object: `None` when absent, an
+/// error when `pick` rejects its JSON type.
+fn take<T>(
+    map: &mut BTreeMap<String, JsonValue>,
+    key: &str,
+    pick: fn(JsonValue) -> Option<T>,
+) -> Result<Option<T>, PolicyError> {
+    map.remove(key)
+        .map(|value| pick(value).ok_or_else(|| wrong_type(key)))
+        .transpose()
+}
+
+#[cold]
+fn wrong_type(key: &str) -> PolicyError {
+    PolicyError::Parse(format!("field `{key}` has the wrong JSON type"))
+}
+
+fn string(value: JsonValue) -> Option<String> {
+    match value {
+        JsonValue::String(s) => Some(s),
+        _ => None,
     }
 }
 
-/// Minimal scanner over the artifact's flat-JSON subset: one object whose
-/// values are numbers, escape-free strings, or arrays of such strings.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn number(value: JsonValue) -> Option<f64> {
+    value.as_f64()
 }
 
-impl<'a> Cursor<'a> {
-    fn new(text: &'a str) -> Self {
-        Cursor {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, byte: u8) -> bool {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), PolicyError> {
-        if self.eat(byte) {
-            Ok(())
-        } else {
-            Err(PolicyError::Parse(format!(
-                "expected `{}` at byte {} of the artifact",
-                char::from(byte),
-                self.pos
-            )))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, PolicyError> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        loop {
-            match self.peek() {
-                Some(b'"') => break,
-                Some(b'\\') => {
-                    return Err(PolicyError::Parse(
-                        "escape sequences are not part of the artifact format".into(),
-                    ));
-                }
-                Some(_) => self.pos += 1,
-                None => {
-                    return Err(PolicyError::Parse("unterminated string".into()));
-                }
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| PolicyError::Parse("non-UTF-8 string".into()))?
-            .to_string();
-        self.pos += 1; // closing quote
-        Ok(text)
-    }
-
-    fn parse_string_array(&mut self) -> Result<Vec<String>, PolicyError> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        loop {
-            self.skip_ws();
-            if self.eat(b']') {
-                break;
-            }
-            out.push(self.parse_string()?);
-            self.skip_ws();
-            if self.eat(b',') {
-                continue;
-            }
-            self.expect(b']')?;
-            break;
-        }
-        Ok(out)
-    }
-
-    fn parse_number(&mut self) -> Result<f64, PolicyError> {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| PolicyError::Parse("non-UTF-8 number".into()))?;
-        text.parse::<f64>()
-            .map_err(|_| PolicyError::Parse(format!("bad number `{text}` at byte {start}")))
+fn strings(value: JsonValue) -> Option<Vec<String>> {
+    match value {
+        JsonValue::Array(items) => items.into_iter().map(string).collect(),
+        _ => None,
     }
 }
 
@@ -1513,6 +1398,24 @@ mod tests {
                 "{from} -> {to} must be rejected"
             );
         }
+        // Any backslash escape is rejected, even one that decodes to the
+        // same text.
+        let named = PolicyTable::honest(0.3, 0.5, 4)
+            .with_family("sm1")
+            .to_json();
+        let escaped_family = named.replace("\"sm1\"", "\"s\\u006d1\"");
+        assert!(PolicyTable::from_json(&escaped_family).is_err());
+        let escaped_action = v2.replacen("\"actions\": \"a", "\"actions\": \"\\u0061", 1);
+        assert_ne!(escaped_action, v2);
+        assert!(PolicyTable::from_json(&escaped_action).is_err());
+        // A known field of the wrong JSON type is rejected.
+        let quoted_alpha = named.replace("\"alpha\": 0.3", "\"alpha\": \"0.3\"");
+        assert!(PolicyTable::from_json(&quoted_alpha).is_err());
+        let numeric_dims = v2.replace("\"fork:3\", \"match_d:8\", \"a:7\", \"h:7\"", "3");
+        assert_ne!(numeric_dims, v2);
+        assert!(PolicyTable::from_json(&numeric_dims).is_err());
+        // The document must be an object.
+        assert!(PolicyTable::from_json(&format!("[{named}]")).is_err());
     }
 
     #[test]
@@ -1520,7 +1423,8 @@ mod tests {
         let table = PolicyTable::honest(0.25, 0.5, 4);
         let json = table.to_json().replace(
             "\"alpha\"",
-            "\"note\": \"extra\",\n  \"spare\": 7,\n  \"tags\": [\"x\", \"y\"],\n  \"alpha\"",
+            "\"note\": \"extra\",\n  \"spare\": 7,\n  \"tags\": [\"x\", \"y\"],\n  \
+             \"meta\": {\"by\": [1, {\"x\": null}]},\n  \"ok\": true,\n  \"gone\": null,\n  \"alpha\"",
         );
         let restored = PolicyTable::from_json(&json).expect("parse with extras");
         assert_eq!(table, restored);

@@ -1,11 +1,12 @@
 //! A minimal hand-rolled JSON parser.
 //!
 //! The vendored `serde` in this workspace is a marker-only stub, so study
-//! artifacts are emitted with `format!` and, until now, re-read with ad-hoc
-//! string scanning.  `perf_report` needs real structure (nested telemetry
-//! blocks, arrays of worker stats), so this module provides a small
-//! recursive-descent parser into a [`JsonValue`] tree.  It accepts strict
-//! JSON (RFC 8259) and nothing more.
+//! artifacts are emitted with `format!` and read back through this module:
+//! a small recursive-descent parser into a [`JsonValue`] tree.  It is the
+//! workspace's one JSON reader — `perf_report` walks nested telemetry
+//! blocks with it, and the policy loader (`seleth_mdp::PolicyTable`)
+//! reads its artifacts through it.  It accepts strict JSON (RFC 8259) and
+//! nothing more.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -114,6 +115,7 @@ impl std::error::Error for JsonError {}
 /// trailing garbage after an otherwise valid document.
 pub fn parse_json(text: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -151,6 +153,7 @@ pub fn escape_string(s: &str) -> String {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -242,6 +245,20 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control byte
+            // as one slice. All three delimiters are ASCII, so the run
+            // starts and ends on char boundaries of the input `&str`.
+            let start = self.pos;
+            let rest = self.bytes.get(start..).unwrap_or_default();
+            self.pos += rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            let run = self
+                .text
+                .get(start..self.pos)
+                .ok_or_else(|| self.err("invalid utf-8"))?;
+            out.push_str(run);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -295,22 +312,7 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so slicing
-                    // on char boundaries is safe via chars()).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    match s.chars().next() {
-                        Some(c) => {
-                            if (c as u32) < 0x20 {
-                                return Err(self.err("raw control character in string"));
-                            }
-                            out.push(c);
-                            self.pos += c.len_utf8();
-                        }
-                        None => return Err(self.err("unterminated string")),
-                    }
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -405,11 +407,13 @@ mod tests {
 
     #[test]
     fn escape_string_roundtrips() {
+        let long = "a".repeat(100_000);
         for s in [
             "plain",
             "with \"quotes\"",
             "tab\tnewline\n",
             "unicode \u{00e9}\u{1F600}",
+            &long,
         ] {
             let escaped = escape_string(s);
             let parsed = parse_json(&escaped).unwrap();
@@ -428,13 +432,44 @@ mod tests {
             Some("\u{1F600}")
         );
         assert!(parse_json("\"\\ud83d\"").is_err());
+        // Multibyte UTF-8 directly next to escapes on both sides.
+        assert_eq!(
+            parse_json("\"\u{00e9}\\n\u{1F600}\\u0041\u{4e2d}\"")
+                .unwrap()
+                .as_str(),
+            Some("\u{00e9}\n\u{1F600}A\u{4e2d}")
+        );
     }
 
     #[test]
     fn rejects_malformed_documents() {
-        for bad in ["", "{", "[1,]", "{\"a\":}", "1 2", "tru", "\"unterminated"] {
+        let long = "a".repeat(100_000);
+        // A raw control byte mid-run, and a string left open after a run.
+        let control = format!("\"{long}\u{0001}{long}\"");
+        let open = format!("\"{long}");
+        for bad in [
+            "",
+            "{",
+            "[1,]",
+            "{\"a\":}",
+            "1 2",
+            "tru",
+            "\"unterminated",
+            &control,
+            &open,
+        ] {
             assert!(parse_json(bad).is_err(), "should reject {bad:?}");
         }
+        // The control byte is rejected where it stands.
+        assert_eq!(parse_json(&control).unwrap_err().offset, 1 + long.len());
+    }
+
+    #[test]
+    fn parses_a_committed_policy_artifact() {
+        let text = include_str!("../../../results/policies/bitcoin_a040_g050_d12.json");
+        let doc = parse_json(text).unwrap();
+        let actions = doc.get("actions").and_then(JsonValue::as_str).unwrap();
+        assert_eq!(actions.len(), 3 * 201 * 201);
     }
 
     #[test]

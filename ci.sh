@@ -27,7 +27,7 @@ cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --workspace --all-targets --offline --locked -- -D warnings
 # perfbench is outside the workspace, so the workspace lint and format
 # checks do not reach it.
 cargo clippy --release --offline --locked --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
@@ -37,27 +37,27 @@ cargo fmt --all --check
 cargo fmt --manifest-path perfbench/Cargo.toml --check
 
 echo "==> cargo doc (RUSTDOCFLAGS=-D warnings)"
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet --offline --locked
 
 echo "==> policy artifact-compat audit (legality + byte-identical re-save)"
 # Loads every committed results/policies/*.json through the v2 API:
 # unreadable, illegal or non-byte-stable tables fail the build. No
 # solving, no simulation, no network.
 SELETH_POLICIES=results/policies \
-    cargo run --release -q -p seleth-bench --bin optimal_sim -- --audit
+    cargo run --release -q --offline --locked -p seleth-bench --bin optimal_sim -- --audit
 
 echo "==> optimal_sim agreement gate (fast settings)"
 # Small runs/blocks/truncation keep this under a minute; results go to a
 # scratch dir so the committed full-size artifacts aren't overwritten.
 SELETH_RESULTS="$(mktemp -d)" SELETH_RUNS=4 SELETH_BLOCKS=20000 SELETH_MDP_LEN=24 \
-    cargo run --release -q -p seleth-bench --bin optimal_sim
+    cargo run --release -q --offline --locked -p seleth-bench --bin optimal_sim
 
 echo "==> optimal_delay smoke gate (strategic delay path)"
 # Replays a committed artifact through the strategic delay engine: one
 # Bitcoin point, two delays, small budgets. Output goes to a scratch dir;
 # the committed artifacts are read via SELETH_POLICIES.
 SELETH_RESULTS="$(mktemp -d)" SELETH_POLICIES=results/policies \
-    cargo run --release -q -p seleth-bench --bin optimal_delay -- --smoke
+    cargo run --release -q --offline --locked -p seleth-bench --bin optimal_delay -- --smoke
 
 echo "==> optimal_closed_loop smoke gate (race-window artifacts vs the zero-delay optimum)"
 # Replays the committed truncation-200 delay-aware artifact against the
@@ -65,14 +65,14 @@ echo "==> optimal_closed_loop smoke gate (race-window artifacts vs the zero-dela
 # tolerance. Reads committed artifacts (no solving in CI); output goes to
 # a scratch dir.
 SELETH_RESULTS="$(mktemp -d)" SELETH_POLICIES=results/policies \
-    cargo run --release -q -p seleth-bench --bin optimal_closed_loop -- --smoke
+    cargo run --release -q --offline --locked -p seleth-bench --bin optimal_closed_loop -- --smoke
 
 echo "==> strategy_zoo smoke gate (zoo tournament + multi-strategist matchups)"
 # One (α, γ) point, duopoly split, two delays, one matchup cell, small
 # budgets; gates SM1 against its closed form and the optimal artifact
 # against every hand-written family.
 SELETH_RESULTS="$(mktemp -d)" SELETH_POLICIES=results/policies \
-    cargo run --release -q -p seleth-zoo --bin strategy_zoo -- --smoke
+    cargo run --release -q --offline --locked -p seleth-zoo --bin strategy_zoo -- --smoke
 
 echo "==> chaos_study smoke gate (deterministic fault injection)"
 # Zero-delay anchor plus a handful of fault cells (loss, churn +
@@ -82,7 +82,7 @@ echo "==> chaos_study smoke gate (deterministic fault injection)"
 # through the profiler end to end.
 CHAOS_SCRATCH="$(mktemp -d)"
 SELETH_RESULTS="$CHAOS_SCRATCH" SELETH_POLICIES=results/policies \
-    cargo run --release -q -p seleth-zoo --bin chaos_study -- --smoke \
+    cargo run --release -q --offline --locked -p seleth-zoo --bin chaos_study -- --smoke \
     --trace "$CHAOS_SCRATCH/chaos_trace.jsonl"
 
 echo "==> topology_study smoke gate (peer-graph gossip propagation)"
@@ -91,16 +91,16 @@ echo "==> topology_study smoke gate (peer-graph gossip propagation)"
 # complete graph bitwise against the uniform engine and the positional
 # revenue spread against the smoke noise floor.
 SELETH_RESULTS="$(mktemp -d)" SELETH_POLICIES=results/policies \
-    cargo run --release -q -p seleth-zoo --bin topology_study -- --smoke
+    cargo run --release -q --offline --locked -p seleth-zoo --bin topology_study -- --smoke
 
 echo "==> perf_report smoke gate (telemetry renders end to end)"
 # The fresh smoke output and every committed study JSON must render;
 # the trace file must be non-empty JSON lines.
-cargo run --release -q -p seleth-bench --bin perf_report -- \
+cargo run --release -q --offline --locked -p seleth-bench --bin perf_report -- \
     "$CHAOS_SCRATCH/chaos_study_smoke.json" > /dev/null
 test -s "$CHAOS_SCRATCH/chaos_trace.jsonl"
 SELETH_RESULTS=results \
-    cargo run --release -q -p seleth-bench --bin perf_report > /dev/null
+    cargo run --release -q --offline --locked -p seleth-bench --bin perf_report > /dev/null
 
 echo "==> perf_trend regression gate (smoke: first-run ledger tolerated)"
 # Compares the latest BENCH_history.jsonl row per bench bin against the
@@ -108,6 +108,6 @@ echo "==> perf_trend regression gate (smoke: first-run ledger tolerated)"
 # noise-banded regressions; --smoke passes when the ledger is still
 # seeding (absent or fewer than two comparable rows).
 SELETH_RESULTS=results \
-    cargo run --release -q -p seleth-bench --bin perf_report -- --trend --smoke
+    cargo run --release -q --offline --locked -p seleth-bench --bin perf_report -- --trend --smoke
 
 echo "CI OK"

@@ -28,15 +28,14 @@
 use std::fmt::Write as _;
 
 use seleth_bench::best_of;
-use seleth_bench::report::{trace_arg, write_trace};
+use seleth_bench::report::Trace;
 use seleth_chain::RewardSchedule;
 use seleth_net::{Latency, Topology};
-use seleth_obs::{Stopwatch, Telemetry, TraceLog};
+use seleth_obs::{Stopwatch, Telemetry};
 use seleth_sim::delay::{DelayConfig, DelaySimulation};
 
 fn main() {
-    let trace_path = trace_arg();
-    let trace = TraceLog::new();
+    let trace = Trace::from_args();
     let wall = Stopwatch::start();
     let mut telemetry = Telemetry::new();
     let reps = usize::try_from(seleth_bench::env_u64("SELETH_BENCH_REPS", 3)).unwrap_or(3);
@@ -174,8 +173,7 @@ fn main() {
     field("reps", reps.to_string());
     field("host", seleth_bench::host_fingerprint_json());
     telemetry.wall_ns = wall.elapsed_ns();
-    telemetry.threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    telemetry.set_gauge("host.available_parallelism", telemetry.threads as f64);
+    telemetry.stamp_host();
     let _ = write!(json, "  \"telemetry\": {}\n}}\n", telemetry.to_json(2));
 
     let dir = seleth_bench::results_dir();
@@ -193,7 +191,7 @@ fn main() {
         ],
     );
     println!("appended history row to {}", ledger.display());
-    write_trace(&trace, trace_path.as_ref());
+    trace.finish();
 
     // The gossip layer's overhead on the bit-identical workload: the
     // static row copy, per-view pending queues, and counter upkeep. Keep

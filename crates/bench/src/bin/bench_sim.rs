@@ -47,11 +47,9 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use seleth_bench::best_of;
-use seleth_bench::report::{trace_arg, write_trace};
+use seleth_bench::report::Trace;
 use seleth_mdp::{Fork, MdpConfig, PolicyTable, RewardModel, StateSpace};
-use seleth_obs::{
-    EventLog, NoopRecorder, Recorder, Stopwatch, Telemetry, TelemetryShard, TraceLog,
-};
+use seleth_obs::{EventLog, NoopRecorder, Stopwatch, Telemetry, TelemetryShard};
 use seleth_sim::{multi, SimConfig, Simulation};
 
 /// One-line JSON array of per-worker stats for a `run_many` measurement
@@ -79,13 +77,8 @@ fn workers_json(shards: &[TelemetryShard], wall_s: f64) -> String {
 }
 
 fn main() {
-    let trace_path = trace_arg();
-    let trace = TraceLog::new();
-    let recorder: &dyn Recorder = if trace_path.is_some() {
-        &trace
-    } else {
-        &NoopRecorder
-    };
+    let trace = Trace::from_args();
+    let recorder = trace.recorder();
     let wall = Stopwatch::start();
     let mut telemetry = Telemetry::new();
     let reps = usize::try_from(seleth_bench::env_u64("SELETH_BENCH_REPS", 3)).unwrap_or(3);
@@ -282,7 +275,7 @@ fn main() {
     // *expected* healthy reading, and the field must not be misread as a
     // scheduler regression — so it is annotated with a validity flag tied
     // to the recorded `host.available_parallelism` gauge.
-    let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_parallelism = seleth_obs::resolve_threads(0);
     let speedup_valid = host_parallelism > 1;
     if speedup_valid {
         println!("run_many_speedup    best {speedup_max:.2}x over 1 thread");
@@ -328,8 +321,7 @@ fn main() {
     field("run_many_speedup_valid", speedup_valid.to_string());
     field("reps", reps.to_string());
     telemetry.wall_ns = wall.elapsed_ns();
-    telemetry.threads = host_parallelism;
-    telemetry.set_gauge("host.available_parallelism", telemetry.threads as f64);
+    telemetry.stamp_host();
     // Trailing field without comma.
     let _ = write!(json, "  \"telemetry\": {}\n}}\n", telemetry.to_json(2));
 
@@ -349,7 +341,7 @@ fn main() {
         ],
     );
     println!("appended history row to {}", ledger.display());
-    write_trace(&trace, trace_path.as_ref());
+    trace.finish();
 
     // The four-axis lookup is the only new cost on the playback hot path;
     // hold it to within 10% of the classic fast path.

@@ -35,20 +35,15 @@
 use std::fmt::Write as _;
 
 use seleth_bench::best_of;
-use seleth_bench::report::{trace_arg, write_trace};
+use seleth_bench::report::Trace;
 use seleth_chain::RewardSchedule;
 use seleth_core::{stationary, ModelParams};
 use seleth_mdp::{MdpConfig, RewardModel};
-use seleth_obs::{NoopRecorder, Recorder, Stopwatch, Telemetry, TraceLog};
+use seleth_obs::{Stopwatch, Telemetry};
 
 fn main() {
-    let trace_path = trace_arg();
-    let trace = TraceLog::new();
-    let recorder: &dyn Recorder = if trace_path.is_some() {
-        &trace
-    } else {
-        &NoopRecorder
-    };
+    let trace = Trace::from_args();
+    let recorder = trace.recorder();
     let wall = Stopwatch::start();
     let mut telemetry = Telemetry::new();
     let reps = usize::try_from(seleth_bench::env_u64("SELETH_BENCH_REPS", 3)).unwrap_or(3);
@@ -193,8 +188,7 @@ fn main() {
     field("revenue_check", format!("{:.9}", fast.revenue));
     field("host", seleth_bench::host_fingerprint_json());
     telemetry.wall_ns = wall.elapsed_ns();
-    telemetry.threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    telemetry.set_gauge("host.available_parallelism", telemetry.threads as f64);
+    telemetry.stamp_host();
     // Trailing field without comma.
     let _ = write!(json, "  \"telemetry\": {}\n}}\n", telemetry.to_json(2));
 
@@ -213,7 +207,7 @@ fn main() {
         ],
     );
     println!("appended history row to {}", ledger.display());
-    write_trace(&trace, trace_path.as_ref());
+    trace.finish();
 
     if speedup < 2.0 {
         eprintln!("WARNING: single-expansion speedup {speedup:.2}x below the 2x acceptance gate");

@@ -37,10 +37,10 @@
 use std::fmt::Write as _;
 
 use seleth_bench::json_f64;
-use seleth_bench::report::{gate_tolerance, replay_revenue, trace_arg, write_trace};
+use seleth_bench::report::{gate_tolerance, replay_revenue, Trace};
 use seleth_chain::RewardSchedule;
 use seleth_mdp::{PolicyTable, RewardModel};
-use seleth_obs::{NoopRecorder, Recorder, Stopwatch, Telemetry, TelemetryShard, TraceLog};
+use seleth_obs::{par_map_traced, Recorder, Stopwatch, Telemetry, TelemetryShard};
 use seleth_sim::delay::DelayConfig;
 
 /// Mean block interval for every run (Ethereum-like, seconds).
@@ -121,7 +121,7 @@ fn sweep_table(
     blocks: u64,
     recorder: &dyn Recorder,
 ) -> (Vec<Point>, Vec<TelemetryShard>) {
-    seleth_bench::par_map_traced(delays, 0, recorder, |&delay, shard| {
+    par_map_traced(delays, 0, recorder, |&delay, _: &mut (), shard| {
         eval_point(table, delay, runs, blocks, shard)
     })
 }
@@ -135,13 +135,8 @@ fn point_at(points: &[Point], delay: f64) -> &Point {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let trace_path = trace_arg();
-    let trace = TraceLog::new();
-    let recorder: &dyn Recorder = if trace_path.is_some() {
-        &trace
-    } else {
-        &NoopRecorder
-    };
+    let trace = Trace::from_args();
+    let recorder = trace.recorder();
     let wall = Stopwatch::start();
     let mut telemetry = Telemetry::new();
     let runs = seleth_bench::env_u64("SELETH_RUNS", if smoke { 3 } else { 8 });
@@ -276,8 +271,7 @@ fn main() {
     }
 
     telemetry.wall_ns = wall.elapsed_ns();
-    telemetry.threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    telemetry.set_gauge("host.available_parallelism", telemetry.threads as f64);
+    telemetry.stamp_host();
     let json = format!(
         "{{\n  \"kind\": \"seleth-closed-loop-study\",\n  \"format\": 1,\n  \
          \"interval\": {},\n  \"runs\": {runs},\n  \"blocks\": {blocks},\n  \
@@ -299,7 +293,7 @@ fn main() {
     println!("at delay 0 the aware policy may trail — it prices in races that never");
     println!("happen there.");
     println!("wrote {}", path.display());
-    write_trace(&trace, trace_path.as_ref());
+    trace.finish();
 
     if failed {
         eprintln!(

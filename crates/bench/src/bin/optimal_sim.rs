@@ -26,10 +26,10 @@
 //! for the artifact format.
 
 use seleth_bench::json_f64;
-use seleth_bench::report::{trace_arg, write_trace};
+use seleth_bench::report::Trace;
 use seleth_chain::{RewardSchedule, Scenario};
 use seleth_mdp::{MdpConfig, PolicyTable, RewardModel};
-use seleth_obs::{NoopRecorder, Recorder, Stopwatch, Telemetry, TraceLog};
+use seleth_obs::{Stopwatch, Telemetry};
 use seleth_sim::{multi, SimConfig};
 
 struct Point {
@@ -105,13 +105,8 @@ fn main() {
     if std::env::args().any(|arg| arg == "--audit") {
         audit_artifacts();
     }
-    let trace_path = trace_arg();
-    let trace = TraceLog::new();
-    let recorder: &dyn Recorder = if trace_path.is_some() {
-        &trace
-    } else {
-        &NoopRecorder
-    };
+    let trace = Trace::from_args();
+    let recorder = trace.recorder();
     let wall = Stopwatch::start();
     let mut telemetry = Telemetry::new();
     let runs = seleth_bench::env_u64("SELETH_RUNS", 8);
@@ -255,8 +250,7 @@ fn main() {
     telemetry.add_phase("solve", solve_ns);
     telemetry.add_phase("simulate", sim_ns);
     telemetry.wall_ns = wall.elapsed_ns();
-    telemetry.threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    telemetry.set_gauge("host.available_parallelism", telemetry.threads as f64);
+    telemetry.stamp_host();
     telemetry.set_gauge(
         "solver.warm_start_hit_rate",
         warm_rates.iter().sum::<f64>() / warm_rates.len().max(1) as f64,
@@ -272,7 +266,7 @@ fn main() {
     println!("\npolicies under {}", policies_dir.display());
     println!("wrote {}", csv.display());
     println!("wrote {}", json_path.display());
-    write_trace(&trace, trace_path.as_ref());
+    trace.finish();
 
     if failed {
         eprintln!("FAIL: a gated point disagrees with its MDP prediction");

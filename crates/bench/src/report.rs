@@ -7,13 +7,13 @@
 //! ρ*), track the system-wide orphan rate and the mined fraction of the
 //! block budget, and gate anchor points against a predicted revenue with
 //! a smoke-loosened tolerance. This module is the single implementation
-//! of that loop — plus the `--trace` flag convention the telemetry layer
+//! of that loop — plus the `--trace` flag ([`Trace`]) the telemetry layer
 //! adds to every study bin.
 
 use std::path::PathBuf;
 
 use seleth_chain::Scenario;
-use seleth_obs::TraceLog;
+use seleth_obs::{NoopRecorder, Recorder, TraceLog};
 use seleth_sim::delay::{DelayConfig, DelayCounters, DelaySimulation};
 
 /// Aggregated outcome of replaying one sweep point over several seeds.
@@ -97,33 +97,62 @@ pub fn gate_tolerance(smoke: bool, std_err: f64) -> f64 {
     }
 }
 
-/// Parse the study bins' `--trace <path>` flag from the process
-/// arguments: when present, the bin records span events into a
-/// [`TraceLog`] and dumps them as JSON lines at `path` on exit.
-pub fn trace_arg() -> Option<PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            return args.next().map(PathBuf::from);
-        }
-        if let Some(path) = a.strip_prefix("--trace=") {
-            return Some(PathBuf::from(path));
-        }
-    }
-    None
+/// The bins' `--trace <path>` switch: with the flag, spans are recorded
+/// into a [`TraceLog`] and dumped as JSON lines at `path` by
+/// [`Trace::finish`]; without it, [`Trace::recorder`] is the no-op
+/// recorder.
+#[derive(Debug)]
+pub struct Trace {
+    path: Option<PathBuf>,
+    log: TraceLog,
 }
 
-/// Write a recorded trace as JSON lines if `--trace` asked for one,
-/// printing the destination; quietly does nothing without the flag.
-///
-/// # Panics
-///
-/// Panics when the trace file cannot be written — study bins have no
-/// recovery path and a loud failure beats a silently missing trace.
-pub fn write_trace(log: &TraceLog, path: Option<&PathBuf>) {
-    if let Some(path) = path {
-        log.write_jsonl(path).expect("write trace file");
-        println!("wrote trace ({} spans) to {}", log.len(), path.display());
+impl Trace {
+    /// Read `--trace <path>` (or `--trace=<path>`) from the process
+    /// arguments.
+    pub fn from_args() -> Self {
+        let mut args = std::env::args().skip(1);
+        let path = loop {
+            let Some(a) = args.next() else { break None };
+            if a == "--trace" {
+                break args.next().map(PathBuf::from);
+            }
+            if let Some(p) = a.strip_prefix("--trace=") {
+                break Some(PathBuf::from(p));
+            }
+        };
+        Trace {
+            path,
+            log: TraceLog::new(),
+        }
+    }
+
+    /// The recorder to instrument with: the trace log when `--trace` was
+    /// given, else [`NoopRecorder`].
+    pub fn recorder(&self) -> &dyn Recorder {
+        if self.path.is_some() {
+            &self.log
+        } else {
+            &NoopRecorder
+        }
+    }
+
+    /// Write the recorded spans if `--trace` asked for them, printing the
+    /// destination; quietly does nothing without the flag.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the trace file cannot be written — study bins have no
+    /// recovery path and a loud failure beats a silently missing trace.
+    pub fn finish(&self) {
+        if let Some(path) = &self.path {
+            self.log.write_jsonl(path).expect("write trace file");
+            println!(
+                "wrote trace ({} spans) to {}",
+                self.log.len(),
+                path.display()
+            );
+        }
     }
 }
 

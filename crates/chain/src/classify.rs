@@ -473,4 +473,41 @@ mod tests {
         let chain = vec![t.genesis(), a, b, c];
         assert!(uncle_events(&t, &chain, 6).is_empty());
     }
+
+    #[test]
+    fn uncle_inherited_from_a_fork_block_is_rejected() {
+        let m = MinerId(0);
+        let mut t = BlockTree::new();
+        let a = t.add_block(t.genesis(), m, &[]).unwrap();
+        let fork = t.add_block(a, m, &[]).unwrap();
+        // `inherited` hangs off the fork block, not off the main chain.
+        let inherited = t.add_block(fork, m, &[]).unwrap();
+        let b = t.add_block(a, m, &[]).unwrap();
+        let c = t.add_block(b, m, &[]).unwrap();
+        let d = t.add_block(c, m, &[inherited, fork]).unwrap();
+        let chain = vec![t.genesis(), a, b, c, d];
+        // Only the fork block itself, whose parent is on chain, counts.
+        let events = uncle_events_with_cap(&t, &chain, 6, Some(2));
+        assert_eq!(
+            events,
+            vec![UncleEvent {
+                uncle: fork,
+                nephew: d,
+                distance: 2
+            }]
+        );
+    }
+
+    #[test]
+    fn reference_at_the_nephews_own_height_is_rejected() {
+        let m = MinerId(0);
+        let mut t = BlockTree::new();
+        let a = t.add_block(t.genesis(), m, &[]).unwrap();
+        let sibling = t.add_block(a, m, &[]).unwrap();
+        // `b` references a block at its own height: distance 0.
+        let b = t.add_block(a, m, &[sibling]).unwrap();
+        let c = t.add_block(b, m, &[]).unwrap();
+        let chain = vec![t.genesis(), a, b, c];
+        assert!(uncle_events_with_cap(&t, &chain, 6, Some(2)).is_empty());
+    }
 }

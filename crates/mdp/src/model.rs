@@ -380,11 +380,7 @@ impl MdpConfig {
 
     /// The effective worker count for this configuration.
     pub(crate) fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.threads
-        }
+        seleth_obs::resolve_threads(self.threads)
     }
 
     /// All outcomes of taking `action` in `state`.

@@ -371,13 +371,16 @@ impl ExpandedMdp {
 
     /// Fill `out[i] = f(i)` for every slot, in parallel. Workers claim
     /// fixed-size state tiles ([`PARALLEL_GRAIN`] slots) from an atomic
-    /// counter — the same work-queue scheduling the experiment harness
-    /// uses — so heterogeneous per-state costs (the action fan-out varies
-    /// across the space) stay load-balanced at truncation 200+. Tile
-    /// membership only decides which thread computes which slot, never
-    /// the arithmetic, so the result is deterministic for any `threads`;
-    /// each tile sits behind an uncontended mutex purely to hand its
-    /// `&mut` slice across threads.
+    /// counter, the claiming rule of the workspace work queue
+    /// (`seleth_obs::sched`), so heterogeneous per-state costs (the action
+    /// fan-out varies across the space) stay load-balanced at truncation
+    /// 200+. Tile membership only decides which thread computes which
+    /// slot, never the arithmetic, so the result is deterministic for any
+    /// `threads`; each tile sits behind an uncontended mutex purely to
+    /// hand its `&mut` slice across threads. This is the one queue kept
+    /// outside `seleth_obs::sched`: it refills a preallocated slice in
+    /// place on every Bellman sweep, where a `Vec`-returning map would
+    /// allocate once per sweep.
     fn par_fill<T: Send>(out: &mut [T], threads: usize, f: impl Fn(usize) -> T + Sync) {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Mutex;

@@ -14,6 +14,12 @@
 //!   counters, histograms and busy/queue-wait time without any locking, and
 //!   merge deterministically into a [`Telemetry`] summary whose counter
 //!   totals are bit-identical at any thread count.
+//! * **Scheduler** ([`sched`]): the workspace's one work queue.
+//!   [`par_map_traced`] runs tasks on workers that claim item indices from
+//!   a shared counter, hands each worker its own state and shard, and
+//!   returns results in input order, bit-identical at any thread count;
+//!   [`resolve_threads`] is the one rule for an automatic (`0`) worker
+//!   count.
 //! * **Profiles** ([`profile`]): a tiny JSON parser ([`json`]) and
 //!   [`render_profile`], which turns the `"telemetry"` and `"event_log"`
 //!   blocks of any study JSON into a human-readable report (used by the
@@ -41,6 +47,7 @@ pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod recorder;
+pub mod sched;
 pub mod telemetry;
 pub mod trend;
 
@@ -49,5 +56,6 @@ pub use json::{parse_json, JsonError, JsonValue};
 pub use metrics::{Histogram, Stopwatch};
 pub use profile::render_profile;
 pub use recorder::{NoopRecorder, Recorder, SpanEvent, TraceLog};
+pub use sched::{par_map, par_map_traced, resolve_threads};
 pub use telemetry::{Telemetry, TelemetryShard, WorkerStats};
 pub use trend::{evaluate_trend, parse_history, TrendReport, TrendRow};

@@ -5,6 +5,7 @@ use std::fmt::Write as _;
 
 use crate::json::escape_string;
 use crate::metrics::Histogram;
+use crate::sched::resolve_threads;
 
 /// Telemetry accumulated by a single worker thread.
 ///
@@ -181,6 +182,13 @@ impl Telemetry {
     /// Sets the named gauge.
     pub fn set_gauge(&mut self, key: &str, value: f64) {
         self.gauges.insert(key.to_string(), value);
+    }
+
+    /// Stamps the host's worker count, [`resolve_threads`]`(0)`, as
+    /// `threads` and as the `host.available_parallelism` gauge.
+    pub fn stamp_host(&mut self) {
+        self.threads = resolve_threads(0);
+        self.set_gauge("host.available_parallelism", self.threads as f64);
     }
 
     /// Records one sample of the named distribution.

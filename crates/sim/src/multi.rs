@@ -4,16 +4,13 @@
 //!
 //! Each run `k` is an independent simulation seeded `base_seed + k`, so the
 //! reports are a pure function of the configuration: the thread count only
-//! decides which worker executes which seed, never the result. Workers pull
-//! run indices from a shared queue (no up-front chunking, so any
-//! `runs`/`threads` ratio stays fully utilized) and recycle one
-//! [`Simulation`] engine — block-tree arena included — across all the runs
-//! they execute.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! decides which worker executes which seed, never the result. Seeds go
+//! through the workspace work queue ([`seleth_obs::par_map_traced`]), and
+//! each worker recycles one [`Simulation`] engine — block-tree arena
+//! included — across all the runs it executes.
 
 use seleth_chain::Scenario;
-use seleth_obs::{NoopRecorder, Recorder, Stopwatch, TelemetryShard};
+use seleth_obs::{par_map_traced, NoopRecorder, Recorder, TelemetryShard};
 
 use crate::config::SimConfig;
 use crate::engine::Simulation;
@@ -28,8 +25,8 @@ use crate::stats::SimReport;
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics (a bug in the simulator, not a
-/// recoverable condition).
+/// Re-raises a panic of the simulator (a bug, not a recoverable
+/// condition).
 pub fn run_many(config: &SimConfig, runs: u64) -> Vec<SimReport> {
     run_many_with_threads(config, runs, 0)
 }
@@ -40,7 +37,7 @@ pub fn run_many(config: &SimConfig, runs: u64) -> Vec<SimReport> {
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics.
+/// As [`run_many`].
 pub fn run_many_with_threads(config: &SimConfig, runs: u64, threads: usize) -> Vec<SimReport> {
     run_many_recorded(config, runs, threads, &NoopRecorder).0
 }
@@ -48,114 +45,43 @@ pub fn run_many_with_threads(config: &SimConfig, runs: u64, threads: usize) -> V
 /// As [`run_many_with_threads`], additionally returning one
 /// [`TelemetryShard`] per worker thread.
 ///
-/// Each shard carries the worker's busy time, queue wait (time between
-/// finishing one run and starting the next, including thread startup),
-/// tasks claimed, and the deterministic scheduler counters `sim.runs`,
+/// Besides the scheduler's per-worker busy time, queue wait and task
+/// count, each shard carries the deterministic counters `sim.runs`,
 /// `sim.blocks`, `sim.engine_builds` and `sim.engine_reuses`. Counter
 /// *totals* over all shards are bit-identical for every thread count
 /// (each run contributes fixed deltas; only their grouping varies);
 /// per-worker timing is a wall-clock measurement with no such guarantee.
-/// When `recorder` is enabled, one `"run"` span per simulation is emitted.
+/// When `recorder` is enabled, one `"task"` span per simulation is
+/// emitted.
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics.
+/// As [`run_many`].
 pub fn run_many_recorded(
     config: &SimConfig,
     runs: u64,
     threads: usize,
     recorder: &dyn Recorder,
 ) -> (Vec<SimReport>, Vec<TelemetryShard>) {
-    let base = config.seed();
-    if runs == 0 {
-        return (Vec::new(), Vec::new());
-    }
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(4, |n| n.get())
-    } else {
-        threads
-    }
-    .min(usize::try_from(runs).unwrap_or(usize::MAX))
-    .max(1);
-
-    // One worker body shared by the sequential and parallel paths, so the
-    // engine-reuse discipline and telemetry accounting cannot drift apart.
-    let work = |worker: usize, next: &AtomicU64| -> (Vec<(u64, SimReport)>, TelemetryShard) {
-        let mut shard = TelemetryShard::new(worker);
-        let mut produced: Vec<(u64, SimReport)> = Vec::new();
-        let mut engine: Option<Simulation> = None;
-        let mut idle = Stopwatch::start();
-        loop {
-            let k = next.fetch_add(1, Ordering::Relaxed);
-            if k >= runs {
-                break;
-            }
-            shard.queue_wait_ns += idle.elapsed_ns();
-            let busy = Stopwatch::start();
-            let span_start = if recorder.enabled() {
-                recorder.now_ns()
+    let seeds: Vec<u64> = (0..runs).map(|k| config.seed() + k).collect();
+    par_map_traced(
+        &seeds,
+        threads,
+        recorder,
+        |&seed, engine: &mut Option<Simulation>, shard| {
+            let run_config = config.with_seed(seed);
+            let report = if let Some(sim) = engine {
+                shard.add("sim.engine_reuses", 1);
+                sim.reset(run_config);
+                sim.run_in_place()
             } else {
-                0
+                shard.add("sim.engine_builds", 1);
+                engine.insert(Simulation::new(run_config)).run_in_place()
             };
-            let run_config = config.with_seed(base + k);
-            let report = match engine.as_mut() {
-                Some(sim) => {
-                    shard.add("sim.engine_reuses", 1);
-                    sim.reset(run_config);
-                    sim.run_in_place()
-                }
-                None => {
-                    shard.add("sim.engine_builds", 1);
-                    let mut sim = Simulation::new(run_config);
-                    let report = sim.run_in_place();
-                    engine = Some(sim);
-                    report
-                }
-            };
-            shard.tasks += 1;
-            shard.busy_ns += busy.elapsed_ns();
             shard.add("sim.runs", 1);
             shard.add("sim.blocks", config.blocks());
-            if recorder.enabled() {
-                recorder.span("run", worker, span_start, recorder.now_ns());
-            }
-            produced.push((k, report));
-            idle = Stopwatch::start();
-        }
-        (produced, shard)
-    };
-
-    if threads == 1 {
-        let next = AtomicU64::new(0);
-        let (produced, shard) = work(0, &next);
-        return (produced.into_iter().map(|(_, r)| r).collect(), vec![shard]);
-    }
-
-    let next = AtomicU64::new(0);
-    let mut reports: Vec<Option<SimReport>> = (0..runs).map(|_| None).collect();
-    let mut shards: Vec<TelemetryShard> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|worker| {
-                let next = &next;
-                let work = &work;
-                scope.spawn(move || work(worker, next))
-            })
-            .collect();
-        for handle in handles {
-            let (produced, shard) = handle.join().expect("simulation worker panicked");
-            for (k, report) in produced {
-                reports[usize::try_from(k).expect("run index fits usize")] = Some(report);
-            }
-            shards.push(shard);
-        }
-    });
-    (
-        reports
-            .into_iter()
-            .map(|r| r.expect("all slots filled"))
-            .collect(),
-        shards,
+            report
+        },
     )
 }
 

@@ -34,10 +34,10 @@
 use std::fmt::Write as _;
 
 use seleth_bench::json_f64;
-use seleth_bench::report::{gate_tolerance, replay_revenue, trace_arg, write_trace};
+use seleth_bench::report::{gate_tolerance, replay_revenue, Trace};
 use seleth_chain::RewardSchedule;
 use seleth_mdp::{PolicyTable, RewardModel};
-use seleth_obs::{NoopRecorder, Recorder, Stopwatch, Telemetry, TelemetryShard, TraceLog};
+use seleth_obs::{par_map_traced, Stopwatch, Telemetry, TelemetryShard};
 use seleth_sim::delay::DelayConfig;
 use seleth_sim::{pools, FaultPlan};
 use seleth_zoo::Family;
@@ -200,13 +200,8 @@ fn eval_cell(
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let trace_path = trace_arg();
-    let trace = TraceLog::new();
-    let recorder: &dyn Recorder = if trace_path.is_some() {
-        &trace
-    } else {
-        &NoopRecorder
-    };
+    let trace = Trace::from_args();
+    let recorder = trace.recorder();
     let wall = Stopwatch::start();
     let mut telemetry = Telemetry::new();
     let runs = seleth_bench::env_u64("SELETH_RUNS", if smoke { 2 } else { 4 });
@@ -283,7 +278,7 @@ fn main() {
             // helper; results are bit-identical for every thread count.
             let sweep = Stopwatch::start();
             let (results, shards) =
-                seleth_bench::par_map_traced(&cells, 0, recorder, |cell, shard| {
+                par_map_traced(&cells, 0, recorder, |cell, _: &mut (), shard| {
                     eval_cell(strategy, shares, cell, runs, blocks, fault_seed, shard)
                 });
             telemetry.add_phase("sweep", sweep.elapsed_ns());
@@ -383,8 +378,7 @@ fn main() {
         series_json.join(",\n"),
         {
             telemetry.wall_ns = wall.elapsed_ns();
-            telemetry.threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-            telemetry.set_gauge("host.available_parallelism", telemetry.threads as f64);
+            telemetry.stamp_host();
             telemetry.to_json(2)
         }
     );
@@ -402,7 +396,7 @@ fn main() {
     println!("cells whether the advantage collapses or degrades when the network");
     println!("itself fails. 'mined' < 1 under churn: crashed hash power thins out.");
     println!("wrote {}", path.display());
-    write_trace(&trace, trace_path.as_ref());
+    trace.finish();
 
     if failed {
         eprintln!("FAIL: a gated anchor cell disagrees with its recorded rho*");

@@ -6,7 +6,8 @@
 //! propagation delay, plus two-strategist **matchup** cells (SM1 vs SM1,
 //! and the optimal artifact vs SM1, in one delay-simulator run each).
 //! All cells are evaluated through `seleth_zoo::Tournament`, in parallel
-//! across sweep points via the shared `seleth_bench::par_map` work queue.
+//! across sweep points on the workspace work queue
+//! (`seleth_obs::par_map_traced`).
 //!
 //! Gates (exit code 1 on failure):
 //!
@@ -42,9 +43,9 @@
 use std::fmt::Write as _;
 
 use seleth_bench::json_f64;
-use seleth_bench::report::{gate_tolerance, trace_arg, write_trace};
+use seleth_bench::report::{gate_tolerance, Trace};
 use seleth_mdp::{MdpConfig, PolicyTable, RewardModel};
-use seleth_obs::{NoopRecorder, Recorder, Stopwatch, Telemetry, TraceLog};
+use seleth_obs::{Stopwatch, Telemetry};
 use seleth_sim::pools;
 use seleth_zoo::{
     sm1_closed_form, Cell, CellResult, Family, StrategyRegistry, Tournament, TournamentConfig,
@@ -97,13 +98,8 @@ struct Meta {
 #[allow(clippy::too_many_lines)]
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let trace_path = trace_arg();
-    let trace = TraceLog::new();
-    let recorder: &dyn Recorder = if trace_path.is_some() {
-        &trace
-    } else {
-        &NoopRecorder
-    };
+    let trace = Trace::from_args();
+    let recorder = trace.recorder();
     let wall = Stopwatch::start();
     let mut telemetry = Telemetry::new();
     let runs = seleth_bench::env_u64("SELETH_RUNS", if smoke { 3 } else { 8 });
@@ -453,8 +449,7 @@ fn main() {
         cells_json.push(s);
     }
     telemetry.wall_ns = wall.elapsed_ns();
-    telemetry.threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    telemetry.set_gauge("host.available_parallelism", telemetry.threads as f64);
+    telemetry.stamp_host();
     let json = format!(
         "{{\n  \"kind\": \"seleth-zoo-study\",\n  \"format\": 1,\n  \
          \"interval\": {},\n  \"runs\": {runs},\n  \"blocks\": {blocks},\n  \
@@ -478,7 +473,7 @@ fn main() {
     println!("artifact, the fair share alpha elsewhere. Matchup cells field two");
     println!("strategists in one run; their revenues are per-miner.");
     println!("wrote {}", path.display());
-    write_trace(&trace, trace_path.as_ref());
+    trace.finish();
 
     if failed {
         eprintln!("FAIL: a zoo gate disagrees with its prediction");

@@ -42,11 +42,11 @@
 use std::fmt::Write as _;
 
 use seleth_bench::json_f64;
-use seleth_bench::report::{gate_tolerance, replay_revenue, trace_arg, write_trace};
+use seleth_bench::report::{gate_tolerance, replay_revenue, Trace};
 use seleth_chain::RewardSchedule;
 use seleth_mdp::{PolicyTable, RewardModel};
 use seleth_net::Topology;
-use seleth_obs::{NoopRecorder, Recorder, Stopwatch, Telemetry, TelemetryShard, TraceLog};
+use seleth_obs::{par_map_traced, Stopwatch, Telemetry, TelemetryShard};
 use seleth_sim::delay::DelayConfig;
 use seleth_zoo::Family;
 
@@ -225,13 +225,8 @@ fn hex_bits(v: f64) -> String {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let trace_path = trace_arg();
-    let trace = TraceLog::new();
-    let recorder: &dyn Recorder = if trace_path.is_some() {
-        &trace
-    } else {
-        &NoopRecorder
-    };
+    let trace = Trace::from_args();
+    let recorder = trace.recorder();
     let wall = Stopwatch::start();
     let mut telemetry = Telemetry::new();
     let runs = seleth_bench::env_u64("SELETH_RUNS", if smoke { 2 } else { 4 });
@@ -293,7 +288,7 @@ fn main() {
             // sweep is bit-identical at any thread count.
             let sweep = Stopwatch::start();
             let (results, shards) =
-                seleth_bench::par_map_traced(&cells, 0, recorder, |shape, shard| {
+                par_map_traced(&cells, 0, recorder, |shape, _: &mut (), shard| {
                     eval_cell(strategy, &shares, shape, runs, blocks, shard)
                 });
             telemetry.add_phase("sweep", sweep.elapsed_ns());
@@ -428,8 +423,7 @@ fn main() {
         series_json.join(",\n"),
         {
             telemetry.wall_ns = wall.elapsed_ns();
-            telemetry.threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-            telemetry.set_gauge("host.available_parallelism", telemetry.threads as f64);
+            telemetry.stamp_host();
             telemetry.to_json(2)
         }
     );
@@ -448,7 +442,7 @@ fn main() {
     println!("clustered graph's links and overlays one fast relay link — its");
     println!("lower 'latency' column is the relay-network advantage.");
     println!("wrote {}", path.display());
-    write_trace(&trace, trace_path.as_ref());
+    trace.finish();
 
     if failed {
         eprintln!("FAIL: a topology gate did not hold");

@@ -22,8 +22,8 @@
 //! - [`tournament`]: grid sweeps over family × parameters × delay ×
 //!   share-split, including **multi-strategist matchups** (two
 //!   table-driven miners attacking each other in one delay-simulator
-//!   run), evaluated in parallel across sweep points with
-//!   [`seleth_bench::par_map`]'s work queue.
+//!   run), evaluated in parallel across sweep points on the workspace
+//!   work queue, [`seleth_obs::par_map_traced`].
 //!
 //! The `strategy_zoo` binary drives the full study and writes the ranked
 //! `results/zoo_study.json`.

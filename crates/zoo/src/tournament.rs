@@ -13,9 +13,9 @@
 //! repetitions and reports per-strategist mean revenue (RegularRate
 //! normalization, the same quantity as an artifact's ρ*), its standard
 //! error, and the cell's orphan rate. Cells are independent, so the sweep
-//! runs through [`seleth_bench::par_map`]'s work queue: results are
-//! bit-identical for every thread count, and heterogeneous cell costs
-//! stay load-balanced.
+//! runs through the workspace work queue ([`seleth_obs::par_map_traced`]):
+//! results are bit-identical for every thread count, and heterogeneous
+//! cell costs stay load-balanced.
 
 use seleth_bench::report::replay_revenue;
 use seleth_chain::RewardSchedule;
@@ -213,7 +213,7 @@ impl<'r> Tournament<'r> {
     }
 
     /// [`Tournament::run`] with per-worker telemetry: cells sweep through
-    /// `seleth_bench::par_map_traced`, each worker folding its cells'
+    /// [`seleth_obs::par_map_traced`], each worker folding its cells'
     /// deterministic engine counters into a shard. Cell results are
     /// bit-identical to [`Tournament::run`]; shard counter totals merge
     /// to the same values at any thread count.
@@ -225,12 +225,17 @@ impl<'r> Tournament<'r> {
         &self,
         recorder: &dyn seleth_obs::Recorder,
     ) -> (Vec<CellResult>, Vec<seleth_obs::TelemetryShard>) {
-        seleth_bench::par_map_traced(&self.cells, self.config.threads, recorder, |cell, shard| {
-            let result = self.eval(cell);
-            result.counters.record_into(shard);
-            shard.add("study.runs", self.config.runs);
-            result
-        })
+        seleth_obs::par_map_traced(
+            &self.cells,
+            self.config.threads,
+            recorder,
+            |cell, _: &mut (), shard| {
+                let result = self.eval(cell);
+                result.counters.record_into(shard);
+                shard.add("study.runs", self.config.runs);
+                result
+            },
+        )
     }
 
     fn eval(&self, cell: &Cell) -> CellResult {

@@ -25,7 +25,7 @@ use proptest::prelude::*;
 
 use selfish_ethereum::prelude::*;
 
-use seleth_bench::par_map;
+use seleth_obs::{par_map, parse_json, JsonValue};
 
 /// The classic SM1 rule as a policy table — the same hand-written
 /// strategy the delay-study gates replay.
@@ -293,21 +293,25 @@ proptest! {
 // Committed-artifact gate: results/chaos_study.json
 // ---------------------------------------------------------------------
 
-/// Extract the numeric value following `"key": ` inside `chunk`.
-fn f64_field(chunk: &str, key: &str) -> f64 {
-    let marker = format!("\"{key}\": ");
-    let start = chunk
-        .find(&marker)
-        .unwrap_or_else(|| panic!("field {key} present"))
-        + marker.len();
-    let end = start
-        + chunk[start..]
-            .find([',', '}', '\n'])
-            .expect("value terminated");
-    chunk[start..end]
-        .trim()
-        .parse()
-        .unwrap_or_else(|e| panic!("field {key} numeric: {e}"))
+/// The numeric field `key` of the JSON object `node`.
+fn f64_field(node: &JsonValue, key: &str) -> f64 {
+    node.get(key)
+        .and_then(JsonValue::as_f64)
+        .unwrap_or_else(|| panic!("numeric field {key} present"))
+}
+
+/// The string field `key` of the JSON object `node`.
+fn str_field<'a>(node: &'a JsonValue, key: &str) -> &'a str {
+    node.get(key)
+        .and_then(JsonValue::as_str)
+        .unwrap_or_else(|| panic!("string field {key} present"))
+}
+
+/// The array field `key` of the JSON object `node`.
+fn array_field<'a>(node: &'a JsonValue, key: &str) -> &'a [JsonValue] {
+    node.get(key)
+        .and_then(JsonValue::as_array)
+        .unwrap_or_else(|| panic!("array field {key} present"))
 }
 
 /// The committed chaos study must be coherent: well-formed header, every
@@ -320,29 +324,33 @@ fn f64_field(chunk: &str, key: &str) -> f64 {
 fn committed_chaos_study_is_coherent_and_anchored() {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results/chaos_study.json");
     let text = std::fs::read_to_string(&path).expect("committed results/chaos_study.json");
-    assert!(
-        text.contains("\"kind\": \"seleth-chaos-study\""),
+    let doc = parse_json(&text).expect("results/chaos_study.json parses");
+    assert_eq!(
+        str_field(&doc, "kind"),
+        "seleth-chaos-study",
         "kind marker present"
     );
-    assert!(f64_field(&text, "runs") >= 2.0);
-    assert!(f64_field(&text, "blocks") >= 10_000.0);
+    assert!(f64_field(&doc, "runs") >= 2.0);
+    assert!(f64_field(&doc, "blocks") >= 10_000.0);
 
-    let series: Vec<&str> = text.split("\"strategy\":").skip(1).collect();
+    let series = array_field(&doc, "series");
     assert!(series.len() >= 2, "study sweeps at least two series");
     let mut gated_seen = false;
     for chunk in series {
         let rho = f64_field(chunk, "rho_star");
         assert!(rho.is_finite() && rho > 0.0);
-        let gated = chunk.contains("\"gated\": true");
+        let gated = chunk.get("gated") == Some(&JsonValue::Bool(true));
         gated_seen |= gated;
 
-        let cells: Vec<&str> = chunk.split("\"cell\":").skip(1).collect();
+        let cells = array_field(chunk, "cells");
         assert!(cells.len() >= 5, "each series sweeps a fault grid");
         assert!(
-            chunk.contains("\"anchor_delay0\""),
+            cells
+                .iter()
+                .any(|c| str_field(c, "cell") == "anchor_delay0"),
             "each series carries the zero-delay anchor"
         );
-        for cell in &cells {
+        for cell in cells {
             let revenue = f64_field(cell, "revenue");
             let se = f64_field(cell, "std_err");
             let orphan = f64_field(cell, "orphan_rate");
@@ -356,7 +364,7 @@ fn committed_chaos_study_is_coherent_and_anchored() {
         if gated {
             let anchor = cells
                 .iter()
-                .find(|c| c.trim_start().starts_with("\"anchor_delay0\""))
+                .find(|c| str_field(c, "cell") == "anchor_delay0")
                 .expect("gated series has the anchor cell");
             let revenue = f64_field(anchor, "revenue");
             let se = f64_field(anchor, "std_err");

@@ -23,7 +23,7 @@
 
 use selfish_ethereum::prelude::*;
 
-use seleth_bench::par_map;
+use seleth_obs::par_map;
 use seleth_sim::diagnose::capacity_for;
 
 // ---------------------------------------------------------------------

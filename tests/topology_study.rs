@@ -28,7 +28,7 @@ use proptest::prelude::*;
 
 use selfish_ethereum::prelude::*;
 
-use seleth_bench::par_map;
+use seleth_obs::{par_map, parse_json, JsonValue};
 
 /// The classic SM1 rule as a policy table — the same hand-written
 /// strategy the delay-study and chaos gates replay.
@@ -347,32 +347,25 @@ proptest! {
 // Committed-artifact gate: results/topology_study.json
 // ---------------------------------------------------------------------
 
-/// Extract the numeric value following `"key": ` inside `chunk`.
-fn f64_field(chunk: &str, key: &str) -> f64 {
-    let marker = format!("\"{key}\": ");
-    let start = chunk
-        .find(&marker)
-        .unwrap_or_else(|| panic!("field {key} present"))
-        + marker.len();
-    let end = start
-        + chunk[start..]
-            .find([',', '}', '\n'])
-            .expect("value terminated");
-    chunk[start..end]
-        .trim()
-        .parse()
-        .unwrap_or_else(|e| panic!("field {key} numeric: {e}"))
+/// The numeric field `key` of the JSON object `node`.
+fn f64_field(node: &JsonValue, key: &str) -> f64 {
+    node.get(key)
+        .and_then(JsonValue::as_f64)
+        .unwrap_or_else(|| panic!("numeric field {key} present"))
 }
 
-/// Extract the string value following `"key": "` inside `chunk`.
-fn str_field<'a>(chunk: &'a str, key: &str) -> &'a str {
-    let marker = format!("\"{key}\": \"");
-    let start = chunk
-        .find(&marker)
-        .unwrap_or_else(|| panic!("field {key} present"))
-        + marker.len();
-    let end = start + chunk[start..].find('"').expect("string terminated");
-    &chunk[start..end]
+/// The string field `key` of the JSON object `node`.
+fn str_field<'a>(node: &'a JsonValue, key: &str) -> &'a str {
+    node.get(key)
+        .and_then(JsonValue::as_str)
+        .unwrap_or_else(|| panic!("string field {key} present"))
+}
+
+/// The array field `key` of the JSON object `node`.
+fn array_field<'a>(node: &'a JsonValue, key: &str) -> &'a [JsonValue] {
+    node.get(key)
+        .and_then(JsonValue::as_array)
+        .unwrap_or_else(|| panic!("array field {key} present"))
 }
 
 /// The committed topology study must be coherent: well-formed header,
@@ -385,22 +378,24 @@ fn str_field<'a>(chunk: &'a str, key: &str) -> &'a str {
 fn committed_topology_study_is_coherent_and_gated() {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results/topology_study.json");
     let text = std::fs::read_to_string(&path).expect("committed results/topology_study.json");
-    assert!(
-        text.contains("\"kind\": \"seleth-topology-study\""),
+    let doc = parse_json(&text).expect("results/topology_study.json parses");
+    assert_eq!(
+        str_field(&doc, "kind"),
+        "seleth-topology-study",
         "kind marker present"
     );
-    assert!(f64_field(&text, "runs") >= 2.0);
-    assert!(f64_field(&text, "blocks") >= 10_000.0);
-    let mean_latency = f64_field(&text, "mean_latency");
+    assert!(f64_field(&doc, "runs") >= 2.0);
+    assert!(f64_field(&doc, "blocks") >= 10_000.0);
+    let mean_latency = f64_field(&doc, "mean_latency");
     assert!(mean_latency > 0.0);
 
     // Every gate: the complete graph replays uniform to the bit, and the
     // well-connected attacker out-earns the peripheral one.
-    let gates: Vec<&str> = text.split("\"bit_identical\":").skip(1).collect();
+    let gates = array_field(&doc, "gates");
     assert!(gates.len() >= 2, "study gates at least two series");
-    for gate in &gates {
+    for gate in gates {
         assert!(
-            gate.trim_start().starts_with("true"),
+            gate.get("bit_identical") == Some(&JsonValue::Bool(true)),
             "complete-graph cells must be bit-identical to uniform"
         );
         assert_eq!(
@@ -416,10 +411,13 @@ fn committed_topology_study_is_coherent_and_gated() {
     }
 
     // Every swept cell is statistically sane.
-    let cells: Vec<&str> = text.split("\"shape\":").skip(1).collect();
+    let cells: Vec<&JsonValue> = array_field(&doc, "series")
+        .iter()
+        .flat_map(|series| array_field(series, "cells"))
+        .collect();
     assert!(cells.len() >= 14, "full sweep covers the shape grid");
     let mut relay_seen = false;
-    for cell in &cells {
+    for cell in cells {
         let revenue = f64_field(cell, "revenue");
         let se = f64_field(cell, "std_err");
         let orphan = f64_field(cell, "orphan_rate");
@@ -432,7 +430,7 @@ fn committed_topology_study_is_coherent_and_gated() {
         let bits = str_field(cell, "revenue_bits");
         let bits = u64::from_str_radix(bits.trim_start_matches("0x"), 16).expect("hex bits");
         assert_eq!(f64::from_bits(bits).to_bits(), revenue.to_bits());
-        if cell.trim_start().starts_with("\"relay_shortcut\"") {
+        if str_field(cell, "shape") == "relay_shortcut" {
             relay_seen = true;
             assert!(
                 latency < mean_latency,

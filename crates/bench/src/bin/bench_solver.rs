@@ -11,13 +11,12 @@
 //!   truncation 200;
 //! - `mdp_solve_ms`: the single-expansion, warm-started Dinkelbach solve
 //!   at the default truncation of [`MdpConfig::new`];
-//! - `mdp_solve_reexpand_ms`: the legacy behaviour (re-expansion and a
-//!   cold-started value function per ρ candidate) on the same MDP;
-//! - `mdp_expansion_reuse_speedup`: the ratio of the two — the
-//!   acceptance gate for the single-expansion layout is ≥ 2×;
 //! - `mdp_scaling`: cold solve times at truncation 60 / 120 / 200 (one
-//!   repetition each) — the tiled-sweep scaling record behind the
-//!   truncation-200 delay-aware artifacts.
+//!   repetition each, host thread count) — the tiled-sweep scaling record
+//!   behind the truncation-200 delay-aware artifacts. Each row carries
+//!   the state count and `ns_per_state_sweep`, the solve's wall time over
+//!   states × sweeps (the Bellman-sweep layer cost, expansion and
+//!   bisection bookkeeping included).
 //!
 //! The JSON carries the shared `"host"` fingerprint block (identical to
 //! `BENCH_sim.json`'s, including `available_parallelism`) and ends with a
@@ -91,7 +90,7 @@ fn main() {
         stationary_s * 1e3
     );
 
-    // --- MDP: single expansion + warm start vs legacy re-expansion ---
+    // --- MDP: single expansion + warm-started Dinkelbach solve ---
     let config = MdpConfig::new(0.35, 0.5, RewardModel::Bitcoin).with_max_len(mdp_len);
     let span_start = recorder.now_ns();
     let (fast_s, fast) = best_of(reps, || config.solve().expect("mdp solve"));
@@ -114,26 +113,10 @@ fn main() {
         "solver.final_residual",
         stats.residuals.last().copied().unwrap_or(0.0),
     );
-    let span_start = recorder.now_ns();
-    let (slow_s, slow) = best_of(reps, || config.solve_reexpanding().expect("mdp solve"));
-    if recorder.enabled() {
-        recorder.span("mdp_solve_reexpand", 0, span_start, recorder.now_ns());
-    }
-    telemetry.add_phase("mdp_solve_reexpand", (slow_s * 1e9) as u64);
-    assert!(
-        (fast.revenue - slow.revenue).abs() < 1e-9,
-        "solvers disagree: {} vs {}",
-        fast.revenue,
-        slow.revenue
-    );
-    let speedup = slow_s / fast_s;
     println!(
-        "mdp_solve           len {mdp_len}: {:.2} ms single-expansion ({} sweeps) \
-         vs {:.2} ms re-expanding ({} sweeps) → {speedup:.2}x",
+        "mdp_solve           len {mdp_len}: {:.2} ms ({} sweeps)",
         fast_s * 1e3,
-        fast.iterations,
-        slow_s * 1e3,
-        slow.iterations
+        fast.iterations
     );
 
     // --- MDP truncation scaling: the tiled Bellman layout at 200+ ---
@@ -149,14 +132,18 @@ fn main() {
             recorder.span("mdp_scaling", 0, span_start, recorder.now_ns());
         }
         telemetry.add_phase("mdp_scaling", (solve_s * 1e9) as u64);
+        let states = solution.policy.len();
+        let ns_per_state_sweep = solve_s * 1e9 / (states * solution.iterations) as f64;
         println!(
-            "mdp_scaling         len {truncation}: {:.1} ms ({} sweeps, ρ* {:.5})",
+            "mdp_scaling         len {truncation}: {:.1} ms ({states} states, {} sweeps, \
+             {ns_per_state_sweep:.1} ns/state-sweep, ρ* {:.5})",
             solve_s * 1e3,
             solution.iterations,
             solution.revenue
         );
         scaling_rows.push(format!(
-            "{{\"truncation\": {truncation}, \"solve_ms\": {:.3}, \"sweeps\": {}, \
+            "{{\"truncation\": {truncation}, \"states\": {states}, \"solve_ms\": {:.3}, \
+             \"sweeps\": {}, \"ns_per_state_sweep\": {ns_per_state_sweep:.2}, \
              \"revenue\": {:.9}}}",
             solve_s * 1e3,
             solution.iterations,
@@ -177,9 +164,6 @@ fn main() {
     field("mdp_max_len", mdp_len.to_string());
     field("mdp_solve_ms", format!("{:.3}", fast_s * 1e3));
     field("mdp_solve_sweeps", fast.iterations.to_string());
-    field("mdp_solve_reexpand_ms", format!("{:.3}", slow_s * 1e3));
-    field("mdp_solve_reexpand_sweeps", slow.iterations.to_string());
-    field("mdp_expansion_reuse_speedup", format!("{speedup:.3}"));
     field(
         "mdp_scaling",
         format!("[\n    {}\n  ]", scaling_rows.join(",\n    ")),
@@ -203,14 +187,8 @@ fn main() {
             ("csr_spmv_ns", csr_spmv_ns),
             ("stationary_solve_ms", stationary_s * 1e3),
             ("mdp_solve_ms", fast_s * 1e3),
-            ("mdp_expansion_reuse_speedup", speedup),
         ],
     );
     println!("appended history row to {}", ledger.display());
     trace.finish();
-
-    if speedup < 2.0 {
-        eprintln!("WARNING: single-expansion speedup {speedup:.2}x below the 2x acceptance gate");
-        std::process::exit(1);
-    }
 }

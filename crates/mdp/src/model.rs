@@ -224,6 +224,16 @@ pub enum MdpError {
         /// Value-iteration sweeps spent across all candidates.
         sweeps: usize,
     },
+    /// The enumerated state space cannot be compiled for the solver: a
+    /// state the transition table needs is missing from it (a successor,
+    /// or the reference state `(0, 0)`), or (`missing` is `None`) it has
+    /// more states than the solver's `u32` state index addresses.
+    InvalidSpace {
+        /// Size of the enumerated space.
+        states: usize,
+        /// The needed state that is not in the space.
+        missing: Option<MdpState>,
+    },
 }
 
 impl fmt::Display for MdpError {
@@ -253,6 +263,18 @@ impl fmt::Display for MdpError {
                 "solver did not converge after {sweeps} sweeps \
                  (rho bracketed in [{rho_lo}, {rho_hi}])"
             ),
+            MdpError::InvalidSpace {
+                states,
+                missing: Some(state),
+            } => write!(
+                f,
+                "state {state} is needed by the transition table but missing \
+                 from the {states}-state space"
+            ),
+            MdpError::InvalidSpace {
+                states,
+                missing: None,
+            } => write!(f, "{states} states exceed the solver's u32 state index"),
         }
     }
 }
@@ -803,6 +825,27 @@ mod tests {
         }
         let c = MdpConfig::new(0.3, 0.5, RewardModel::Bitcoin).with_delay_ratio(0.9);
         assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn invalid_space_errors_name_their_cause() {
+        let missing = MdpError::InvalidSpace {
+            states: 1525,
+            missing: Some(MdpState::new(25, 3, Fork::Relevant)),
+        };
+        assert_eq!(
+            missing.to_string(),
+            "state (25, 3, r) is needed by the transition table but missing \
+             from the 1525-state space"
+        );
+        let oversized = MdpError::InvalidSpace {
+            states: u32::MAX as usize + 1,
+            missing: None,
+        };
+        assert_eq!(
+            oversized.to_string(),
+            "4294967296 states exceed the solver's u32 state index"
+        );
     }
 
     #[test]

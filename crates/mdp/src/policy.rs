@@ -592,8 +592,8 @@ impl PolicyTable {
                 (0..=d_bound).all(|d| {
                     (0..=self.max_len()).all(|a| {
                         (0..=self.max_len()).all(|h| {
-                            let stored = self.action(a, h, fork, d).expect("in-region slot");
-                            self.decide(a, h, fork, d) == stored
+                            self.action(a, h, fork, d)
+                                .is_some_and(|stored| self.decide(a, h, fork, d) == stored)
                         })
                     })
                 })

@@ -15,18 +15,35 @@
 //! The transition table is expanded **once per solve** into flat
 //! struct-of-arrays storage ([`ExpandedMdp`]): per outcome, `(prob,
 //! successor index, attacker reward, normalization units)`. Each ρ
-//! candidate then re-weights rewards on the fly (`w = r − ρ·units`) inside
-//! the Bellman sweep instead of rebuilding per-action outcome lists, and
-//! the value function is **warm-started across ρ iterates** (the optimal
-//! `v` moves continuously with ρ, so each bisection step starts next to
-//! its fixed point and converges in a fraction of the cold-start sweeps).
-//! Bellman sweeps and greedy-policy extraction run in parallel over
-//! contiguous state chunks; every chunk writes disjoint slots and all
-//! reductions (span seminorm, reference offset) are performed sequentially
-//! in index order, so results are bit-identical for every thread count.
+//! candidate then re-weights rewards once (`base = Σ p·(r − ρ·units)`
+//! per action) instead of rebuilding per-action outcome lists, and the
+//! value function is **warm-started across ρ iterates** (the optimal `v`
+//! moves continuously with ρ, so each bisection step starts next to its
+//! fixed point and converges in a fraction of the cold-start sweeps).
+//!
+//! The storage is compiled into **state tiles** of [`PARALLEL_GRAIN`]
+//! consecutive states. Inside a tile, action rows are grouped by outcome
+//! count and states by action count, so a sweep runs two fixed-width
+//! passes per tile instead of a per-state walk whose loop trip counts
+//! change from state to state: a *Q pass* (`q = base + Σ p_j·v[s_j]`,
+//! widths 1–4 unrolled at compile time) and a *max pass* (the first
+//! strictly greatest `q` per state). Each action's sum is formed in
+//! enumeration order and the tie-break is unchanged, so the grouping
+//! moves no bit of any result; a tile keeps its states' values close
+//! together in cache, which grouping the whole space at once would lose.
+//!
+//! The tile is the unit of every sweep and of greedy-policy extraction:
+//! a sequential sweep runs the tiles in order, a parallel sweep lets
+//! workers claim whole tiles. Every tile writes disjoint slots and all
+//! reductions (span seminorm, reference offset) run on the calling
+//! thread, so results are bit-identical for every thread count. The span
+//! reduction runs four interleaved `min`/`max` accumulators and falls
+//! back to the index-order fold only when an extreme is exactly zero,
+//! the one case where regrouping could pick the other signed zero.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use serde::{Deserialize, Serialize};
 
@@ -39,9 +56,9 @@ use crate::model::{Action, Fork, MdpConfig, MdpError, MdpState};
 /// is cheaper than the thread handoff.
 const PARALLEL_MIN_STATES: usize = 4096;
 
-/// Minimum slots per worker thread: the effective worker count is clamped
-/// to `n / PARALLEL_GRAIN`, so arbitrarily large `with_threads` values
-/// cannot spawn per-state threads.
+/// States per sweep tile. The effective worker count is clamped to the
+/// tile count, so arbitrarily large `with_threads` values cannot spawn
+/// per-state threads.
 const PARALLEL_GRAIN: usize = 1024;
 
 /// Hard cap on Dinkelbach bisection steps. 128 halvings of the initial
@@ -132,9 +149,7 @@ impl Policy {
 
 /// Instrumentation of one Dinkelbach solve.
 ///
-/// Collected on every [`MdpConfig::solve`] (and on the legacy
-/// re-expanding solver, where it documents what warm starts buy): one
-/// entry per ρ iterate — the bisection candidates in order, then the
+/// Collected on every [`MdpConfig::solve`]: one entry per ρ iterate — the bisection candidates in order, then the
 /// closing full-tolerance evaluation at the solved revenue. Recording is
 /// pure bookkeeping over values the solver already computes, so the
 /// numerics (and exported policy artifacts) are untouched.
@@ -191,45 +206,171 @@ pub struct Solution {
     pub stats: SolveStats,
 }
 
-/// The transition table of one solve, flattened into contiguous arrays.
+/// The transition table of one solve, compiled into state tiles.
 ///
-/// Layout: state `i`'s legal actions occupy `state_ptr[i]..state_ptr[i+1]`
-/// of `actions`; action slot `k`'s outcomes occupy `out_ptr[k]..
-/// out_ptr[k+1]` of the four parallel outcome arrays. Rewards are stored
-/// *untransformed*; the ρ weighting happens inside the sweep.
+/// States are cut into tiles of [`PARALLEL_GRAIN`] consecutive indices.
+/// Inside a tile, every legal `(state, action)` pair owns one *slot*
+/// (one entry of the `q` buffer) and one *row* (its outcomes):
+///
+/// - slots are numbered by [`StateGroup`]: states with the same action
+///   count are stored together, each state's slots contiguous and in
+///   action-enumeration order, so the max pass reads fixed-width runs;
+/// - rows are stored by [`RowGroup`]: rows with the same outcome count
+///   sit together as fixed-width `(prob, succ)` runs, each row's
+///   outcomes in enumeration order, so the Q pass has no
+///   data-dependent trip counts.
+///
+/// A tile's slots and rows are two orderings of the same pairs, so both
+/// occupy the global range [`Tile::slots`]. Rewards are stored
+/// *untransformed*; the ρ weighting happens in [`ExpandedMdp::fill_base`].
 #[derive(Debug)]
 struct ExpandedMdp {
     space: Arc<StateSpace>,
     ref_state: usize,
-    state_ptr: Vec<usize>,
+    tiles: Vec<Tile>,
+    row_groups: Vec<RowGroup>,
+    state_groups: Vec<StateGroup>,
+    /// Per global slot: its action.
     actions: Vec<Action>,
-    out_ptr: Vec<usize>,
+    /// Per global row: the tile-local slot its value lands in.
+    row_slot: Vec<u32>,
+    /// Per state-group entry: the tile-local state index.
+    group_state: Vec<u32>,
+    /// Per outcome, in row order: probability, successor state,
+    /// attacker reward and normalization units.
     prob: Vec<f64>,
     succ: Vec<u32>,
     attacker_reward: Vec<f64>,
     units: Vec<f64>,
 }
 
+/// One tile: the unit of a sweep, sequential or parallel. It writes only
+/// `next_v[states]` and `q[slots]`.
+#[derive(Debug)]
+struct Tile {
+    states: Range<usize>,
+    /// Global slot range, which is also the tile's global row range.
+    slots: Range<usize>,
+    row_groups: Range<usize>,
+    state_groups: Range<usize>,
+}
+
+/// Rows with `width` outcomes each: global rows `rows`, whose outcomes
+/// start at `out` (row `rows.start + r` owns `out + r·width ..`).
+#[derive(Debug)]
+struct RowGroup {
+    width: usize,
+    rows: Range<usize>,
+    out: usize,
+}
+
+/// States with `arity` legal actions each: `group_state[states]`, whose
+/// slots start at tile-local slot `slot` (`arity` per state, in order).
+#[derive(Debug)]
+struct StateGroup {
+    arity: usize,
+    states: Range<usize>,
+    slot: usize,
+}
+
+/// The legal `(state, action)` pairs of the tile being compiled, in
+/// enumeration order: tile-local state `j` owns pairs
+/// `state_pairs[j]..state_pairs[j + 1]`, and pair `k` owns the outcomes
+/// `pair_outs[k]..pair_outs[k + 1]` of `outs`, each as `(prob, successor,
+/// attacker reward, units)`. Reused from tile to tile.
+#[derive(Debug, Default)]
+struct TilePairs {
+    state_pairs: Vec<usize>,
+    actions: Vec<Action>,
+    pair_outs: Vec<usize>,
+    outs: Vec<(f64, u32, f64, f64)>,
+}
+
+impl TilePairs {
+    fn clear(&mut self) {
+        self.state_pairs.clear();
+        self.state_pairs.push(0);
+        self.actions.clear();
+        self.pair_outs.clear();
+        self.pair_outs.push(0);
+        self.outs.clear();
+    }
+
+    fn arity(&self, j: usize) -> usize {
+        self.state_pairs[j + 1] - self.state_pairs[j]
+    }
+
+    fn width(&self, k: usize) -> usize {
+        self.pair_outs[k + 1] - self.pair_outs[k]
+    }
+
+    /// Append every legal action of `s` with its outcomes.
+    fn push_state(
+        &mut self,
+        config: &MdpConfig,
+        space: &StateSpace,
+        s: MdpState,
+    ) -> Result<(), MdpError> {
+        let legal = config.legal_actions(s);
+        debug_assert!(!legal.is_empty(), "state {s} has no legal action");
+        for action in legal {
+            let row_start = self.outs.len();
+            for o in config.outcomes(s, action) {
+                let Some(&j) = space.index.get(&o.next) else {
+                    return Err(MdpError::InvalidSpace {
+                        states: space.states.len(),
+                        missing: Some(o.next),
+                    });
+                };
+                let u = match config.scenario {
+                    Scenario::RegularRate => o.regular,
+                    Scenario::RegularPlusUncleRate => o.regular + o.uncles,
+                };
+                // `build` checked that every index fits a `u32`.
+                self.outs.push((o.prob, j as u32, o.attacker_reward, u));
+            }
+            // Every row is a probability distribution; the delay-aware
+            // race folding (win/loss branch splits, effective-γ scaling)
+            // makes silent mass leakage easy, so rows are validated at
+            // construction.
+            debug_assert!(
+                {
+                    let row_sum: f64 = self.outs[row_start..].iter().map(|o| o.0).sum();
+                    (row_sum - 1.0).abs() < 1e-12
+                },
+                "transition row ({s}, {action:?}) leaks probability mass"
+            );
+            self.actions.push(action);
+            self.pair_outs.push(self.outs.len());
+        }
+        self.state_pairs.push(self.actions.len());
+        Ok(())
+    }
+}
+
 /// Reusable value-iteration buffers, retained across every ρ candidate of
 /// a solve (both the allocation and the converged values, which warm-start
-/// the next candidate).
+/// the next candidate). A sweep allocates nothing.
 #[derive(Debug)]
 struct ValueWorkspace {
     v: Vec<f64>,
     next_v: Vec<f64>,
-    /// Per-action-slot expected transformed reward at the current ρ
-    /// candidate: `base[k] = Σ_t prob[t]·(r[t] − ρ·units[t])`. Computed
-    /// once per candidate, so the hot sweep loop streams only
-    /// `prob`/`succ` and the value function.
+    /// Per row: expected transformed reward at the current ρ candidate,
+    /// `base[k] = Σ_t prob[t]·(r[t] − ρ·units[t])`. Computed once per
+    /// candidate, so the hot sweep loop streams only `prob`/`succ` and
+    /// the value function.
     base: Vec<f64>,
+    /// Per slot: the action value `Q(s, a)` of the current sweep.
+    q: Vec<f64>,
 }
 
 impl ValueWorkspace {
-    fn new(n: usize) -> Self {
+    fn new(mdp: &ExpandedMdp) -> Self {
         ValueWorkspace {
-            v: vec![0.0; n],
-            next_v: vec![0.0; n],
+            v: vec![0.0; mdp.len()],
+            next_v: vec![0.0; mdp.len()],
             base: Vec::new(),
+            q: vec![0.0; mdp.actions.len()],
         }
     }
 }
@@ -258,170 +399,253 @@ impl ValueCache {
 
 impl ExpandedMdp {
     /// Expand `config`'s transition table. Builds the state index (the one
-    /// hash-map construction of the whole solve) and flattens every legal
-    /// `(state, action)`'s outcomes.
-    fn build(config: &MdpConfig) -> Self {
+    /// hash-map construction of the whole solve) and compiles every legal
+    /// `(state, action)`'s outcomes into tiles.
+    fn build(config: &MdpConfig) -> Result<Self, MdpError> {
         let space = Arc::new(StateSpace::new(config.states()));
         let n = space.states.len();
-        let ref_state = space.index[&MdpState::new(0, 0, Fork::Irrelevant)];
-
-        let mut state_ptr = Vec::with_capacity(n + 1);
-        state_ptr.push(0);
-        let mut actions = Vec::new();
-        let mut out_ptr = vec![0usize];
-        let mut prob = Vec::new();
-        let mut succ = Vec::new();
-        let mut attacker_reward = Vec::new();
-        let mut units = Vec::new();
-
-        for &s in &space.states {
-            let legal = config.legal_actions(s);
-            debug_assert!(!legal.is_empty(), "state {s} has no legal action");
-            for action in legal {
-                let row_start = prob.len();
-                for o in config.outcomes(s, action) {
-                    debug_assert!(
-                        space.index.contains_key(&o.next),
-                        "successor {} of {s} outside the state space",
-                        o.next
-                    );
-                    let j = *space
-                        .index
-                        .get(&o.next)
-                        .expect("transition successors stay inside the truncated space");
-                    let u = match config.scenario {
-                        Scenario::RegularRate => o.regular,
-                        Scenario::RegularPlusUncleRate => o.regular + o.uncles,
-                    };
-                    prob.push(o.prob);
-                    succ.push(u32::try_from(j).expect("state index fits u32"));
-                    attacker_reward.push(o.attacker_reward);
-                    units.push(u);
-                }
-                // Every CSR row is a probability distribution; the
-                // delay-aware race folding (win/loss branch splits,
-                // effective-γ scaling) makes silent mass leakage easy, so
-                // rows are validated at construction.
-                debug_assert!(
-                    {
-                        let row_sum: f64 = prob[row_start..].iter().sum();
-                        (row_sum - 1.0).abs() < 1e-12
-                    },
-                    "transition row ({s}, {action:?}) leaks probability mass"
-                );
-                out_ptr.push(prob.len());
-                actions.push(action);
-            }
-            state_ptr.push(actions.len());
+        let invalid = |missing| MdpError::InvalidSpace { states: n, missing };
+        if u32::try_from(n).is_err() {
+            return Err(invalid(None));
         }
-
-        ExpandedMdp {
-            space,
+        let origin = MdpState::new(0, 0, Fork::Irrelevant);
+        let ref_state = *space.index.get(&origin).ok_or(invalid(Some(origin)))?;
+        let mut mdp = ExpandedMdp {
+            space: Arc::clone(&space),
             ref_state,
-            state_ptr,
-            actions,
-            out_ptr,
-            prob,
-            succ,
-            attacker_reward,
-            units,
+            tiles: Vec::with_capacity(n.div_ceil(PARALLEL_GRAIN)),
+            row_groups: Vec::new(),
+            state_groups: Vec::new(),
+            actions: Vec::new(),
+            row_slot: Vec::new(),
+            group_state: Vec::with_capacity(n),
+            prob: Vec::new(),
+            succ: Vec::new(),
+            attacker_reward: Vec::new(),
+            units: Vec::new(),
+        };
+        let mut pairs = TilePairs::default();
+        for first in (0..n).step_by(PARALLEL_GRAIN) {
+            let states = first..n.min(first + PARALLEL_GRAIN);
+            pairs.clear();
+            for &s in &space.states[states.clone()] {
+                pairs.push_state(config, &space, s)?;
+            }
+            mdp.push_tile(states, &pairs);
         }
+        Ok(mdp)
+    }
+
+    /// Append one tile: number its slots by state group (ascending action
+    /// count, states in index order), then lay its rows out by row group
+    /// (ascending outcome count, rows in slot order). Counts are small,
+    /// so each group is one filtered pass instead of a sort.
+    fn push_tile(&mut self, states: Range<usize>, pairs: &TilePairs) {
+        if self.tiles.is_empty() {
+            // Size the flat arrays from the first tile's density, so they
+            // are not regrown (and copied) tile after tile; capacity
+            // beyond the final length is never touched.
+            let tiles = self.len().div_ceil(states.len());
+            let (slots, outs) = (pairs.actions.len() * tiles, pairs.outs.len() * tiles);
+            self.actions.reserve(slots);
+            self.row_slot.reserve(slots);
+            self.prob.reserve(outs);
+            self.succ.reserve(outs);
+            self.attacker_reward.reserve(outs);
+            self.units.reserve(outs);
+        }
+        let slot_start = self.actions.len();
+        let state_groups_start = self.state_groups.len();
+        // Tile-local slot → pair.
+        let mut slot_pair = Vec::with_capacity(pairs.actions.len());
+        let max_arity = (0..states.len()).map(|j| pairs.arity(j)).max();
+        for arity in 0..=max_arity.unwrap_or(0) {
+            let (first, slot) = (self.group_state.len(), slot_pair.len());
+            for j in (0..states.len()).filter(|&j| pairs.arity(j) == arity) {
+                self.group_state.push(j as u32);
+                for k in pairs.state_pairs[j]..pairs.state_pairs[j + 1] {
+                    self.actions.push(pairs.actions[k]);
+                    slot_pair.push(k);
+                }
+            }
+            if self.group_state.len() > first {
+                self.state_groups.push(StateGroup {
+                    arity,
+                    states: first..self.group_state.len(),
+                    slot,
+                });
+            }
+        }
+
+        let row_groups_start = self.row_groups.len();
+        let max_width = slot_pair.iter().map(|&k| pairs.width(k)).max();
+        for width in 0..=max_width.unwrap_or(0) {
+            let (first, out) = (self.row_slot.len(), self.prob.len());
+            for (slot, &k) in slot_pair.iter().enumerate() {
+                if pairs.width(k) != width {
+                    continue;
+                }
+                self.row_slot.push(slot as u32);
+                let outs = &pairs.outs[pairs.pair_outs[k]..pairs.pair_outs[k + 1]];
+                self.prob.extend(outs.iter().map(|o| o.0));
+                self.succ.extend(outs.iter().map(|o| o.1));
+                self.attacker_reward.extend(outs.iter().map(|o| o.2));
+                self.units.extend(outs.iter().map(|o| o.3));
+            }
+            if self.row_slot.len() > first {
+                self.row_groups.push(RowGroup {
+                    width,
+                    rows: first..self.row_slot.len(),
+                    out,
+                });
+            }
+        }
+        self.tiles.push(Tile {
+            states,
+            slots: slot_start..self.actions.len(),
+            row_groups: row_groups_start..self.row_groups.len(),
+            state_groups: state_groups_start..self.state_groups.len(),
+        });
     }
 
     fn len(&self) -> usize {
         self.space.states.len()
     }
 
-    /// Refill `base[k] = Σ_t prob[t]·(r[t] − ρ·units[t])` for every
-    /// action slot — the reward half of the Bellman backup, hoisted out
-    /// of the sweep loop. One `O(nnz)` pass per ρ candidate buys every
-    /// subsequent sweep a multiply-subtract per outcome and halves the
-    /// arrays the hot loop streams.
+    /// Refill `base[k] = Σ_t prob[t]·(r[t] − ρ·units[t])` for every row —
+    /// the reward half of the Bellman backup, hoisted out of the sweep
+    /// loop. One `O(nnz)` pass per ρ candidate buys every subsequent
+    /// sweep a multiply-add per outcome and halves the arrays the hot
+    /// loop streams.
     fn fill_base(&self, rho: f64, base: &mut Vec<f64>) {
         base.clear();
-        base.extend((0..self.actions.len()).map(|k| {
-            let mut b = 0.0;
-            for t in self.out_ptr[k]..self.out_ptr[k + 1] {
-                b += self.prob[t] * (self.attacker_reward[t] - rho * self.units[t]);
-            }
-            b
-        }));
+        for g in &self.row_groups {
+            base.extend((0..g.rows.len()).map(|r| {
+                let first = g.out + r * g.width;
+                let mut b = 0.0;
+                for t in first..first + g.width {
+                    b += self.prob[t] * (self.attacker_reward[t] - rho * self.units[t]);
+                }
+                b
+            }));
+        }
     }
 
-    /// Best action value for state `i` given the per-action reward bases
-    /// (already ρ-weighted by [`ExpandedMdp::fill_base`]) and the current
-    /// value function.
-    #[inline]
-    fn best_q(&self, i: usize, base: &[f64], v: &[f64]) -> (f64, Action) {
-        let mut best = f64::NEG_INFINITY;
-        let mut best_action = Action::Adopt;
-        let (lo, hi) = (self.state_ptr[i], self.state_ptr[i + 1]);
-        for ((&action, &b), k) in self.actions[lo..hi].iter().zip(&base[lo..hi]).zip(lo..hi) {
-            let mut q = b;
-            for t in self.out_ptr[k]..self.out_ptr[k + 1] {
-                q += self.prob[t] * v[self.succ[t] as usize];
-            }
-            if q > best {
-                best = q;
-                best_action = action;
+    /// The Q pass of one tile: `q[slot] = base[row] + Σ_j p_j·v[s_j]`
+    /// for every row, summed in outcome-enumeration order. Widths 1–4
+    /// run with a compile-time trip count.
+    fn tile_q(&self, tile: &Tile, base: &[f64], v: &[f64], q: &mut [f64]) {
+        for g in &self.row_groups[tile.row_groups.clone()] {
+            let outs = g.out..g.out + g.rows.len() * g.width;
+            let (base, slot) = (&base[g.rows.clone()], &self.row_slot[g.rows.clone()]);
+            let (prob, succ) = (&self.prob[outs.clone()], &self.succ[outs]);
+            match g.width {
+                1 => q_rows::<1>(base, slot, prob, succ, v, q),
+                2 => q_rows::<2>(base, slot, prob, succ, v, q),
+                3 => q_rows::<3>(base, slot, prob, succ, v, q),
+                4 => q_rows::<4>(base, slot, prob, succ, v, q),
+                width => {
+                    for (r, (&b, &k)) in base.iter().zip(slot).enumerate() {
+                        let mut acc = b;
+                        for t in r * width..(r + 1) * width {
+                            acc += prob[t] * v[succ[t] as usize];
+                        }
+                        q[k as usize] = acc;
+                    }
+                }
             }
         }
-        (best, best_action)
     }
 
-    /// Fill `out[i] = f(i)` for every slot, in parallel. Workers claim
-    /// fixed-size state tiles ([`PARALLEL_GRAIN`] slots) from an atomic
-    /// counter, the claiming rule of the workspace work queue
-    /// (`seleth_obs::sched`), so heterogeneous per-state costs (the action
-    /// fan-out varies across the space) stay load-balanced at truncation
-    /// 200+. Tile membership only decides which thread computes which
-    /// slot, never the arithmetic, so the result is deterministic for any
-    /// `threads`; each tile sits behind an uncontended mutex purely to
-    /// hand its `&mut` slice across threads. This is the one queue kept
-    /// outside `seleth_obs::sched`: it refills a preallocated slice in
-    /// place on every Bellman sweep, where a `Vec`-returning map would
-    /// allocate once per sweep.
-    fn par_fill<T: Send>(out: &mut [T], threads: usize, f: impl Fn(usize) -> T + Sync) {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
+    /// The max pass of one tile: for every state, the first strictly
+    /// greatest of its slots (`q > best` from `−∞`, in action order).
+    /// `sink(local_state, best, slot)` receives the tile-local state, the
+    /// value and the tile-local slot of the winner (`None` if no value
+    /// beats `−∞`). Action counts 1–4 run with a compile-time trip count.
+    #[inline]
+    fn tile_best(&self, tile: &Tile, q: &[f64], mut sink: impl FnMut(usize, f64, Option<usize>)) {
+        for g in &self.state_groups[tile.state_groups.clone()] {
+            let states = &self.group_state[g.states.clone()];
+            let q = &q[g.slot..g.slot + states.len() * g.arity];
+            match g.arity {
+                1 => best_rows::<1>(states, q, g.slot, &mut sink),
+                2 => best_rows::<2>(states, q, g.slot, &mut sink),
+                3 => best_rows::<3>(states, q, g.slot, &mut sink),
+                4 => best_rows::<4>(states, q, g.slot, &mut sink),
+                arity => {
+                    for (j, &s) in states.iter().enumerate() {
+                        let (best, arg) = first_max(&q[j * arity..(j + 1) * arity]);
+                        sink(s as usize, best, arg.map(|a| g.slot + j * arity + a));
+                    }
+                }
+            }
+        }
+    }
 
-        let n = out.len();
-        let threads = threads.min(n.div_ceil(PARALLEL_GRAIN)).max(1);
-        if threads <= 1 || n < PARALLEL_MIN_STATES {
-            for (i, slot) in out.iter_mut().enumerate() {
-                *slot = f(i);
+    /// Run `f(tile, q[tile.slots], out[tile.states])` for every tile,
+    /// in parallel when the space is large enough. Workers claim whole
+    /// tiles from an atomic counter, the claiming rule of the workspace
+    /// work queue (`seleth_obs::sched`), so heterogeneous per-state costs
+    /// (the action fan-out varies across the space) stay load-balanced at
+    /// truncation 200+. Tiles write disjoint ranges and never share
+    /// arithmetic, so the result is deterministic for any `threads`; each
+    /// tile sits behind an uncontended mutex purely to hand its `&mut`
+    /// slices across threads. This is the one queue kept outside
+    /// `seleth_obs::sched`: it refills preallocated buffers in place on
+    /// every Bellman sweep, where a `Vec`-returning map would allocate
+    /// once per sweep.
+    fn for_each_tile<T: Send>(
+        &self,
+        mut q: &mut [f64],
+        mut out: &mut [T],
+        threads: usize,
+        f: impl Fn(&Tile, &mut [f64], &mut [T]) + Sync,
+    ) {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        let tiles = self.tiles.iter().map(|tile| {
+            let (tile_q, rest_q) = std::mem::take(&mut q).split_at_mut(tile.slots.len());
+            let (tile_out, rest_out) = std::mem::take(&mut out).split_at_mut(tile.states.len());
+            q = rest_q;
+            out = rest_out;
+            (tile, tile_q, tile_out)
+        });
+        let threads = threads.min(self.tiles.len());
+        if threads <= 1 || self.len() < PARALLEL_MIN_STATES {
+            for (tile, tile_q, tile_out) in tiles {
+                f(tile, tile_q, tile_out);
             }
             return;
         }
-        let tiles: Vec<Mutex<(usize, &mut [T])>> = out
-            .chunks_mut(PARALLEL_GRAIN)
-            .enumerate()
-            .map(|(k, chunk)| Mutex::new((k * PARALLEL_GRAIN, chunk)))
-            .collect();
+        let tiles: Vec<Mutex<_>> = tiles.map(Mutex::new).collect();
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..threads {
-                let tiles = &tiles;
-                let next = &next;
-                let f = &f;
+                let (tiles, next, f) = (&tiles, &next, &f);
                 scope.spawn(move || loop {
                     let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= tiles.len() {
-                        break;
-                    }
-                    let mut tile = tiles[k].lock().expect("sweep tile lock");
-                    let (start, slots) = &mut *tile;
-                    for (j, slot) in slots.iter_mut().enumerate() {
-                        *slot = f(*start + j);
-                    }
+                    let Some(tile) = tiles.get(k) else { break };
+                    // Each tile is claimed and locked exactly once, and a
+                    // worker's panic resurfaces when the scope joins, so
+                    // recovering a poisoned guard never exposes a
+                    // half-written tile.
+                    let mut tile = tile.lock().unwrap_or_else(PoisonError::into_inner);
+                    let (tile, tile_q, tile_out) = &mut *tile;
+                    f(tile, tile_q, tile_out);
                 });
             }
         });
     }
 
-    /// One Bellman sweep: `next_v[i] = max_a Q(i, a)` for every state.
-    fn bellman_sweep(&self, base: &[f64], v: &[f64], next_v: &mut [f64], threads: usize) {
-        Self::par_fill(next_v, threads, |i| self.best_q(i, base, v).0);
+    /// One Bellman sweep: `next_v[i] = max_a Q(i, a)` for every state,
+    /// from `ws.base` and `ws.v`.
+    fn bellman_sweep(&self, ws: &mut ValueWorkspace, threads: usize) {
+        let ValueWorkspace { v, next_v, base, q } = ws;
+        let (v, base) = (&*v, &*base);
+        self.for_each_tile(q, next_v, threads, |tile, q, next_v| {
+            self.tile_q(tile, base, v, q);
+            self.tile_best(tile, q, |s, best, _| next_v[s] = best);
+        });
     }
 
     /// Optimal average transformed reward `g(ρ)` via relative value
@@ -443,23 +667,16 @@ impl ExpandedMdp {
         sign_only: bool,
         ws: &mut ValueWorkspace,
     ) -> Result<(f64, usize, f64), MdpError> {
-        let n = self.len();
         let max_sweeps = 200_000;
         self.fill_base(rho, &mut ws.base);
         for sweep in 0..max_sweeps {
-            self.bellman_sweep(&ws.base, &ws.v, &mut ws.next_v, threads);
-            // Span seminorm of the Bellman update; sequential index-order
-            // reduction keeps it deterministic under any thread count.
-            let mut min_d = f64::INFINITY;
-            let mut max_d = f64::NEG_INFINITY;
-            for i in 0..n {
-                let d = ws.next_v[i] - ws.v[i];
-                min_d = min_d.min(d);
-                max_d = max_d.max(d);
-            }
+            self.bellman_sweep(ws, threads);
+            // Span seminorm of the Bellman update, reduced on this thread
+            // whatever the sweep's thread count.
+            let (min_d, max_d) = update_range(&ws.next_v, &ws.v);
             let offset = ws.next_v[self.ref_state];
-            for i in 0..n {
-                ws.v[i] = ws.next_v[i] - offset;
+            for (v, &next) in ws.v.iter_mut().zip(&ws.next_v) {
+                *v = next - offset;
             }
             if sign_only && (min_d > 0.0 || max_d < 0.0) {
                 return Ok((0.5 * (max_d + min_d), sweep + 1, max_d - min_d));
@@ -477,14 +694,108 @@ impl ExpandedMdp {
         })
     }
 
-    /// Extract the greedy policy from the converged values and the reward
-    /// bases of the final ρ (deterministic: ties break by
+    /// Extract the greedy policy from `ws.v` and the reward bases of the
+    /// final ρ through the sweep kernel (deterministic: ties break by
     /// action-enumeration order in every tiling).
-    fn greedy_policy(&self, base: &[f64], v: &[f64], threads: usize) -> Vec<Action> {
-        let mut actions = vec![Action::Adopt; self.len()];
-        Self::par_fill(&mut actions, threads, |i| self.best_q(i, base, v).1);
-        actions
+    fn greedy_policy(&self, ws: &mut ValueWorkspace, threads: usize) -> Vec<Action> {
+        let mut policy = vec![Action::Adopt; self.len()];
+        let ValueWorkspace { v, base, q, .. } = ws;
+        let (v, base) = (&*v, &*base);
+        self.for_each_tile(q, &mut policy, threads, |tile, q, policy| {
+            self.tile_q(tile, base, v, q);
+            self.tile_best(tile, q, |s, _, slot| {
+                if let Some(k) = slot {
+                    policy[s] = self.actions[tile.slots.start + k];
+                }
+            });
+        });
+        policy
     }
+}
+
+/// The Q pass over rows of exactly `W` outcomes.
+#[inline]
+fn q_rows<const W: usize>(
+    base: &[f64],
+    slot: &[u32],
+    prob: &[f64],
+    succ: &[u32],
+    v: &[f64],
+    q: &mut [f64],
+) {
+    let (prob, _) = prob.as_chunks::<W>();
+    let (succ, _) = succ.as_chunks::<W>();
+    for (((&b, &k), p), s) in base.iter().zip(slot).zip(prob).zip(succ) {
+        let mut acc = b;
+        for j in 0..W {
+            acc += p[j] * v[s[j] as usize];
+        }
+        q[k as usize] = acc;
+    }
+}
+
+/// The max pass over states of exactly `C` actions.
+#[inline]
+fn best_rows<const C: usize>(
+    states: &[u32],
+    q: &[f64],
+    slot: usize,
+    sink: &mut impl FnMut(usize, f64, Option<usize>),
+) {
+    let (rows, _) = q.as_chunks::<C>();
+    for (j, (&s, row)) in states.iter().zip(rows).enumerate() {
+        let (best, arg) = first_max(row);
+        sink(s as usize, best, arg.map(|a| slot + j * C + a));
+    }
+}
+
+/// `(min, max)` of `next[i] − v[i]`, bit-identical to the sequential
+/// `f64::min`/`f64::max` fold in index order (from `±∞`). Four
+/// interleaved accumulators break that fold's dependency chain. Regrouping
+/// cannot change which value is extreme, since `min`/`max` skip NaNs and
+/// equal non-zero floats share their bits; it can only change which
+/// signed zero wins a tie, so an extreme of exactly zero is recomputed in
+/// index order.
+fn update_range(next: &[f64], v: &[f64]) -> (f64, f64) {
+    let (next4, next_rest) = next.as_chunks::<4>();
+    let (v4, v_rest) = v.as_chunks::<4>();
+    let mut lo = [f64::INFINITY; 4];
+    let mut hi = [f64::NEG_INFINITY; 4];
+    for (n, x) in next4.iter().zip(v4) {
+        for l in 0..4 {
+            let d = n[l] - x[l];
+            lo[l] = lo[l].min(d);
+            hi[l] = hi[l].max(d);
+        }
+    }
+    for (&n, &x) in next_rest.iter().zip(v_rest) {
+        lo[0] = lo[0].min(n - x);
+        hi[0] = hi[0].max(n - x);
+    }
+    let min = lo[0].min(lo[1]).min(lo[2].min(lo[3]));
+    let max = hi[0].max(hi[1]).max(hi[2].max(hi[3]));
+    if min != 0.0 && max != 0.0 {
+        return (min, max);
+    }
+    next.iter().zip(v).fold(
+        (f64::INFINITY, f64::NEG_INFINITY),
+        |(min, max), (&n, &x)| (min.min(n - x), max.max(n - x)),
+    )
+}
+
+/// The first strictly greatest value of `q` and its position, starting
+/// from `−∞` (`None` if nothing beats it).
+#[inline]
+fn first_max(q: &[f64]) -> (f64, Option<usize>) {
+    let mut best = f64::NEG_INFINITY;
+    let mut arg = None;
+    for (a, &x) in q.iter().enumerate() {
+        if x > best {
+            best = x;
+            arg = Some(a);
+        }
+    }
+    (best, arg)
 }
 
 /// Replace a [`MdpError::NoConvergence`] candidate-point bracket with the
@@ -561,8 +872,8 @@ impl MdpConfig {
     ) -> Result<Solution, MdpError> {
         self.validate()?;
         let threads = self.resolved_threads();
-        let expanded = ExpandedMdp::build(self);
-        let mut ws = ValueWorkspace::new(expanded.len());
+        let expanded = ExpandedMdp::build(self)?;
+        let mut ws = ValueWorkspace::new(&expanded);
         if cache.v.len() == expanded.len() {
             ws.v.copy_from_slice(&cache.v);
         }
@@ -621,7 +932,7 @@ impl MdpConfig {
         iterations += sweeps;
         stats.record(sweeps, span);
         recorder.event(EventKind::Sweep, 0, revenue.to_bits(), sweeps as u64);
-        let actions = expanded.greedy_policy(&ws.base, &ws.v, threads);
+        let actions = expanded.greedy_policy(&mut ws, threads);
         cache.v.clear();
         cache.v.extend_from_slice(&ws.v);
         Ok(Solution {
@@ -633,67 +944,6 @@ impl MdpConfig {
             iterations,
             stats,
         })
-    }
-
-    /// Legacy solver kept for benchmarking the single-expansion layout:
-    /// re-expands the transition table, cold-starts the value function and
-    /// rebuilds the policy on **every** ρ candidate, exactly like the
-    /// pre-CSR implementation. Produces the same revenue as
-    /// [`MdpConfig::solve`]. Do not use outside benchmarks.
-    ///
-    /// # Errors
-    ///
-    /// As [`MdpConfig::solve`].
-    #[doc(hidden)]
-    pub fn solve_reexpanding(&self) -> Result<Solution, MdpError> {
-        self.validate()?;
-        let threads = self.resolved_threads();
-        let mut lo = 0.0f64;
-        let mut hi = 2.0f64;
-        let mut iterations = 0usize;
-        let mut steps = 0usize;
-        let mut stats = SolveStats::default();
-        let mut last: Option<Solution> = None;
-        while hi - lo > self.rho_tolerance {
-            if steps >= MAX_BISECTIONS {
-                return Err(MdpError::NoConvergence {
-                    rho_lo: lo,
-                    rho_hi: hi,
-                    sweeps: iterations,
-                });
-            }
-            steps += 1;
-            let mid = 0.5 * (lo + hi);
-            // The legacy behaviour under benchmark: full re-expansion and a
-            // cold-started value function per candidate.
-            let expanded = ExpandedMdp::build(self);
-            let mut ws = ValueWorkspace::new(expanded.len());
-            let (g, sweeps, span) =
-                expanded.optimal_average(mid, self.tolerance, threads, false, &mut ws)?;
-            iterations += sweeps;
-            stats.record(sweeps, span);
-            let actions = expanded.greedy_policy(&ws.base, &ws.v, threads);
-            if g > 0.0 {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-            last = Some(Solution {
-                revenue: 0.5 * (lo + hi),
-                policy: Policy {
-                    space: expanded.space.clone(),
-                    actions,
-                },
-                iterations,
-                stats: SolveStats::default(),
-            });
-        }
-        let mut solution = last.expect("bisection runs at least once");
-        solution.revenue = 0.5 * (lo + hi);
-        solution.iterations = iterations;
-        stats.bisection_steps = steps;
-        solution.stats = stats;
-        Ok(solution)
     }
 }
 
@@ -989,34 +1239,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn reexpanding_solver_matches_fast_path() {
-        // The legacy-layout benchmark reference must agree on the solved
-        // revenue to bisection precision (both bisect the same g(ρ)).
-        let config = MdpConfig::new(0.33, 0.5, RewardModel::Bitcoin).with_max_len(20);
-        let fast = config.solve().unwrap();
-        let slow = config.solve_reexpanding().unwrap();
-        assert!(
-            (fast.revenue - slow.revenue).abs() < 1e-9,
-            "fast {} vs legacy {}",
-            fast.revenue,
-            slow.revenue
-        );
-        // Warm-starting must save sweeps, not just wall-clock.
-        assert!(
-            fast.iterations < slow.iterations,
-            "warm start used {} sweeps vs {}",
-            fast.iterations,
-            slow.iterations
-        );
-    }
-
-    #[test]
-    fn csr_rows_sum_to_one_over_random_configs() {
-        // Property test over random (α, γ, delay): every expanded CSR row
-        // must be a probability distribution to 1e-12 — the construction
-        // debug-assert fires inside `build`, and the explicit re-check
-        // below keeps the property gated in release-mode test runs too.
+    /// The 40 random `(α, γ, delay, rewards)` cases of the kernel tests.
+    fn random_configs() -> Vec<MdpConfig> {
         let mut state = 0x5eed_cafe_f00d_u64;
         let mut next_unit = move || {
             state = state
@@ -1024,29 +1248,189 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 11) as f64 / (1u64 << 53) as f64
         };
-        for case in 0..40 {
-            let alpha = 0.05 + 0.44 * next_unit();
-            let gamma = next_unit();
-            let delay = 2.0 * next_unit();
-            let rewards = if case % 2 == 0 {
-                RewardModel::Bitcoin
-            } else {
-                RewardModel::EthereumApprox
-            };
-            let config = MdpConfig::new(alpha, gamma, rewards)
-                .with_max_len(8)
-                .with_delay_ratio(delay);
-            let expanded = ExpandedMdp::build(&config);
-            for k in 0..expanded.actions.len() {
-                let row: f64 = expanded.prob[expanded.out_ptr[k]..expanded.out_ptr[k + 1]]
-                    .iter()
-                    .sum();
-                assert!(
-                    (row - 1.0).abs() < 1e-12,
-                    "case {case} (α={alpha} γ={gamma} delay={delay}): \
-                     action slot {k} sums to {row}"
-                );
+        (0..40)
+            .map(|case| {
+                let alpha = 0.05 + 0.44 * next_unit();
+                let gamma = next_unit();
+                let delay = 2.0 * next_unit();
+                let rewards = if case % 2 == 0 {
+                    RewardModel::Bitcoin
+                } else {
+                    RewardModel::EthereumApprox
+                };
+                MdpConfig::new(alpha, gamma, rewards)
+                    .with_max_len(8)
+                    .with_delay_ratio(delay)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rows_sum_to_one_over_random_configs() {
+        // Property test over random (α, γ, delay): every compiled row must
+        // be a probability distribution to 1e-12 — the construction
+        // debug-assert fires inside `build`, and the explicit re-check
+        // below keeps the property gated in release-mode test runs too.
+        for (case, config) in random_configs().iter().enumerate() {
+            let expanded = ExpandedMdp::build(config).unwrap();
+            let mut rows = 0;
+            for g in &expanded.row_groups {
+                for r in 0..g.rows.len() {
+                    let first = g.out + r * g.width;
+                    let row: f64 = expanded.prob[first..first + g.width].iter().sum();
+                    assert!(
+                        (row - 1.0).abs() < 1e-12,
+                        "case {case} ({config:?}): row {} sums to {row}",
+                        g.rows.start + r
+                    );
+                    rows += 1;
+                }
             }
+            assert_eq!(
+                rows,
+                expanded.actions.len(),
+                "case {case}: one row per slot"
+            );
+        }
+    }
+
+    /// The plain per-state backup the tile kernel replaced: for every
+    /// state in enumeration order, every legal action's
+    /// `Σ p·(r − ρ·units) + Σ p·v[succ]`, and the first strictly greatest.
+    fn csr_backup(config: &MdpConfig, rho: f64, v: &[f64]) -> (Vec<f64>, Vec<Action>) {
+        let states = config.states();
+        let index: HashMap<MdpState, usize> =
+            states.iter().enumerate().map(|(i, &s)| (s, i)).collect();
+        states
+            .iter()
+            .map(|&s| {
+                let mut best = f64::NEG_INFINITY;
+                let mut best_action = Action::Adopt;
+                for action in config.legal_actions(s) {
+                    let outcomes = config.outcomes(s, action);
+                    let mut q = 0.0;
+                    for o in &outcomes {
+                        let units = match config.scenario {
+                            Scenario::RegularRate => o.regular,
+                            Scenario::RegularPlusUncleRate => o.regular + o.uncles,
+                        };
+                        q += o.prob * (o.attacker_reward - rho * units);
+                    }
+                    for o in &outcomes {
+                        q += o.prob * v[index[&o.next]];
+                    }
+                    if q > best {
+                        best = q;
+                        best_action = action;
+                    }
+                }
+                (best, best_action)
+            })
+            .unzip()
+    }
+
+    /// One tile-kernel sweep and greedy extraction from a pseudo-random
+    /// value function, checked bit for bit against [`csr_backup`].
+    fn assert_kernel_matches_csr(config: &MdpConfig, threads: usize, seed: u64) {
+        let expanded = ExpandedMdp::build(config).unwrap();
+        let mut ws = ValueWorkspace::new(&expanded);
+        let mut state = seed;
+        for x in &mut ws.v {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            *x = (state >> 11) as f64 / (1u64 << 53) as f64 * 40.0 - 20.0;
+        }
+        let rho = 0.25 + (seed % 7) as f64 * 0.05;
+        expanded.fill_base(rho, &mut ws.base);
+        expanded.bellman_sweep(&mut ws, threads);
+        let (want_v, want_actions) = csr_backup(config, rho, &ws.v);
+        let same_v = ws
+            .next_v
+            .iter()
+            .zip(&want_v)
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(same_v, "{config:?}: sweep differs from the CSR backup");
+        assert_eq!(
+            expanded.greedy_policy(&mut ws, threads),
+            want_actions,
+            "{config:?}: greedy actions differ from the CSR backup"
+        );
+    }
+
+    #[test]
+    fn update_range_matches_the_sequential_fold() {
+        // Signed zeros, infinities and NaNs at random positions, over
+        // lengths on both sides of the four-lane split.
+        let specials = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            1.5,
+            -1.5,
+        ];
+        let mut state = 0x0dd_ba11_u64;
+        let mut next_word = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 11
+        };
+        // A zero extreme reached as +0 in one lane and −0 in another: the
+        // lanes meet the two zeros in the opposite order to the fold.
+        let tie = [5.0, 0.0, 5.0, 5.0, -0.0, 5.0, 5.0, 5.0];
+        let cases = (0..2000).map(|case| {
+            let len = [0, 1, 3, 4, 5, 8, 13, 1525][case % 8];
+            let mut draw = || match next_word() % 4 {
+                0 => specials[(next_word() % 7) as usize],
+                _ => (next_word() % 9) as f64 - 4.0,
+            };
+            let next: Vec<f64> = (0..len).map(|_| draw()).collect();
+            let v: Vec<f64> = (0..len).map(|_| draw()).collect();
+            (next, v)
+        });
+        let ties = [
+            (tie.to_vec(), vec![0.0; 8]),
+            (tie.map(|x| -x).to_vec(), vec![0.0; 8]),
+        ];
+        for (case, (next, v)) in ties.into_iter().chain(cases).enumerate() {
+            let want = next.iter().zip(&v).fold(
+                (f64::INFINITY, f64::NEG_INFINITY),
+                |(min, max), (&n, &x)| (min.min(n - x), max.max(n - x)),
+            );
+            let got = update_range(&next, &v);
+            assert_eq!(
+                (got.0.to_bits(), got.1.to_bits()),
+                (want.0.to_bits(), want.1.to_bits()),
+                "case {case}: {next:?} − {v:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn tile_kernel_matches_the_csr_backup() {
+        for (case, config) in random_configs().iter().enumerate() {
+            assert_kernel_matches_csr(config, 1, case as u64);
+        }
+        // Several tiles, the last one partial, on the sequential and the
+        // parallel path (above `PARALLEL_MIN_STATES`).
+        for (config, threads) in [
+            (
+                MdpConfig::new(0.3, 0.5, RewardModel::Bitcoin).with_max_len(40),
+                1,
+            ),
+            (
+                MdpConfig::new(0.38, 0.4, RewardModel::EthereumApprox)
+                    .with_max_len(16)
+                    .with_delay_ratio(0.5),
+                2,
+            ),
+        ] {
+            let n = config.states().len();
+            assert!(n > PARALLEL_GRAIN && n % PARALLEL_GRAIN != 0, "{n} states");
+            assert_kernel_matches_csr(&config, threads, 7);
         }
     }
 

@@ -25,7 +25,7 @@
 //! human-readable table on stdout. Missing artifacts are solved on the
 //! fly and saved, so the experiment is self-contained on a fresh
 //! checkout (the truncation-200 solves take minutes each; see
-//! `BENCH_solver.json`'s `mdp_scaling` rows).
+//! `BENCH_gates.json`'s `mdp_scaling` rows).
 //!
 //! Environment knobs: `SELETH_RUNS` (8), `SELETH_BLOCKS` (30 000),
 //! `SELETH_MDP_LEN` (200, the aware artifacts' truncation),

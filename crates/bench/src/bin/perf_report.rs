@@ -13,11 +13,11 @@
 //! cargo run --release -p seleth-bench --bin perf_report -- --trend [--smoke]
 //! ```
 //!
-//! Without arguments, every known study JSON found in the results
-//! directory (`SELETH_RESULTS` or `results/`) is rendered; pre-telemetry
-//! artifacts degrade to a header plus a "(no telemetry block recorded)"
-//! note. Exit code 1 if any rendered file is unreadable or not valid
-//! JSON.
+//! Without arguments, every study JSON of [`seleth_bench::STUDIES`]
+//! found in the results directory (`SELETH_RESULTS` or `results/`) is
+//! rendered; pre-telemetry artifacts degrade to a header plus a
+//! "(no telemetry block recorded)" note. Exit code 1 if any rendered
+//! file is unreadable or not valid JSON.
 //!
 //! `--trend` switches to the perf-trajectory gate: the latest
 //! `BENCH_history.jsonl` row per bench bin is compared against the most
@@ -32,19 +32,6 @@
 //! an error so CI cannot silently skip the gate.
 
 use std::path::PathBuf;
-
-/// Study JSONs probed in the results directory when no files are named.
-const DEFAULT_STUDIES: [&str; 9] = [
-    "BENCH_sim.json",
-    "BENCH_solver.json",
-    "BENCH_net.json",
-    "optimal_sim.json",
-    "delay_study.json",
-    "optimal_closed_loop.json",
-    "zoo_study.json",
-    "chaos_study.json",
-    "topology_study.json",
-];
 
 /// The noise band for `--trend`: `SELETH_TREND_BAND` (a factor > 1.0)
 /// when set and parsable, else 1.5.
@@ -104,7 +91,7 @@ fn main() {
     let named: Vec<PathBuf> = args.iter().map(PathBuf::from).collect();
     let paths = if named.is_empty() {
         let dir = seleth_bench::results_dir();
-        let found: Vec<PathBuf> = DEFAULT_STUDIES
+        let found: Vec<PathBuf> = seleth_bench::STUDIES
             .iter()
             .map(|name| dir.join(name))
             .filter(|p| p.is_file())

@@ -28,8 +28,8 @@
 //! | `strategy_zoo` | Hand-written strategy families vs the optimum, incl. multi-strategist matchups (`zoo_study.json`; lives in `seleth-zoo`) |
 //! | `chaos_study` | Strategic replay under injected faults: loss × churn × partition grid (`chaos_study.json`; lives in `seleth-zoo`) |
 //! | `ablation_truncation` | Model-truncation bias ablation |
-//! | `bench_solver` | Perf trajectory of the numeric kernels (`BENCH_solver.json`) |
-//! | `bench_sim`   | Simulator throughput trajectory (`BENCH_sim.json`) |
+//! | `bench_gates` | Perf gates `perfbench` cannot express: overhead and lookup ratios, graph vs uniform, `run_many` and MDP scaling (`BENCH_gates.json`) |
+//! | `perf_report` | Renders study telemetry ([`STUDIES`]) and gates the `BENCH_history.jsonl` trend |
 //!
 //! Binaries print the same rows/series the paper reports and write CSV
 //! files under `results/` (override with `SELETH_RESULTS`). Their sweeps
@@ -49,6 +49,18 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 pub mod report;
+
+/// Every committed study JSON under `results/` that carries a top-level
+/// `"telemetry"` block: what `perf_report` renders when no file is named.
+pub const STUDIES: [&str; 7] = [
+    "BENCH_gates.json",
+    "optimal_sim.json",
+    "delay_study.json",
+    "optimal_closed_loop.json",
+    "zoo_study.json",
+    "chaos_study.json",
+    "topology_study.json",
+];
 
 /// Directory where experiment CSVs are written: `$SELETH_RESULTS` if set,
 /// else `./results` relative to the current directory.
@@ -138,11 +150,12 @@ pub fn json_f64(v: f64) -> String {
     format!("{v}")
 }
 
-/// The host fingerprint block shared by every perf artifact: both bench
-/// bins embed it as their `"host"` field and [`append_history_row`] stamps
-/// it into every ledger row, so the trend gate can restrict comparisons to
-/// rows from a comparable machine (`os`/`arch`/`available_parallelism` —
-/// the axes that move the headline numbers).
+/// The host fingerprint block shared by every perf artifact:
+/// `BENCH_gates.json` embeds it as its `"host"` field and
+/// [`append_history_row`] stamps it into every ledger row, so the trend
+/// gate can restrict comparisons to rows from a comparable machine
+/// (`os`/`arch`/`available_parallelism` — the axes that move the
+/// headline numbers).
 pub fn host_fingerprint_json() -> String {
     format!(
         "{{\"os\": \"{}\", \"arch\": \"{}\", \"available_parallelism\": {}}}",

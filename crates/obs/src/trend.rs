@@ -1,7 +1,9 @@
 //! Perf-trajectory evaluation over the `BENCH_history.jsonl` ledger.
 //!
-//! The bench bins append one snapshot row per run — git sha, host
-//! fingerprint, headline metrics — to `results/BENCH_history.jsonl`.
+//! The `bench_gates` bin appends one snapshot row per run — git sha,
+//! host fingerprint, headline metrics — to `results/BENCH_history.jsonl`
+//! (older rows from the retired `bench_sim`/`bench_net`/`bench_solver`
+//! bins stay in the ledger and are evaluated per bin the same way).
 //! This module parses those rows and evaluates the **trend**: for every
 //! bin, the latest row is compared against the previous row from a
 //! *comparable host* (same OS, architecture and `available_parallelism` —
@@ -28,7 +30,7 @@ use crate::json::{parse_json, JsonError, JsonValue};
 /// One parsed row of the history ledger.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrendRow {
-    /// Which bench bin produced the row (`bench_sim`, `bench_solver`).
+    /// Which bench bin produced the row (`bench_gates`).
     pub bin: String,
     /// Git commit the workspace was at (or `"unknown"`).
     pub git_sha: String,
@@ -165,23 +167,17 @@ pub fn evaluate_trend(rows: &[TrendRow], band: f64) -> TrendReport {
         }
     }
     for bin in bins {
-        let latest = rows
-            .iter()
-            .rev()
-            .find(|r| r.bin == bin)
-            .expect("bin came from rows");
+        let Some(latest) = rows.iter().rev().find(|r| r.bin == bin) else {
+            continue;
+        };
         let baseline = rows
             .iter()
             .rev()
             .skip_while(|r| !std::ptr::eq(*r, latest))
             .skip(1)
             .find(|r| r.bin == bin && r.host == latest.host);
-        let _ = writeln!(
-            rendered,
-            "== {bin} @ {} (host {}) ==",
-            &latest.git_sha[..latest.git_sha.len().min(12)],
-            latest.host
-        );
+        let sha: String = latest.git_sha.chars().take(12).collect();
+        let _ = writeln!(rendered, "== {bin} @ {sha} (host {}) ==", latest.host);
         let Some(base) = baseline else {
             let _ = writeln!(rendered, "  (no earlier comparable-host row; seeding)");
             continue;
@@ -332,6 +328,18 @@ mod tests {
         let r = evaluate_trend(&rows, 1.5);
         assert!(r.passed());
         assert!(r.rendered.contains("info"));
+    }
+
+    #[test]
+    fn non_ascii_sha_renders_without_panicking() {
+        // The 12-byte cut of this sha falls inside the two-byte 'é'.
+        let rows = parse_history(
+            r#"{"bin": "bench_gates", "git_sha": "abcdefghijkéxyz", "metrics": {"x_ms": 1.0}}"#,
+        )
+        .expect("valid ledger");
+        let r = evaluate_trend(&rows, 1.5);
+        assert!(r.passed());
+        assert!(r.rendered.contains("== bench_gates @ abcdefghijké "));
     }
 
     #[test]

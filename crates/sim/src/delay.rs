@@ -800,11 +800,6 @@ impl DelaySimulation {
         self.events = Some(log);
     }
 
-    /// Detach the flight recorder, restoring the zero-overhead path.
-    pub fn detach_events(&mut self) -> Option<Arc<EventLog>> {
-        self.events.take()
-    }
-
     /// Run to the block budget and account the tree.
     ///
     /// Finalization mirrors the engine exactly: every strategic miner

@@ -113,11 +113,6 @@ impl Simulation {
         self.events = Some(log);
     }
 
-    /// Detach the flight recorder, restoring the zero-overhead path.
-    pub fn detach_events(&mut self) -> Option<Arc<EventLog>> {
-        self.events.take()
-    }
-
     /// Re-arm this simulation for a fresh run under `config`, recycling the
     /// block-tree arena and bookkeeping vectors.
     ///

@@ -367,13 +367,36 @@ fn trend_gate_trips_on_synthetic_slowdown_and_passes_clean_reruns() {
     assert!(evaluate_trend(&[], 1.5).passed());
 }
 
-/// The committed `BENCH_sim.json` certifies the disabled-recorder gate
+/// Every metric of the committed ledger's latest `bench_gates` row must
+/// gate: a name `direction_of` classifies as informational would drift
+/// through `perf_report --trend` unchecked.
+#[test]
+fn committed_bench_gates_row_gates_every_metric() {
+    let text = std::fs::read_to_string("results/BENCH_history.jsonl")
+        .expect("committed results/BENCH_history.jsonl");
+    let rows = parse_history(&text).expect("ledger parses");
+    let latest = rows
+        .iter()
+        .rev()
+        .find(|r| r.bin == "bench_gates")
+        .expect("a committed bench_gates row");
+    assert!(!latest.metrics.is_empty(), "the row carries metrics");
+    for (name, _) in &latest.metrics {
+        assert_ne!(
+            seleth_obs::trend::direction_of(name),
+            seleth_obs::trend::Direction::Informational,
+            "bench_gates metric {name} is never gated"
+        );
+    }
+}
+
+/// The committed `BENCH_gates.json` certifies the disabled-recorder gate
 /// the same way `tests/telemetry.rs` pins the no-op overhead gate.
 #[test]
 fn committed_bench_certifies_the_disabled_recorder_gate() {
-    let text = std::fs::read_to_string("results/BENCH_sim.json")
-        .expect("committed results/BENCH_sim.json");
-    let doc = seleth_obs::parse_json(&text).expect("BENCH_sim.json parses");
+    let text = std::fs::read_to_string("results/BENCH_gates.json")
+        .expect("committed results/BENCH_gates.json");
+    let doc = seleth_obs::parse_json(&text).expect("BENCH_gates.json parses");
     let ratio = doc
         .get("recorder_disabled_ratio")
         .and_then(seleth_obs::JsonValue::as_f64)
@@ -382,13 +405,9 @@ fn committed_bench_certifies_the_disabled_recorder_gate() {
         ratio >= 0.95,
         "committed disabled-recorder ratio {ratio} below the 0.95 gate"
     );
-    // Both bench artifacts carry the same-shaped host fingerprint.
-    for name in ["results/BENCH_sim.json", "results/BENCH_solver.json"] {
-        let text = std::fs::read_to_string(name).expect(name);
-        let doc = seleth_obs::parse_json(&text).expect("parses");
-        let host = doc.get("host").expect("host block");
-        for field in ["os", "arch", "available_parallelism"] {
-            assert!(host.get(field).is_some(), "{name} host.{field}");
-        }
+    // The bench artifact carries the shared host fingerprint.
+    let host = doc.get("host").expect("host block");
+    for field in ["os", "arch", "available_parallelism"] {
+        assert!(host.get(field).is_some(), "BENCH_gates.json host.{field}");
     }
 }

@@ -5,17 +5,7 @@
 
 use std::path::Path;
 
-/// Every study JSON committed under `results/`.
-const STUDIES: [&str; 8] = [
-    "BENCH_sim.json",
-    "BENCH_solver.json",
-    "BENCH_net.json",
-    "optimal_sim.json",
-    "delay_study.json",
-    "zoo_study.json",
-    "chaos_study.json",
-    "topology_study.json",
-];
+use seleth_bench::STUDIES;
 
 fn render(name: &str) -> String {
     let path = Path::new("results").join(name);
@@ -62,7 +52,7 @@ fn study_telemetry_carries_the_expected_signals() {
         assert!(report.contains("workers:"), "{name}: worker table present");
     }
     // Solver instrumentation flows into the solver-driven studies.
-    for name in ["BENCH_solver.json", "optimal_sim.json"] {
+    for name in ["BENCH_gates.json", "optimal_sim.json"] {
         let report = render(name);
         assert!(
             report.contains("solver.sweeps"),
@@ -74,7 +64,7 @@ fn study_telemetry_carries_the_expected_signals() {
         );
     }
     // The sim bench records the scheduler's counters and utilization.
-    let report = render("BENCH_sim.json");
+    let report = render("BENCH_gates.json");
     assert!(report.contains("sim.runs"));
     assert!(report.contains("bench.noop_overhead_ratio"));
     assert!(report.contains("workers:"));
@@ -84,7 +74,7 @@ fn study_telemetry_carries_the_expected_signals() {
         report.contains("delay.gossip_sends"),
         "topology study carries gossip counters"
     );
-    let report = render("BENCH_net.json");
+    let report = render("BENCH_gates.json");
     assert!(report.contains("bench.graph_vs_uniform_ratio"));
 }
 

@@ -1,7 +1,7 @@
 //! The telemetry determinism contract end to end: counter totals merged
 //! from per-worker shards must be bit-identical at any thread count, the
 //! no-op recorder must not perturb simulation results, and the committed
-//! `BENCH_sim.json` must certify the no-op overhead gate.
+//! `BENCH_gates.json` must certify the no-op overhead gate.
 
 use selfish_ethereum::prelude::*;
 
@@ -110,15 +110,15 @@ fn run_many_counter_totals_are_thread_invariant() {
 
 #[test]
 fn committed_bench_certifies_the_noop_overhead_gate() {
-    // `bench_sim` measures a fresh-engine run against the same run through
+    // `bench_gates` measures a fresh-engine run against the same run through
     // the instrumented `run_many_recorded` path, interleaved, and writes
     // the best paired per-repetition ratio; the committed artifact must
     // certify the overhead contract (the bin itself exits non-zero below
     // 0.95 — the tightest bound same-code host jitter can certify — and
     // this pins the committed state).
-    let text = std::fs::read_to_string("results/BENCH_sim.json")
-        .expect("committed results/BENCH_sim.json");
-    let doc = parse_json(&text).expect("BENCH_sim.json parses");
+    let text = std::fs::read_to_string("results/BENCH_gates.json")
+        .expect("committed results/BENCH_gates.json");
+    let doc = parse_json(&text).expect("BENCH_gates.json parses");
     let ratio = doc
         .get("noop_overhead_ratio")
         .and_then(seleth_obs::JsonValue::as_f64)

@@ -7,7 +7,7 @@
 //! uncle reference-distance histogram needed for the paper's Scenario 1/2
 //! revenue normalizations and for Table II.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -139,46 +139,116 @@ pub fn account_with_events(
     events: &[UncleEvent],
 ) -> RewardReport {
     let mut report = RewardReport::default();
-    let on_chain = classify::mask(tree, main_chain.iter().copied());
-    let uncles = classify::mask(tree, events.iter().map(|e| e.uncle));
-    // Tally through a hash map, which keeps the per-block lookup cheap.
-    // Each miner's sums follow block and event order whatever the map, so
-    // only the report's map needs to be ordered.
-    let mut per_miner: HashMap<MinerId, MinerRewards> = HashMap::new();
-
-    for block in tree.iter() {
-        if block.is_genesis() {
-            continue;
-        }
-        let entry = per_miner.entry(block.miner()).or_default();
-        if on_chain[block.id().index()] {
-            entry.static_reward += schedule.static_reward();
-            entry.regular_blocks += 1;
-            report.regular_count += 1;
-        } else if uncles[block.id().index()] {
-            entry.uncle_blocks += 1;
-            report.uncle_count += 1;
-        } else {
-            entry.stale_blocks += 1;
-            report.stale_count += 1;
-        }
+    // Each block's class as an index, a main-chain block being regular
+    // even if an event names it.
+    let mut classes = vec![STALE; tree.len()];
+    for ev in events {
+        classes[ev.uncle.index()] = UNCLE;
     }
+    for id in main_chain {
+        classes[id.index()] = REGULAR;
+    }
+    // Tallies live in `Vec`s indexed by miner id, so a per-block lookup is
+    // an index, not a hash. The block pass only counts blocks per miner
+    // and class, without a branch on the class, which keeps the table it
+    // scatters into small. A `u32` holds any count, since block ids are
+    // `u32`s.
+    let mut blocks: Tally<[u32; 3]> = Tally::new(tree.len());
+    let mut totals = [0u64; 3];
+    // Genesis comes first and earns nothing.
+    for (block, &class) in tree.iter().zip(&classes).skip(1) {
+        blocks.entry(block.miner())[usize::from(class)] += 1;
+        totals[usize::from(class)] += 1;
+    }
+    [report.regular_count, report.uncle_count, report.stale_count] = totals;
 
+    // Each miner's sums follow block and event order whatever the
+    // container, so the bits match a tally in any other container. A
+    // miner's static reward adds the same value once per regular block,
+    // which gives the same bits whichever blocks those are.
+    let static_reward = schedule.static_reward();
+    let mut per_miner = blocks.map(|[regular, uncle, stale]| {
+        let mut rewards = MinerRewards {
+            regular_blocks: regular.into(),
+            uncle_blocks: uncle.into(),
+            stale_blocks: stale.into(),
+            ..MinerRewards::default()
+        };
+        for _ in 0..regular {
+            rewards.static_reward += static_reward;
+        }
+        rewards
+    });
     for ev in events {
         let uncle_miner = tree.block(ev.uncle).miner();
         let nephew_miner = tree.block(ev.nephew).miner();
-        per_miner.entry(uncle_miner).or_default().uncle_reward +=
-            schedule.uncle_reward(ev.distance);
-        per_miner.entry(nephew_miner).or_default().nephew_reward +=
-            schedule.nephew_reward(ev.distance);
+        per_miner.entry(uncle_miner).uncle_reward += schedule.uncle_reward(ev.distance);
+        per_miner.entry(nephew_miner).nephew_reward += schedule.nephew_reward(ev.distance);
         let d = ev.distance as usize;
         if report.distance_histogram.len() < d {
             report.distance_histogram.resize(d, 0);
         }
         report.distance_histogram[d - 1] += 1;
     }
-    report.per_miner = per_miner.into_iter().collect();
+    report.per_miner = per_miner.into_map();
     report
+}
+
+/// Indices of the per-class block counts.
+const REGULAR: u8 = 0;
+const UNCLE: u8 = 1;
+const STALE: u8 = 2;
+
+/// Per-miner values: ids below `dense_limit` index a `Vec` that grows to
+/// the largest such id seen, and the rest go to a map. With the limit at
+/// the tree's size, memory stays O(tree size) whatever the id values.
+struct Tally<T> {
+    dense_limit: usize,
+    dense: Vec<Option<T>>,
+    spill: BTreeMap<MinerId, T>,
+}
+
+impl<T: Clone + Default> Tally<T> {
+    fn new(dense_limit: usize) -> Self {
+        Tally {
+            dense_limit,
+            dense: Vec::new(),
+            spill: BTreeMap::new(),
+        }
+    }
+
+    /// The miner's value, created as the default on first use.
+    #[inline]
+    fn entry(&mut self, id: MinerId) -> &mut T {
+        let i = id.0 as usize;
+        if i >= self.dense_limit {
+            return self.spill.entry(id).or_default();
+        }
+        if i >= self.dense.len() {
+            self.dense.resize(i + 1, None);
+        }
+        self.dense[i].get_or_insert_with(T::default)
+    }
+
+    /// The same miners, each value passed through `f`.
+    fn map<U>(self, mut f: impl FnMut(T) -> U) -> Tally<U> {
+        Tally {
+            dense_limit: self.dense_limit,
+            dense: self.dense.into_iter().map(|v| v.map(&mut f)).collect(),
+            spill: self.spill.into_iter().map(|(id, v)| (id, f(v))).collect(),
+        }
+    }
+
+    /// Every miner used, in `MinerId` order: dense ids all lie below the
+    /// spilled ones, so the chain is already sorted.
+    fn into_map(self) -> BTreeMap<MinerId, T> {
+        self.dense
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, m)| Some((MinerId(i as u32), m?)))
+            .chain(self.spill)
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -256,6 +326,60 @@ mod tests {
         assert_eq!(capped.uncle_count, 2);
         assert_eq!(capped.stale_count, 1);
         assert!((capped.miner(MinerId(0)).nephew_reward - 2.0 / 32.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn dense_and_spilled_miner_ids_match_a_map_tally() {
+        // 41 blocks with genesis: ids up to 40 are tallied densely, the
+        // rest spill. Every fourth block is a sibling of the tip, and most
+        // of those get referenced by the next chain block.
+        let ids = [0, 3, 40, 41, 7, 1_000_000, u32::MAX - 1].map(MinerId);
+        let mut t = BlockTree::new();
+        let mut tip = t.genesis();
+        let mut orphan = None;
+        for i in 0..40 {
+            let miner = ids[i % ids.len()];
+            if i % 4 == 3 {
+                let parent = t.block(tip).parent().unwrap_or(tip);
+                orphan = Some(t.add_block(parent, miner, &[]).unwrap());
+            } else if i % 8 == 4 {
+                tip = t.add_block(tip, miner, &[]).unwrap();
+            } else {
+                let refs: Vec<BlockId> = orphan.take().into_iter().collect();
+                tip = t.add_block(tip, miner, &refs).unwrap();
+            }
+        }
+        assert_eq!(t.len(), 41);
+        let chain = t.path_from_genesis(tip);
+        let schedule = RewardSchedule::ethereum();
+        let report = account(&t, &chain, &schedule);
+
+        // Reference tally through a map, from the classification.
+        let classes = classify::classify(&t, &chain, schedule.max_uncle_distance());
+        let mut want: BTreeMap<MinerId, MinerRewards> = BTreeMap::new();
+        for (block, class) in t.iter().zip(&classes).skip(1) {
+            let m = want.entry(block.miner()).or_default();
+            match class {
+                classify::BlockClass::Regular => {
+                    m.static_reward += schedule.static_reward();
+                    m.regular_blocks += 1;
+                }
+                classify::BlockClass::Uncle { .. } => m.uncle_blocks += 1,
+                classify::BlockClass::Stale => m.stale_blocks += 1,
+            }
+        }
+        let events = classify::uncle_events(&t, &chain, schedule.max_uncle_distance());
+        for ev in &events {
+            want.entry(t.block(ev.uncle).miner())
+                .or_default()
+                .uncle_reward += schedule.uncle_reward(ev.distance);
+            want.entry(t.block(ev.nephew).miner())
+                .or_default()
+                .nephew_reward += schedule.nephew_reward(ev.distance);
+        }
+        assert!(report.uncle_count > 0 && report.stale_count > 0);
+        assert_eq!(want.len(), ids.len());
+        assert_eq!(report.per_miner, want);
     }
 
     #[test]

@@ -18,8 +18,6 @@
 //! [`uncle_events_with_cap`] decides which references in main-chain
 //! headers are paid.
 
-use std::collections::HashMap;
-
 use crate::block::BlockId;
 use crate::tree::BlockTree;
 
@@ -51,7 +49,7 @@ pub struct UncleEvent {
 }
 
 /// Classify every block of `tree` against `main_chain` (genesis → head,
-/// as produced by [`crate::forkchoice`]).
+/// as produced by [`crate::forkchoice`]), indexed by [`BlockId::index`].
 ///
 /// Reference validity follows Ethereum's rules, restricted to what the
 /// paper's model needs:
@@ -68,29 +66,22 @@ pub struct UncleEvent {
 /// # Panics
 ///
 /// Panics if `main_chain` contains ids that are not in the tree.
-pub fn classify(
-    tree: &BlockTree,
-    main_chain: &[BlockId],
-    max_distance: u64,
-) -> HashMap<BlockId, BlockClass> {
-    let mut classes: HashMap<BlockId, BlockClass> = HashMap::with_capacity(tree.len());
-    let on_chain = mask(tree, main_chain.iter().copied());
-    for block in tree.iter() {
-        let class = if on_chain[block.id().index()] {
-            BlockClass::Regular
-        } else {
-            BlockClass::Stale
-        };
-        classes.insert(block.id(), class);
-    }
+pub fn classify(tree: &BlockTree, main_chain: &[BlockId], max_distance: u64) -> Vec<BlockClass> {
+    let mut classes: Vec<BlockClass> = mask(tree, main_chain.iter().copied())
+        .into_iter()
+        .map(|regular| {
+            if regular {
+                BlockClass::Regular
+            } else {
+                BlockClass::Stale
+            }
+        })
+        .collect();
     for ev in uncle_events(tree, main_chain, max_distance) {
-        classes.insert(
-            ev.uncle,
-            BlockClass::Uncle {
-                nephew: ev.nephew,
-                distance: ev.distance,
-            },
-        );
+        classes[ev.uncle.index()] = BlockClass::Uncle {
+            nephew: ev.nephew,
+            distance: ev.distance,
+        };
     }
     classes
 }
@@ -160,8 +151,9 @@ pub fn uncle_events_with_cap(
     events
 }
 
-/// Mining-time uncle selection: the references a block mined on `parent`
-/// carries.
+/// Mining-time uncle selection: fills `refs` with the references a block
+/// mined on `parent` carries. `refs` is cleared first, so one buffer can
+/// serve every block a simulator mines.
 ///
 /// Walks the `max_distance` ancestors above `parent`, newest first, and
 /// takes their children in insertion order, up to `cap` of them. A child
@@ -186,8 +178,11 @@ pub fn uncle_events_with_cap(
 /// let a = t.add_block(t.genesis(), m, &[]).unwrap();
 /// let stale = t.add_block(a, m, &[]).unwrap();
 /// let b = t.add_block(a, m, &[]).unwrap();
-/// assert_eq!(classify::select_uncles(&t, b, 6, None, |_| true), vec![stale]);
-/// assert!(classify::select_uncles(&t, b, 6, None, |u| u != stale).is_empty());
+/// let mut refs = Vec::new();
+/// classify::select_uncles(&t, b, 6, None, |_| true, &mut refs);
+/// assert_eq!(refs, [stale]);
+/// classify::select_uncles(&t, b, 6, None, |u| u != stale, &mut refs);
+/// assert!(refs.is_empty());
 /// ```
 pub fn select_uncles(
     tree: &BlockTree,
@@ -195,11 +190,12 @@ pub fn select_uncles(
     max_distance: u64,
     cap: Option<usize>,
     mut visible: impl FnMut(BlockId) -> bool,
-) -> Vec<BlockId> {
+    refs: &mut Vec<BlockId>,
+) {
+    refs.clear();
     let cap = cap.unwrap_or(usize::MAX);
-    let mut refs = Vec::new();
     if cap == 0 {
-        return refs;
+        return;
     }
     let taken = |u: BlockId| {
         let mut window = Some(parent);
@@ -217,19 +213,18 @@ pub fn select_uncles(
     let mut ancestor = tree.block(parent).parent();
     for _ in 0..max_distance {
         let Some(a) = ancestor else { break };
-        for &u in tree.children(a) {
+        for u in tree.children(a) {
             if u == chain_child || taken(u) || !visible(u) {
                 continue;
             }
             refs.push(u);
             if refs.len() >= cap {
-                return refs;
+                return;
             }
         }
         chain_child = a;
         ancestor = tree.block(a).parent();
     }
-    refs
 }
 
 /// An index-addressed membership mask over `tree`'s blocks.
@@ -241,13 +236,12 @@ pub(crate) fn mask(tree: &BlockTree, ids: impl IntoIterator<Item = BlockId>) -> 
     mask
 }
 
-/// Count blocks per class (excluding genesis): `(regular, uncle, stale)`.
-pub fn class_counts(classes: &HashMap<BlockId, BlockClass>) -> (usize, usize, usize) {
+/// Count blocks per class (excluding genesis, the first entry of a
+/// [`classify`] result): `(regular, uncle, stale)`.
+pub fn class_counts(classes: &[BlockClass]) -> (usize, usize, usize) {
     let mut counts = (0usize, 0usize, 0usize);
-    for (&id, class) in classes {
-        if id.index() == 0 {
-            continue; // genesis mints no reward
-        }
+    // Genesis mints no reward.
+    for class in classes.iter().skip(1) {
         match class {
             BlockClass::Regular => counts.0 += 1,
             BlockClass::Uncle { .. } => counts.1 += 1,
@@ -261,6 +255,19 @@ pub fn class_counts(classes: &HashMap<BlockId, BlockClass>) -> (usize, usize, us
 mod tests {
     use super::*;
     use crate::block::MinerId;
+
+    /// [`select_uncles`] into a fresh buffer.
+    fn pick(
+        t: &BlockTree,
+        parent: BlockId,
+        max_distance: u64,
+        cap: Option<usize>,
+        visible: impl FnMut(BlockId) -> bool,
+    ) -> Vec<BlockId> {
+        let mut refs = vec![parent]; // stale content the call must clear
+        select_uncles(t, parent, max_distance, cap, visible, &mut refs);
+        refs
+    }
 
     /// Reconstruct the paper's Fig. 3 tree:
     ///
@@ -299,23 +306,23 @@ mod tests {
         let (t, chain, [b1, b3, d2, c2]) = fig3();
         let classes = classify(&t, &chain, 6);
         for &r in &chain[1..] {
-            assert_eq!(classes[&r], BlockClass::Regular);
+            assert_eq!(classes[r.index()], BlockClass::Regular);
         }
         assert!(
-            matches!(classes[&b1], BlockClass::Uncle { distance: 1, .. }),
+            matches!(classes[b1.index()], BlockClass::Uncle { distance: 1, .. }),
             "B1 should be an uncle at distance 1"
         );
         assert!(matches!(
-            classes[&b3],
+            classes[b3.index()],
             BlockClass::Uncle { distance: 1, .. }
         ));
         assert!(
-            matches!(classes[&d2], BlockClass::Uncle { distance: 2, .. }),
+            matches!(classes[d2.index()], BlockClass::Uncle { distance: 2, .. }),
             "D2 should be an uncle at distance 2, got {:?}",
-            classes[&d2]
+            classes[d2.index()]
         );
         assert_eq!(
-            classes[&c2],
+            classes[c2.index()],
             BlockClass::Stale,
             "C2's parent is stale; not an uncle"
         );
@@ -367,7 +374,7 @@ mod tests {
         let chain = t.path_from_genesis(nephew);
         assert!(uncle_events(&t, &chain, 6).is_empty());
         let classes = classify(&t, &chain, 6);
-        assert_eq!(classes[&stale], BlockClass::Stale);
+        assert_eq!(classes[stale.index()], BlockClass::Stale);
     }
 
     #[test]
@@ -402,26 +409,26 @@ mod tests {
     #[test]
     fn selector_takes_children_in_insertion_order() {
         let (t, b, us) = fan();
-        assert_eq!(select_uncles(&t, b, 6, None, |_| true), us.to_vec());
+        assert_eq!(pick(&t, b, 6, None, |_| true), us.to_vec());
     }
 
     #[test]
     fn selector_zero_window_or_cap_selects_nothing() {
         let (t, b, _) = fan();
-        assert!(select_uncles(&t, b, 0, None, |_| true).is_empty());
-        assert!(select_uncles(&t, b, 6, Some(0), |_| true).is_empty());
+        assert!(pick(&t, b, 0, None, |_| true).is_empty());
+        assert!(pick(&t, b, 6, Some(0), |_| true).is_empty());
     }
 
     #[test]
     fn selector_stops_at_the_cap() {
         let (t, b, [u1, u2, _]) = fan();
-        assert_eq!(select_uncles(&t, b, 6, Some(2), |_| true), vec![u1, u2]);
+        assert_eq!(pick(&t, b, 6, Some(2), |_| true), vec![u1, u2]);
     }
 
     #[test]
     fn selector_skips_invisible_candidates() {
         let (t, b, [u1, u2, u3]) = fan();
-        assert_eq!(select_uncles(&t, b, 6, None, |u| u != u1), vec![u2, u3]);
+        assert_eq!(pick(&t, b, 6, None, |u| u != u1), vec![u2, u3]);
     }
 
     #[test]
@@ -432,8 +439,8 @@ mod tests {
         let s = t.add_block(t.genesis(), m, &[]).unwrap();
         let b = t.add_block(a, m, &[]).unwrap();
         // Genesis is one ancestor above `b`'s parent: `s` at distance 2.
-        assert_eq!(select_uncles(&t, b, 6, None, |_| true), vec![s]);
-        assert!(select_uncles(&t, b, 1, None, |_| true).is_empty());
+        assert_eq!(pick(&t, b, 6, None, |_| true), vec![s]);
+        assert!(pick(&t, b, 1, None, |_| true).is_empty());
     }
 
     #[test]
@@ -441,10 +448,10 @@ mod tests {
         let (mut t, b, [u1, u2, u3]) = fan();
         // `u2` is taken whether the referencing block is the parent...
         let c = t.add_block(b, MinerId(0), &[u2]).unwrap();
-        assert_eq!(select_uncles(&t, c, 6, None, |_| true), vec![u1, u3]);
+        assert_eq!(pick(&t, c, 6, None, |_| true), vec![u1, u3]);
         // ...or an ancestor further up the window.
         let d = t.add_block(c, MinerId(0), &[u1]).unwrap();
-        assert_eq!(select_uncles(&t, d, 6, None, |_| true), vec![u3]);
+        assert_eq!(pick(&t, d, 6, None, |_| true), vec![u3]);
     }
 
     #[test]
@@ -458,8 +465,8 @@ mod tests {
             tip = t.add_block(tip, m, &[]).unwrap();
         }
         // The next block sits at height 66, `stale` at height 2.
-        assert_eq!(select_uncles(&t, tip, 64, None, |_| true), vec![stale]);
-        assert!(select_uncles(&t, tip, 63, None, |_| true).is_empty());
+        assert_eq!(pick(&t, tip, 64, None, |_| true), vec![stale]);
+        assert!(pick(&t, tip, 63, None, |_| true).is_empty());
     }
 
     #[test]

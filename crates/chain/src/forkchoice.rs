@@ -80,13 +80,12 @@ pub fn longest_chain_head(tree: &BlockTree, tie: TieBreak) -> BlockId {
 pub fn ghost_head(tree: &BlockTree, tie: TieBreak) -> BlockId {
     let mut cur = tree.genesis();
     loop {
-        let children = tree.children(cur);
-        if children.is_empty() {
+        let mut children = tree.children(cur);
+        let Some(mut best) = children.next() else {
             return cur;
-        }
-        let mut best = children[0];
+        };
         let mut best_weight = tree.subtree_size(best);
-        for &child in &children[1..] {
+        for child in children {
             let w = tree.subtree_size(child);
             let better = match w.cmp(&best_weight) {
                 std::cmp::Ordering::Greater => true,

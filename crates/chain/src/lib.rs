@@ -37,15 +37,18 @@
 //! let c1 = tree.add_block(b2, miner, &[b1, b3]).unwrap();
 //! let main_chain = [tree.genesis(), a, b2, c1];
 //! let classes = classify::classify(&tree, &main_chain, 6);
-//! assert_eq!(classes[&b2], BlockClass::Regular);
-//! assert!(matches!(classes[&b1], BlockClass::Uncle { distance: 1, .. }));
+//! assert_eq!(classes[b2.index()], BlockClass::Regular);
+//! assert!(matches!(classes[b1.index()], BlockClass::Uncle { distance: 1, .. }));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Library code must degrade with typed errors, never a panic, on
-// untrusted input; invariant violations use `expect` with a message.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+// untrusted input.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod accounting;
 mod block;

@@ -1,6 +1,6 @@
 use serde::{Deserialize, Serialize};
 
-use crate::block::{Block, BlockId, MinerId};
+use crate::block::{Block, BlockId, MinerId, UncleRefs};
 use crate::error::ChainError;
 
 /// An append-only tree of blocks rooted at a genesis block.
@@ -12,7 +12,9 @@ use crate::error::ChainError;
 ///
 /// Blocks are stored in an arena indexed by [`BlockId`]; the genesis block is
 /// created by [`BlockTree::new`] with a reserved miner id (`u32::MAX`) so
-/// that it never appears in reward accounting.
+/// that it never appears in reward accounting. Children are first-child /
+/// next-sibling links in a second flat array, so appending a block
+/// allocates nothing per block.
 ///
 /// ```
 /// use seleth_chain::{BlockTree, MinerId};
@@ -27,7 +29,17 @@ use crate::error::ChainError;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BlockTree {
     blocks: Vec<Block>,
-    children: Vec<Vec<BlockId>>,
+    /// Child links, indexed like `blocks`.
+    links: Vec<Links>,
+}
+
+/// One block's children as a linked list through `next_sibling`. Genesis
+/// is never a child, so id 0 stands for "none".
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+struct Links {
+    first_child: u32,
+    last_child: u32,
+    next_sibling: u32,
 }
 
 /// Miner id reserved for the genesis block.
@@ -38,14 +50,14 @@ impl BlockTree {
     pub fn new() -> Self {
         let genesis = Block {
             id: BlockId(0),
-            parent: None,
+            parent: BlockId(0),
             height: 0,
             miner: GENESIS_MINER,
-            uncle_refs: Vec::new(),
+            uncle_refs: UncleRefs::new(&[]),
         };
         BlockTree {
             blocks: vec![genesis],
-            children: vec![Vec::new()],
+            links: vec![Links::default()],
         }
     }
 
@@ -61,8 +73,8 @@ impl BlockTree {
     /// arena per run.
     pub fn reset(&mut self) {
         self.blocks.truncate(1);
-        self.children.truncate(1);
-        self.children[0].clear();
+        self.links.truncate(1);
+        self.links[0] = Links::default();
     }
 
     /// Total number of blocks, including genesis.
@@ -109,16 +121,23 @@ impl BlockTree {
             }
         }
         let id = BlockId(u32::try_from(self.blocks.len()).map_err(|_| ChainError::Full)?);
+        // Heights stay below ids, so `u32` holds them.
         let height = self.blocks[parent.index()].height + 1;
         self.blocks.push(Block {
             id,
-            parent: Some(parent),
+            parent,
             height,
             miner,
-            uncle_refs: uncle_refs.to_vec(),
+            uncle_refs: UncleRefs::new(uncle_refs),
         });
-        self.children.push(Vec::new());
-        self.children[parent.index()].push(id);
+        self.links.push(Links::default());
+        let siblings = &mut self.links[parent.index()];
+        let last = std::mem::replace(&mut siblings.last_child, id.0);
+        if last == 0 {
+            siblings.first_child = id.0;
+        } else {
+            self.links[last as usize].next_sibling = id.0;
+        }
         Ok(id)
     }
 
@@ -148,7 +167,7 @@ impl BlockTree {
     ///
     /// Panics if `id` is not in the tree.
     pub fn height(&self, id: BlockId) -> u64 {
-        self.block(id).height
+        self.block(id).height()
     }
 
     /// Children of a block, in insertion order.
@@ -156,8 +175,12 @@ impl BlockTree {
     /// # Panics
     ///
     /// Panics if `id` is not in the tree.
-    pub fn children(&self, id: BlockId) -> &[BlockId] {
-        &self.children[id.index()]
+    pub fn children(&self, id: BlockId) -> impl Iterator<Item = BlockId> + '_ {
+        let first = self.links[id.index()].first_child;
+        std::iter::successors((first != 0).then_some(BlockId(first)), |c| {
+            let next = self.links[c.index()].next_sibling;
+            (next != 0).then_some(BlockId(next))
+        })
     }
 
     /// Iterate all blocks in insertion (id) order, genesis first.
@@ -175,10 +198,7 @@ impl BlockTree {
         let target_height = self.height(ancestor);
         let mut cur = descendant;
         while self.height(cur) > target_height {
-            cur = self
-                .block(cur)
-                .parent
-                .expect("non-genesis block has a parent");
+            cur = self.up(cur);
         }
         cur == ancestor
     }
@@ -195,10 +215,7 @@ impl BlockTree {
         }
         let mut cur = id;
         while self.height(cur) > height {
-            cur = self
-                .block(cur)
-                .parent
-                .expect("non-genesis block has a parent");
+            cur = self.up(cur);
         }
         Some(cur)
     }
@@ -213,7 +230,7 @@ impl BlockTree {
         let mut cur = Some(id);
         while let Some(b) = cur {
             path.push(b);
-            cur = self.block(b).parent;
+            cur = self.block(b).parent();
         }
         path.reverse();
         path
@@ -227,43 +244,38 @@ impl BlockTree {
     pub fn common_ancestor(&self, a: BlockId, b: BlockId) -> BlockId {
         let (mut x, mut y) = (a, b);
         while self.height(x) > self.height(y) {
-            x = self
-                .block(x)
-                .parent
-                .expect("non-genesis block has a parent");
+            x = self.up(x);
         }
         while self.height(y) > self.height(x) {
-            y = self
-                .block(y)
-                .parent
-                .expect("non-genesis block has a parent");
+            y = self.up(y);
         }
         while x != y {
-            x = self
-                .block(x)
-                .parent
-                .expect("non-genesis block has a parent");
-            y = self
-                .block(y)
-                .parent
-                .expect("non-genesis block has a parent");
+            x = self.up(x);
+            y = self.up(y);
         }
         x
     }
 
+    /// One step toward genesis: the parent, or genesis itself for genesis.
+    /// Every walk built on it ends at genesis at the latest, so none can
+    /// panic or loop.
+    fn up(&self, id: BlockId) -> BlockId {
+        self.block(id).parent
+    }
+
     /// All leaf blocks (no children).
     pub fn leaves(&self) -> Vec<BlockId> {
-        self.children
+        self.blocks
             .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_empty())
-            .map(|(i, _)| BlockId(i as u32))
+            .zip(&self.links)
+            .filter(|(_, l)| l.first_child == 0)
+            .map(|(b, _)| b.id)
             .collect()
     }
 
     /// Maximum height present in the tree.
     pub fn max_height(&self) -> u64 {
-        self.blocks.iter().map(|b| b.height).max().unwrap_or(0)
+        self.blocks.iter().map(Block::height).max().unwrap_or(0)
     }
 
     /// Number of blocks in the subtree rooted at `id` (including `id`).
@@ -278,7 +290,7 @@ impl BlockTree {
         let mut stack = vec![id];
         while let Some(b) = stack.pop() {
             count += 1;
-            stack.extend_from_slice(self.children(b));
+            stack.extend(self.children(b));
         }
         count
     }
@@ -384,7 +396,7 @@ mod tests {
     #[test]
     fn children_in_insertion_order() {
         let (t, [a, b, _c, d, _e]) = fixture();
-        assert_eq!(t.children(a), &[b, d]);
+        assert_eq!(t.children(a).collect::<Vec<_>>(), [b, d]);
     }
 
     #[test]

@@ -31,6 +31,29 @@ fn random_tree(choices: &[(u8, u8, u8)]) -> BlockTree {
     tree
 }
 
+/// Grow a random tree whose blocks reference 0–5 earlier blocks each
+/// (never their parent), and return it with each block's reference list,
+/// genesis's empty one first.
+fn tree_with_refs(choices: &[(u8, Vec<u8>)]) -> (BlockTree, Vec<Vec<BlockId>>) {
+    let mut tree = BlockTree::new();
+    let mut ids = vec![tree.genesis()];
+    let mut given = vec![Vec::new()];
+    for (parent_pick, picks) in choices {
+        let parent = ids[*parent_pick as usize % ids.len()];
+        let refs: Vec<BlockId> = picks
+            .iter()
+            .map(|&r| ids[r as usize % ids.len()])
+            .filter(|&r| r != parent)
+            .collect();
+        let id = tree
+            .add_block(parent, MinerId(0), &refs)
+            .expect("structurally valid");
+        ids.push(id);
+        given.push(refs);
+    }
+    (tree, given)
+}
+
 fn tree_strategy() -> impl Strategy<Value = BlockTree> {
     proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..120)
         .prop_map(|choices| random_tree(&choices))
@@ -48,12 +71,37 @@ proptest! {
                 Some(p) => {
                     prop_assert_eq!(block.height(), tree.height(p) + 1);
                     prop_assert!(tree.is_ancestor(p, block.id()));
-                    prop_assert!(tree.children(p).contains(&block.id()));
+                    prop_assert!(tree.children(p).any(|c| c == block.id()));
                 }
             }
         }
         // Subtree of genesis covers everything.
         prop_assert_eq!(tree.subtree_size(tree.genesis()), tree.len());
+    }
+
+    /// `children(p)` yields exactly the blocks whose parent is `p`, in id
+    /// order, and every header returns the references it was built with,
+    /// whether they fit inline (two or fewer) or spill to the heap.
+    #[test]
+    fn children_and_uncle_refs_match_the_tree_built(
+        choices in proptest::collection::vec(
+            (any::<u8>(), proptest::collection::vec(any::<u8>(), 0..6)),
+            1..80,
+        )
+    ) {
+        let (tree, given) = tree_with_refs(&choices);
+        for p in tree.iter() {
+            let want: Vec<BlockId> = tree
+                .iter()
+                .filter(|b| b.parent() == Some(p.id()))
+                .map(|b| b.id())
+                .collect();
+            prop_assert_eq!(tree.children(p.id()).collect::<Vec<_>>(), want);
+        }
+        prop_assert_eq!(given.len(), tree.len());
+        for (block, refs) in tree.iter().zip(&given) {
+            prop_assert_eq!(block.uncle_refs(), &refs[..]);
+        }
     }
 
     /// The longest chain is a real chain ending at maximal height, and the
@@ -84,7 +132,8 @@ proptest! {
         let classes = classify::classify(&tree, &chain, 6);
         prop_assert_eq!(classes.len(), tree.len());
         let on_chain: std::collections::HashSet<_> = chain.iter().copied().collect();
-        for (&id, class) in &classes {
+        for (block, class) in tree.iter().zip(&classes) {
+            let id = block.id();
             match *class {
                 BlockClass::Regular => prop_assert!(on_chain.contains(&id)),
                 BlockClass::Stale => prop_assert!(!on_chain.contains(&id)),

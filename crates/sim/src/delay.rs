@@ -671,6 +671,8 @@ pub struct DelaySimulation {
     config: DelayConfig,
     rng: ChaCha12Rng,
     tree: BlockTree,
+    /// Reused by every `mint` for its uncle references.
+    uncle_refs: Vec<BlockId>,
     /// Release time per block (`f64::INFINITY` while withheld); visible to
     /// non-producers at `+delay`.
     pub_time: Vec<f64>,
@@ -775,6 +777,7 @@ impl DelaySimulation {
             config,
             rng,
             tree,
+            uncle_refs: Vec::new(),
             pub_time: vec![f64::NEG_INFINITY], // genesis: always visible
             views,
             strategists,
@@ -1464,16 +1467,17 @@ impl DelaySimulation {
                     ));
             propagated || (released && self.tree.block(u).miner() == miner)
         };
-        let refs = classify::select_uncles(
+        classify::select_uncles(
             &self.tree,
             parent,
             schedule.max_uncle_distance(),
             schedule.max_uncles_per_block(),
             visible,
+            &mut self.uncle_refs,
         );
         let id = self
             .tree
-            .add_block(parent, miner, &refs)
+            .add_block(parent, miner, &self.uncle_refs)
             .expect("engine-created ids");
         record_event(
             &self.events,

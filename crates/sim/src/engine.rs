@@ -71,9 +71,11 @@ pub struct Simulation {
     epoch: PrivateFork,
     /// The honest branch's tip; meaningful only while `epoch.h > 0`.
     honest_tip: BlockId,
+    /// Reused by every `mint` for its uncle references.
+    uncle_refs: Vec<BlockId>,
     // --- statistics ---
     blocks_mined: u64,
-    state_visits: HashMap<(u32, u32), u64>,
+    state_visits: Visits,
     /// Optional flight recorder ([`Simulation::attach_events`]); `None`
     /// (the default) keeps every instrumentation site a single branch.
     events: Option<Arc<EventLog>>,
@@ -92,8 +94,9 @@ impl Simulation {
             published: vec![true], // genesis
             epoch: PrivateFork::new(genesis),
             honest_tip: genesis,
+            uncle_refs: Vec::new(),
             blocks_mined: 0,
-            state_visits: HashMap::new(),
+            state_visits: Visits::new(),
             events: None,
         }
     }
@@ -185,7 +188,7 @@ impl Simulation {
         }
         self.blocks_mined += 1;
         let s = self.state();
-        *self.state_visits.entry(s).or_insert(0) += 1;
+        self.state_visits.count(s);
     }
 
     /// Finish: publish any remaining private blocks (what the pool would do
@@ -200,7 +203,7 @@ impl Simulation {
             &self.config,
             &self.tree,
             self.blocks_mined,
-            std::mem::take(&mut self.state_visits),
+            self.state_visits.to_map(),
         )
     }
 
@@ -375,16 +378,17 @@ impl Simulation {
     fn mint(&mut self, parent: BlockId, miner: MinerId) -> BlockId {
         let schedule = self.config.schedule();
         let published = &self.published;
-        let refs = classify::select_uncles(
+        classify::select_uncles(
             &self.tree,
             parent,
             schedule.max_uncle_distance(),
             schedule.max_uncles_per_block(),
             |u| published[u.index()],
+            &mut self.uncle_refs,
         );
         let id = self
             .tree
-            .add_block(parent, miner, &refs)
+            .add_block(parent, miner, &self.uncle_refs)
             .expect("engine only uses ids it created");
         self.published.push(false);
         record_event(
@@ -430,6 +434,57 @@ impl Simulation {
     fn extend_honest(&mut self, block: BlockId) {
         self.epoch.h += 1;
         self.honest_tip = block;
+    }
+}
+
+/// Bounds of the dense `(Ls, Lh)` visit grid: `Ls < VISIT_LS` and
+/// `Lh < VISIT_LH`. The pool's lead reaches the forties at α = 0.45 while
+/// the honest branch stays short, so runs below α ≈ 0.47 almost never
+/// leave the grid; states past it are counted in a map.
+const VISIT_LS: usize = 64;
+const VISIT_LH: usize = 16;
+
+/// Visit counts of the `(Ls, Lh)` state after each block event: an index
+/// into a flat grid per step, and a hash lookup only past the grid.
+#[derive(Debug)]
+struct Visits {
+    grid: Vec<u64>,
+    overflow: HashMap<(u32, u32), u64>,
+}
+
+impl Visits {
+    fn new() -> Self {
+        Visits {
+            grid: vec![0; VISIT_LS * VISIT_LH],
+            overflow: HashMap::new(),
+        }
+    }
+
+    #[inline]
+    fn count(&mut self, (a, h): (u32, u32)) {
+        let (i, j) = (a as usize, h as usize);
+        if i < VISIT_LS && j < VISIT_LH {
+            self.grid[i * VISIT_LH + j] += 1;
+        } else {
+            *self.overflow.entry((a, h)).or_insert(0) += 1;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.grid.fill(0);
+        self.overflow.clear();
+    }
+
+    /// Every visited state with its count.
+    fn to_map(&self) -> HashMap<(u32, u32), u64> {
+        let mut map = self.overflow.clone();
+        for (cell, &n) in self.grid.iter().enumerate() {
+            if n > 0 {
+                let state = ((cell / VISIT_LH) as u32, (cell % VISIT_LH) as u32);
+                map.insert(state, n);
+            }
+        }
+        map
     }
 }
 
@@ -793,6 +848,7 @@ mod tests {
         }
         let (max_a, max_h) = s
             .state_visits
+            .to_map()
             .keys()
             .fold((0, 0), |(ma, mh), &(a, h)| (ma.max(a), mh.max(h)));
         assert!(
@@ -840,11 +896,18 @@ mod tests {
         }
         // The walk genuinely reaches the boundary in this run...
         assert!(
-            implicit.state_visits.keys().any(|&(a, h)| a == 3 || h == 3),
+            implicit
+                .state_visits
+                .to_map()
+                .keys()
+                .any(|&(a, h)| a == 3 || h == 3),
             "strategist never reached the truncation boundary"
         );
         // ...and both tables traced exactly the same trajectory.
-        assert_eq!(implicit.state_visits, explicit.state_visits);
+        assert_eq!(
+            implicit.state_visits.to_map(),
+            explicit.state_visits.to_map()
+        );
         let (ri, re) = (implicit.finalize(), explicit.finalize());
         assert_eq!(
             ri.reward_report.miner(POOL).total().to_bits(),
@@ -887,6 +950,34 @@ mod tests {
         };
         assert_eq!(run(9), run(9));
         assert_ne!(run(9), run(10));
+    }
+
+    #[test]
+    fn state_visits_past_the_grid_match_a_per_step_count() {
+        // A lead-stubborn pool at α = 0.49 races long enough to leave the
+        // dense grid; the report must still count every visited state.
+        let config = SimConfig::builder()
+            .alpha(0.49)
+            .gamma(0.5)
+            .n_honest(99)
+            .strategy(PoolStrategy::LeadStubborn)
+            .blocks(20_000)
+            .seed(2)
+            .build()
+            .unwrap();
+        let mut s = Simulation::new(config);
+        let mut want: HashMap<(u32, u32), u64> = HashMap::new();
+        for _ in 0..20_000 {
+            s.step();
+            *want.entry(s.state()).or_insert(0) += 1;
+        }
+        let inside = |&(a, h): &(u32, u32)| (a as usize) < VISIT_LS && (h as usize) < VISIT_LH;
+        assert!(
+            want.keys().any(|s| !inside(s)),
+            "the run never left the grid"
+        );
+        assert!(want.keys().any(inside));
+        assert_eq!(s.finalize().state_visits, want);
     }
 
     #[test]

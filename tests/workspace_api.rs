@@ -32,16 +32,16 @@ fn manual_selfish_episode_accounts_like_the_paper() {
     assert_eq!(chain.last(), Some(&d));
 
     let classes = classify::classify(&tree, &chain, 6);
-    assert_eq!(classes[&c1], BlockClass::Regular);
+    assert_eq!(classes[c1.index()], BlockClass::Regular);
     // A2 forked directly off the main chain → uncle, referenced by D at
     // height 4 (distance 3). B2's parent A2 is itself stale, so B2 can
     // never be an uncle (the paper's Case 11) — D's reference to it is
     // invalid and ignored.
     assert!(matches!(
-        classes[&a2],
+        classes[a2.index()],
         BlockClass::Uncle { distance: 3, .. }
     ));
-    assert_eq!(classes[&b2], BlockClass::Stale);
+    assert_eq!(classes[b2.index()], BlockClass::Stale);
 
     let report = accounting::account(&tree, &chain, &RewardSchedule::ethereum());
     // Pool: 3 static; honest: 1 static + Ku(3) + 1 nephew reward.

@@ -2,24 +2,25 @@ use std::collections::HashMap;
 use std::hash::Hash;
 
 use crate::csr::{CsrBuilder, CsrMatrix};
-use crate::ctmc::Ctmc;
 use crate::dtmc::Dtmc;
 
 /// Incrementally assembles a Markov chain over an arbitrary state type.
 ///
 /// States are interned on first use and mapped to dense indices; transitions
 /// are accumulated as *rates* (repeated `add_rate` calls for the same pair
-/// add up). The builder can then be finished either as a discrete-time chain
-/// ([`ChainBuilder::build_dtmc`], rows normalized to probabilities) or as a
-/// continuous-time chain ([`ChainBuilder::build_ctmc`], rates preserved).
+/// add up). The builder is finished as a discrete-time chain
+/// ([`ChainBuilder::build_dtmc`]), each row normalized to probabilities.
 ///
 /// ```
 /// use seleth_markov::{ChainBuilder, SolveOptions};
 /// let mut b = ChainBuilder::new();
+/// // Rates out of state 0 add up to 2 + 1 = 3, so 0 → 1 has probability
+/// // 2/3 and the jump chain's stationary mass on 1 is 2/5.
 /// b.add_rate(0u8, 1u8, 2.0);
+/// b.add_rate(0u8, 0u8, 1.0);
 /// b.add_rate(1u8, 0u8, 1.0);
-/// let pi = b.build_ctmc().stationary(SolveOptions::default()).unwrap();
-/// assert!((pi.prob(&1u8) - 2.0 / 3.0).abs() < 1e-9);
+/// let pi = b.build_dtmc().stationary(SolveOptions::default()).unwrap();
+/// assert!((pi.prob(&1u8) - 2.0 / 5.0).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ChainBuilder<S> {
@@ -113,12 +114,6 @@ impl<S: Eq + Hash + Clone> ChainBuilder<S> {
             }
         }
         Dtmc::from_parts(states, index, matrix)
-    }
-
-    /// Finish as a continuous-time chain, keeping rates as given.
-    pub fn build_ctmc(self) -> Ctmc<S> {
-        let (states, index, matrix) = self.into_parts();
-        Ctmc::from_parts(states, index, matrix)
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! This crate provides the numerical substrate for the 2-dimensional Markov
 //! process of *Selfish Mining in Ethereum* (Niu & Feng, ICDCS 2019): sparse
-//! transition structures over arbitrary state types, continuous-time chains
-//! with uniformization, and several stationary-distribution solvers
+//! transition structures over arbitrary state types and several
+//! stationary-distribution solvers
 //! (power iteration, Gauss–Seidel, dense LU) so results can be
 //! cross-validated against each other and against closed forms.
 //!
@@ -33,8 +33,7 @@
 //! ```
 //!
 //! The chain builder accepts *rates*; [`ChainBuilder::build_dtmc`] normalizes
-//! each row into probabilities (the embedded jump chain), while
-//! [`ChainBuilder::build_ctmc`] keeps rates and exposes uniformization.
+//! each row into probabilities (the embedded jump chain).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,7 +43,6 @@
 
 mod builder;
 pub mod csr;
-mod ctmc;
 mod distribution;
 mod dtmc;
 mod error;
@@ -52,7 +50,6 @@ pub mod hitting;
 mod solve;
 
 pub use builder::ChainBuilder;
-pub use ctmc::Ctmc;
 pub use distribution::Distribution;
 pub use dtmc::Dtmc;
 pub use error::SolveError;
@@ -95,8 +92,8 @@ pub mod classic {
             }
         }
         // Uniformize so the embedded chain has the same stationary
-        // distribution as the CTMC: add self-loops topping rates up to a
-        // common constant.
+        // distribution as the continuous-time queue: add self-loops
+        // topping rates up to a common constant.
         let total = lambda + mu;
         b.add_rate(0, 0, total - lambda);
         if capacity > 0 {

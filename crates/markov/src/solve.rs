@@ -1,5 +1,5 @@
-//! Solver configuration and the numerical kernels shared by [`crate::Dtmc`]
-//! and [`crate::Ctmc`].
+//! Solver configuration and the numerical kernels behind
+//! [`crate::Dtmc`].
 //!
 //! Every kernel operates on a [`CsrMatrix`]: contiguous `row_ptr`/`col_idx`
 //! /`values` arrays, so the inner loops are linear scans over flat memory.

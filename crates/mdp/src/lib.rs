@@ -20,7 +20,10 @@
 //!   first-order approximation of Ethereum's uncle/nephew rewards
 //!   ([`RewardModel::EthereumApprox`]), which lets the optimal-play
 //!   analysis reproduce the paper's headline — Ethereum is strictly more
-//!   vulnerable — beyond the fixed Algorithm 1.
+//!   vulnerable — beyond the fixed Algorithm 1;
+//! - the fixed rules themselves ([`rules`]): honest mining, SM1 (the
+//!   paper's Algorithm 1) and lead-stubborn mining, written once for the
+//!   simulator and the strategy zoo.
 //!
 //! # Example
 //!
@@ -45,6 +48,7 @@
 
 mod model;
 pub mod policy;
+pub mod rules;
 mod solver;
 
 pub use model::{Action, Fork, MdpConfig, MdpError, MdpState, RewardModel, MATCH_D_CAP};

@@ -442,10 +442,10 @@ impl PolicyTable {
         self
     }
 
-    /// The honest-mining baseline as a table: publish (override) any
-    /// private lead immediately, adopt whenever behind or tied. Replaying
-    /// it earns exactly the fair share `α`, which is what the `revenue`
-    /// field records.
+    /// The honest-mining baseline as a table ([`crate::rules::honest`]):
+    /// publish (override) any private lead immediately, adopt whenever
+    /// behind or tied. Replaying it earns exactly the fair share `α`,
+    /// which is what the `revenue` field records.
     pub fn honest(alpha: f64, gamma: f64, max_len: u32) -> Self {
         Self::from_fn3(
             alpha,
@@ -454,13 +454,7 @@ impl PolicyTable {
             Scenario::RegularRate,
             max_len,
             alpha,
-            |a, h, _| {
-                if a > h {
-                    Action::Override
-                } else {
-                    Action::Adopt
-                }
-            },
+            |a, h, _| crate::rules::honest(a, h),
         )
     }
 

@@ -327,11 +327,16 @@ impl EventLog {
         }
     }
 
-    /// Record one event.  No-op (one branch, no lock) when disabled.
+    /// Record one event.  No-op (one branch inlined at the call site, no
+    /// lock) when disabled.
+    #[inline]
     pub fn record(&self, kind: EventKind, actor: u32, a: u64, b: u64) {
-        if self.capacity == 0 {
-            return;
+        if self.capacity > 0 {
+            self.push(kind, actor, a, b);
         }
+    }
+
+    fn push(&self, kind: EventKind, actor: u32, a: u64, b: u64) {
         let mut inner = self.lock();
         let pre = inner.digest;
         let post = fold_digest(pre, kind, actor, a, b);

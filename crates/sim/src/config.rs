@@ -96,16 +96,21 @@ impl Error for SimError {}
 
 /// The strategy run by the pool's hash power.
 ///
-/// [`PoolStrategy::Selfish`] is the paper's Algorithm 1. The other two are
-/// extensions: an honest baseline (the pool follows the protocol — useful
-/// for validating that the simulator awards exactly fair shares without an
-/// attack), and Lead-Stubborn mining (Nayak et al., EuroS&P 2016) adapted
-/// to Ethereum rewards — the kind of "new mining strategy" the paper's
-/// conclusion proposes studying.
+/// Every strategy is a decision rule the engine consults right after each
+/// block event and plays through one adopt/override/match executor.
+/// [`PoolStrategy::Selfish`] is the paper's Algorithm 1, written as the
+/// SM1 rule [`seleth_mdp::rules::sm1`]. Two more built-in rules are
+/// extensions: an honest baseline ([`seleth_mdp::rules::honest`]; the
+/// pool follows the protocol — useful for validating that the simulator
+/// awards exactly fair shares without an attack), and Lead-Stubborn
+/// mining (Nayak et al., EuroS&P 2016; [`seleth_mdp::rules::lead_stubborn`]
+/// without a cash-in bound) adapted to Ethereum rewards — the kind of
+/// "new mining strategy" the paper's conclusion proposes studying. The
+/// built-in rules need no truncation, so a lead of any length is held.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum PoolStrategy {
     /// Algorithm 1 of the paper (Eyal–Sirer-style withholding with
-    /// Ethereum uncle referencing).
+    /// Ethereum uncle referencing), played as the SM1 rule.
     #[default]
     Selfish,
     /// The pool follows the protocol like everyone else.
@@ -116,7 +121,7 @@ pub enum PoolStrategy {
     /// chain is strictly longer.
     LeadStubborn,
     /// Replay an exported MDP policy artifact
-    /// ([`seleth_mdp::PolicyTable`]): the pool consults the table before
+    /// ([`seleth_mdp::PolicyTable`]): the pool consults the table after
     /// every block event and executes the prescribed
     /// adopt/override/match/wait over the real block tree. Set via
     /// [`SimConfigBuilder::policy`], which installs the table alongside
@@ -192,9 +197,15 @@ impl SimConfig {
     }
 
     /// The policy table replayed by [`PoolStrategy::Table`] (`None` for
-    /// the hand-coded strategies).
+    /// the built-in rules).
     pub fn policy(&self) -> Option<&PolicyTable> {
         self.policy.as_deref()
+    }
+
+    /// The shared handle of [`SimConfig::policy`], so an engine can hold
+    /// the table without copying its action arrays.
+    pub(crate) fn shared_policy(&self) -> Option<&Arc<PolicyTable>> {
+        self.policy.as_ref()
     }
 
     /// A copy with a different seed (used for multi-run averaging).

@@ -1355,7 +1355,8 @@ impl DelaySimulation {
     /// release only writes the *other* strategists' inboxes.
     fn consult(&mut self, i: usize, t: f64) {
         let s = &self.strategists[i];
-        let action = s.epoch.decide(&s.table);
+        let (a, h, fork, match_d) = s.epoch.state();
+        let action = s.table.decide(a, h, fork, match_d);
         let (kind, count) = match action {
             Action::Wait => return,
             Action::Adopt => (EventKind::Adopt, &mut self.counters.adopts),
@@ -1554,6 +1555,18 @@ pub(crate) mod tests {
     use super::*;
     use seleth_chain::Scenario;
     use seleth_mdp::RewardModel;
+
+    /// A classic Bitcoin-model table for `(alpha, gamma)` truncated at
+    /// `max_len` that plays `rule`; its recorded revenue is `alpha`.
+    pub(crate) fn classic_table(
+        alpha: f64,
+        gamma: f64,
+        max_len: u32,
+        rule: impl Fn(u32, u32, Fork) -> Action,
+    ) -> PolicyTable {
+        let (bitcoin, regular) = (RewardModel::Bitcoin, Scenario::RegularRate);
+        PolicyTable::from_fn3(alpha, gamma, bitcoin, regular, max_len, alpha, rule)
+    }
 
     /// Mine `config`'s whole block budget and return the tree. Every
     /// uncle reference is chosen at mining time, so this tree carries the
@@ -1811,15 +1824,7 @@ pub(crate) mod tests {
         // PolicyTable::decide fallback, never a panic — including under
         // delay, where overrides can lose races.
         for (bad, seed) in [(Action::Override, 21u64), (Action::Match, 22)] {
-            let table = PolicyTable::from_fn3(
-                0.3,
-                0.5,
-                RewardModel::Bitcoin,
-                Scenario::RegularRate,
-                5,
-                0.3,
-                move |_, _, _| bad,
-            );
+            let table = classic_table(0.3, 0.5, 5, move |_, _, _| bad);
             // The shared audit agrees these tables are corrupt — the same
             // judgement `decide` applies slot by slot during the replay.
             assert!(!table.is_legal_everywhere());
@@ -1841,15 +1846,7 @@ pub(crate) mod tests {
         // An all-wait table truncated at 3: the private branch must be
         // conceded at the boundary, so the pool's stale blocks exist but
         // the run completes with full accounting.
-        let table = PolicyTable::from_fn3(
-            0.45,
-            0.5,
-            RewardModel::Bitcoin,
-            Scenario::RegularRate,
-            3,
-            0.45,
-            |_, _, _| Action::Wait,
-        );
+        let table = classic_table(0.45, 0.5, 3, |_, _, _| Action::Wait);
         let r = strategic_run(table, 0.45, 0.5, 2.0, RewardSchedule::bitcoin(), 10_000, 31);
         assert_eq!(r.report.block_count(), 10_000);
         assert!(
@@ -1858,33 +1855,18 @@ pub(crate) mod tests {
         );
     }
 
-    /// A hand-written SM1 table in the MDP's state encoding (the richer
-    /// parametric generators live upstream in `seleth-zoo`; this inline
-    /// rule keeps the engine tests self-contained).
+    /// The classic SM1 table in the MDP's state encoding, built on
+    /// `seleth_mdp::rules::sm1` (the richer parametric generators live
+    /// upstream in `seleth-zoo`).
     pub(crate) fn sm1_table(alpha: f64, gamma: f64, max_len: u32) -> PolicyTable {
-        PolicyTable::from_fn3(
-            alpha,
-            gamma,
-            RewardModel::Bitcoin,
-            Scenario::RegularRate,
-            max_len,
-            alpha,
-            |a, h, fork| {
-                if h > a {
-                    Action::Adopt
-                } else if a == h && a >= 1 {
-                    if fork == Fork::Relevant {
-                        Action::Match
-                    } else {
-                        Action::Wait
-                    }
-                } else if a == h + 1 && h >= 1 {
-                    Action::Override
-                } else {
-                    Action::Wait
-                }
-            },
-        )
+        // SM1 without the progressive reveal: hold a lead of two or more.
+        classic_table(alpha, gamma, max_len, |a, h, fork| {
+            if a > h + 1 {
+                Action::Wait
+            } else {
+                seleth_mdp::rules::sm1(a, h, fork)
+            }
+        })
     }
 
     #[test]
@@ -2271,25 +2253,17 @@ pub(crate) mod tests {
         // Policy-space tooling on top of PolicyTable::from_fn: a
         // trail-stubborn variant keeps mining one block behind instead of
         // adopting — legal everywhere, never solver-produced.
-        let table = PolicyTable::from_fn3(
-            0.4,
-            0.5,
-            RewardModel::Bitcoin,
-            Scenario::RegularRate,
-            10,
-            0.4,
-            |a, h, _| {
-                if a > h && h >= 1 {
-                    Action::Override
-                } else if a + 1 >= h && a < 10 && h < 10 {
-                    // Waiting is only legal strictly inside the
-                    // truncation region; the boundary must resolve.
-                    Action::Wait
-                } else {
-                    Action::Adopt
-                }
-            },
-        );
+        let table = classic_table(0.4, 0.5, 10, |a, h, _| {
+            if a > h && h >= 1 {
+                Action::Override
+            } else if a + 1 >= h && a < 10 && h < 10 {
+                // Waiting is only legal strictly inside the
+                // truncation region; the boundary must resolve.
+                Action::Wait
+            } else {
+                Action::Adopt
+            }
+        });
         assert!(table.is_legal_everywhere(), "hand-written but fully legal");
         let r = strategic_run(table, 0.4, 0.5, 4.0, RewardSchedule::ethereum(), 20_000, 41);
         assert_eq!(r.report.block_count(), 20_000);
@@ -2306,21 +2280,13 @@ pub(crate) mod tests {
         // rule must replay bit-for-bit identically. A tiny truncation
         // walks the strategist onto the boundary constantly.
         let mk = |boundary_resolved: bool| {
-            let table = PolicyTable::from_fn3(
-                0.4,
-                0.5,
-                RewardModel::Bitcoin,
-                Scenario::RegularRate,
-                3,
-                0.4,
-                move |a, h, _| {
-                    if boundary_resolved && (a >= 3 || h >= 3) {
-                        Action::Adopt
-                    } else {
-                        Action::Wait
-                    }
-                },
-            );
+            let table = classic_table(0.4, 0.5, 3, move |a, h, _| {
+                if boundary_resolved && (a >= 3 || h >= 3) {
+                    Action::Adopt
+                } else {
+                    Action::Wait
+                }
+            });
             strategic_run(table, 0.4, 0.5, 3.0, RewardSchedule::bitcoin(), 12_000, 77)
         };
         let (implicit, explicit) = (mk(false), mk(true));

@@ -3,25 +3,27 @@
 //! Mining is simulated at block granularity: since broadcast is
 //! instantaneous in the paper's network model (Section IV-A), the system
 //! state only changes when a block is found, and the finder is the pool
-//! with probability `α` or a uniformly random honest miner otherwise. The
-//! selfish pool runs Algorithm 1 verbatim; honest miners follow the
-//! protocol, breaking ties toward the pool's published branch with
-//! probability `γ`.
+//! with probability `α` or a uniformly random honest miner otherwise.
+//! Honest miners follow the protocol; during a live match race an honest
+//! block extends the pool's published prefix with probability `γ` (the
+//! network model).
 //!
 //! Unlike the analytical model, blocks here are real: the engine maintains
 //! a [`BlockTree`], publication status, and per-block uncle references
 //! created under Ethereum's validity rules at mining time.
 //!
-//! # Policy playback
+//! # One executor
 //!
-//! Besides the three hand-coded strategies, the engine can replay an
-//! exported MDP policy artifact ([`seleth_mdp::PolicyTable`],
-//! [`crate::config::PoolStrategy::Table`]). Before every block event the
-//! pool consults the table at the live `(a, h, fork, match_d)` state and
-//! executes the prescribed action over the real block tree through the
+//! Every pool strategy is a decision rule played through the private-fork
 //! executor the delay simulator shares ([`crate::fork::PrivateFork`]).
-//! During a live match race an honest block extends the pool's prefix
-//! with probability `γ`.
+//! Right after each block event the pool decides at the live
+//! `(a, h, fork, match_d)` state, publishes the blocks the action
+//! releases and applies it, so the recorded state visits are the
+//! post-decision states of the paper's Markov model. The decision source
+//! is resolved once per run: a built-in rule from [`seleth_mdp::rules`]
+//! (SM1, which is the paper's Algorithm 1, lead-stubborn mining without a
+//! cash-in bound, or honest mining) or an exported MDP policy artifact
+//! ([`seleth_mdp::PolicyTable`], [`crate::config::PoolStrategy::Table`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -31,7 +33,7 @@ use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
 use seleth_chain::{classify, BlockId, BlockTree, MinerId};
-use seleth_mdp::{Action, Fork};
+use seleth_mdp::{rules, Action, Fork, PolicyTable};
 use seleth_obs::{EventKind, EventLog};
 
 use crate::config::{PoolStrategy, SimConfig};
@@ -57,17 +59,52 @@ pub(crate) fn record_event(
 /// The miner id used for the selfish pool.
 pub const POOL: MinerId = MinerId(0);
 
+/// Where the pool's decisions come from, resolved once per run.
+#[derive(Debug, Clone)]
+enum Decider {
+    /// A built-in rule over `(a, h, fork, match_d)`.
+    Rule(fn(u32, u32, Fork, u8) -> Action),
+    /// An exported policy artifact, resolved by [`PolicyTable::decide`].
+    Table(Arc<PolicyTable>),
+}
+
+impl Decider {
+    /// The configured table, or the built-in rule the strategy names.
+    fn new(config: &SimConfig) -> Self {
+        if let Some(table) = config.shared_policy() {
+            return Decider::Table(Arc::clone(table));
+        }
+        Decider::Rule(match config.strategy() {
+            PoolStrategy::Honest => |a, h, _, _| rules::honest(a, h),
+            PoolStrategy::LeadStubborn => {
+                |a, h, fork, _| rules::lead_stubborn(a, h, fork, u32::MAX)
+            }
+            // A `Table` configuration always carries its table
+            // (`SimConfigBuilder::build`), so only `Selfish` lands here.
+            PoolStrategy::Selfish | PoolStrategy::Table => |a, h, fork, _| rules::sm1(a, h, fork),
+        })
+    }
+
+    fn decide(&self, epoch: &PrivateFork) -> Action {
+        let (a, h, fork, match_d) = epoch.state();
+        match self {
+            Decider::Rule(rule) => rule(a, h, fork, match_d),
+            Decider::Table(table) => table.decide(a, h, fork, match_d),
+        }
+    }
+}
+
 /// A running simulation. Construct with [`Simulation::new`], drive with
 /// [`Simulation::run`] (or [`Simulation::step`] for fine-grained control).
 #[derive(Debug)]
 pub struct Simulation {
     config: SimConfig,
+    decider: Decider,
     rng: ChaCha12Rng,
     tree: BlockTree,
     published: Vec<bool>,
     /// The pool's epoch: everything above the last consensus block. The
-    /// honest branch above the fork base is `epoch.h` blocks long (the
-    /// hand-coded strategies ignore `fork` and `match_d`).
+    /// honest branch above the fork base is `epoch.h` blocks long.
     epoch: PrivateFork,
     /// The honest branch's tip; meaningful only while `epoch.h > 0`.
     honest_tip: BlockId,
@@ -88,6 +125,7 @@ impl Simulation {
         let rng = ChaCha12Rng::seed_from_u64(config.seed());
         let genesis = tree.genesis();
         Simulation {
+            decider: Decider::new(&config),
             config,
             rng,
             tree,
@@ -125,6 +163,7 @@ impl Simulation {
     /// across many seeds.
     pub fn reset(&mut self, config: SimConfig) {
         self.rng = ChaCha12Rng::seed_from_u64(config.seed());
+        self.decider = Decider::new(&config);
         self.config = config;
         self.tree.reset();
         self.published.clear();
@@ -165,27 +204,15 @@ impl Simulation {
     }
 
     /// Mine exactly one block (pool with probability `α`, honest
-    /// otherwise) and apply the strategy updates. Under
-    /// [`PoolStrategy::Table`] the pool's table action is applied *before*
-    /// the block event, mirroring the MDP's decision order.
+    /// otherwise), then let the pool decide on the new state.
     pub fn step(&mut self) {
-        if self.config.strategy() == PoolStrategy::Table {
-            self.policy_act();
-        }
-        let pool_wins = self.rng.gen_bool(self.config.alpha());
-        if pool_wins {
-            match self.config.strategy() {
-                PoolStrategy::Honest => self.honest_mines(POOL),
-                PoolStrategy::Selfish | PoolStrategy::LeadStubborn => self.pool_mines(),
-                PoolStrategy::Table => self.policy_pool_mines(),
-            }
+        if self.rng.gen_bool(self.config.alpha()) {
+            self.mine_private();
         } else {
             let id = MinerId(self.rng.gen_range(1..=self.config.n_honest()));
-            match self.config.strategy() {
-                PoolStrategy::Table => self.policy_honest_mines(id),
-                _ => self.honest_mines(id),
-            }
+            self.mine_public(id);
         }
+        self.act();
         self.blocks_mined += 1;
         let s = self.state();
         self.state_visits.count(s);
@@ -208,142 +235,22 @@ impl Simulation {
     }
 
     // ------------------------------------------------------------------
-    // Pool behaviour (Algorithm 1, "the selfish pool mines a new block")
+    // Block events and the pool's decision
     // ------------------------------------------------------------------
 
-    fn pool_mines(&mut self) {
-        let block = self.mint(self.epoch.tip(), POOL);
-        self.epoch.push(block);
-        // Lines 3-5 of Algorithm 1: with (Ls, Lh) = (2, 1) the advantage is
-        // too slim; publish and settle. This state is reachable only from
-        // (1, 1). A Lead-Stubborn pool skips this concession and keeps the
-        // new block private.
-        if self.config.strategy() == PoolStrategy::Selfish
-            && self.epoch.private.len() == 2
-            && self.epoch.h == 1
-        {
-            self.publish_all_private();
-            self.epoch.reset(block);
-        }
-        // Otherwise: keep mining privately (lines 6-7).
-    }
-
-    // ------------------------------------------------------------------
-    // Honest behaviour (protocol + Algorithm 1's reactions)
-    // ------------------------------------------------------------------
-
-    fn honest_mines(&mut self, miner: MinerId) {
-        let ls = self.epoch.private.len();
-        let lh = self.epoch.h;
-        let published = self.epoch.published;
-        debug_assert!(
-            lh == 0 || published == lh,
-            "public branches must have equal length (published {published} vs honest {lh})"
-        );
-
-        // Parent selection: the longest public tip; on ties, the pool's
-        // published branch with probability γ (the network model).
-        let prefix_tip = (published > 0).then(|| self.epoch.private[published - 1]);
-        let parent = match prefix_tip {
-            Some(p) => {
-                debug_assert!(lh > 0, "pool publishes only in response to honest blocks");
-                if self.rng.gen_bool(self.config.gamma()) {
-                    p
-                } else {
-                    self.honest_tip
-                }
-            }
-            None => self.public_tip(),
-        };
-        let on_prefix = Some(parent) == prefix_tip;
-
-        let block = self.mint(parent, miner);
-        self.publish(block);
-
-        // Algorithm 1, lines 8-20, with Lh already incremented. The
-        // Lead-Stubborn variant differs in exactly one place: it never
-        // concedes a near-win by publishing the whole branch (lines 15-17);
-        // it always reveals just enough to match the public chain.
-        let stubborn = self.config.strategy() == PoolStrategy::LeadStubborn;
-        let lh_inc = lh + 1;
-        if ls < lh_inc {
-            // Lines 10-12: the public chain is longer; everyone adopts it.
-            // A stubborn pool may be abandoning withheld blocks here; under
-            // Algorithm 1 there is never anything unpublished to discard.
-            debug_assert!(
-                stubborn || ls == published,
-                "Algorithm 1 never abandons unpublished blocks"
-            );
-            self.epoch.reset(block);
-        } else if ls == lh_inc + 1 && !stubborn {
-            // Lines 15-17: lead of one left; publish everything and win.
-            let tip = self.epoch.tip();
-            self.publish_all_private();
-            self.epoch.reset(tip);
-        } else {
-            // Lines 13-14 (ls == lh_inc: reveal the last block, branches
-            // tie) and lines 18-20 (comfortable lead: reveal the first
-            // unpublished block) share the same mechanics: publish exactly
-            // one more block. For the stubborn pool this branch also
-            // handles ls == lh_inc + 1.
-            self.publish(self.epoch.private[published]);
-            self.epoch.published += 1;
-            if on_prefix {
-                // The fork point moves up to the honest block's parent
-                // (the lh-th private block): state (Ls − Lh + 1, 1) after
-                // the line-9 increment.
-                self.epoch.settle(lh);
-            }
-            self.extend_honest(block);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Policy playback (PoolStrategy::Table): execute an exported MDP
-    // policy over the real block tree.
-    // ------------------------------------------------------------------
-
-    /// Consult the table at the live `(a, h, fork, match_d)` state and
-    /// execute the prescribed action: record the decision, publish the
-    /// blocks it releases, then apply it to the epoch. Out-of-truncation
-    /// states and illegal prescriptions resolve to a forced *adopt*
-    /// ([`seleth_mdp::PolicyTable::decide`]).
-    fn policy_act(&mut self) {
-        let table = self.config.policy().expect("Table strategy has a table");
-        let action = self.epoch.decide(table);
-        let kind = match action {
-            Action::Wait => return,
-            Action::Adopt => EventKind::Adopt,
-            Action::Override => EventKind::Override,
-            Action::Match => EventKind::Match,
-        };
-        record_event(
-            &self.events,
-            kind,
-            POOL.0,
-            self.epoch.private.len() as u64,
-            self.epoch.h as u64,
-        );
-        for i in self.epoch.releases(action) {
-            self.publish(self.epoch.private[i]);
-        }
-        let tip = self.public_tip();
-        self.epoch.apply(action, &self.tree, tip);
-    }
-
-    /// Pool block under playback: always mined privately (publication is
-    /// the policy's job).
-    fn policy_pool_mines(&mut self) {
+    /// The pool's block: always mined privately on its branch
+    /// (publication is the decision's job).
+    fn mine_private(&mut self) {
         let block = self.mint(self.epoch.tip(), POOL);
         self.epoch.push(block);
     }
 
-    /// Honest block under playback. During an active race the miner picks
-    /// the pool's published prefix with probability `γ` (resolving the
-    /// race for the pool — the MDP's `γβ` branch: the prefix settles and
-    /// the new block starts the next epoch on top of it); otherwise the
-    /// honest branch simply grows and any race falls back to *relevant*.
-    fn policy_honest_mines(&mut self, miner: MinerId) {
+    /// An honest block. During an active race the miner picks the pool's
+    /// published prefix with probability `γ` (resolving the race for the
+    /// pool — the MDP's `γβ` branch: the prefix settles and the new block
+    /// starts the next epoch on top of it); otherwise the honest branch
+    /// simply grows and any race falls back to *relevant*.
+    fn mine_public(&mut self, miner: MinerId) {
         let won = self.epoch.published;
         let race_won = self.epoch.fork == Fork::Active && {
             debug_assert_eq!(
@@ -362,8 +269,37 @@ impl Simulation {
         if race_won {
             self.epoch.settle(won);
         }
-        self.extend_honest(block);
+        // The honest block extends the public branch above the fork base.
+        self.epoch.h += 1;
+        self.honest_tip = block;
         self.epoch.fork = Fork::Relevant;
+    }
+
+    /// Decide at the live `(a, h, fork, match_d)` state and execute the
+    /// action: record the decision, publish the blocks it releases, then
+    /// apply it to the epoch. A table's out-of-truncation states and
+    /// illegal prescriptions resolve to a forced *adopt*
+    /// ([`PolicyTable::decide`]); the built-in rules are legal everywhere.
+    fn act(&mut self) {
+        let action = self.decider.decide(&self.epoch);
+        let kind = match action {
+            Action::Wait => return,
+            Action::Adopt => EventKind::Adopt,
+            Action::Override => EventKind::Override,
+            Action::Match => EventKind::Match,
+        };
+        record_event(
+            &self.events,
+            kind,
+            POOL.0,
+            self.epoch.private.len() as u64,
+            self.epoch.h as u64,
+        );
+        for i in self.epoch.releases(action) {
+            self.publish(self.epoch.private[i]);
+        }
+        let tip = self.public_tip();
+        self.epoch.apply(action, &self.tree, tip);
     }
 
     // ------------------------------------------------------------------
@@ -429,12 +365,6 @@ impl Simulation {
             self.epoch.base
         }
     }
-
-    /// An honest block extends the public branch above the fork base.
-    fn extend_honest(&mut self, block: BlockId) {
-        self.epoch.h += 1;
-        self.honest_tip = block;
-    }
 }
 
 /// Bounds of the dense `(Ls, Lh)` visit grid: `Ls < VISIT_LS` and
@@ -493,45 +423,39 @@ mod tests {
     use super::*;
     use seleth_chain::RewardSchedule;
 
-    fn sim(alpha: f64, gamma: f64, seed: u64) -> Simulation {
+    /// A scripted α = 0.3, γ = 0.5 engine running `strategy`.
+    fn sim(strategy: PoolStrategy) -> Simulation {
         let config = SimConfig::builder()
-            .alpha(alpha)
-            .gamma(gamma)
+            .alpha(0.3)
+            .gamma(0.5)
             .n_honest(99)
             .blocks(u64::MAX) // stepped manually
-            .seed(seed)
+            .strategy(strategy)
+            .seed(1)
             .build()
             .unwrap();
         Simulation::new(config)
     }
 
     /// Drive the simulation with a scripted winner sequence by re-seeding
-    /// is impractical; instead we call the private handlers directly.
+    /// is impractical; instead each scripted step forces the winner and
+    /// then lets the pool decide, exactly as [`Simulation::step`] does.
     impl Simulation {
         fn force_pool(&mut self) {
-            self.pool_mines();
+            self.mine_private();
+            self.act();
             self.blocks_mined += 1;
         }
         fn force_honest(&mut self) {
-            self.honest_mines(MinerId(1));
-            self.blocks_mined += 1;
-        }
-        /// Scripted playback steps: decision point, then a forced winner.
-        fn force_pool_policy(&mut self) {
-            self.policy_act();
-            self.policy_pool_mines();
-            self.blocks_mined += 1;
-        }
-        fn force_honest_policy(&mut self) {
-            self.policy_act();
-            self.policy_honest_mines(MinerId(1));
+            self.mine_public(MinerId(1));
+            self.act();
             self.blocks_mined += 1;
         }
     }
 
     #[test]
     fn honest_only_chain_is_linear() {
-        let mut s = sim(0.3, 0.5, 1);
+        let mut s = sim(PoolStrategy::Selfish);
         for _ in 0..10 {
             s.force_honest();
         }
@@ -542,7 +466,7 @@ mod tests {
 
     #[test]
     fn pool_withholds_until_threat() {
-        let mut s = sim(0.3, 0.5, 1);
+        let mut s = sim(PoolStrategy::Selfish);
         s.force_pool();
         assert_eq!(s.state(), (1, 0));
         s.force_pool();
@@ -559,7 +483,7 @@ mod tests {
     #[test]
     fn lead_two_resolves_on_honest_block() {
         // (2,0) + honest block → pool publishes everything (Case 9).
-        let mut s = sim(0.3, 0.5, 1);
+        let mut s = sim(PoolStrategy::Selfish);
         s.force_pool();
         s.force_pool();
         s.force_honest();
@@ -572,7 +496,7 @@ mod tests {
     #[test]
     fn tie_race_from_one_block_lead() {
         // (1,0) + honest → (1,1): both length-1 branches public.
-        let mut s = sim(0.3, 0.5, 1);
+        let mut s = sim(PoolStrategy::Selfish);
         s.force_pool();
         s.force_honest();
         assert_eq!(s.state(), (1, 1));
@@ -584,7 +508,7 @@ mod tests {
 
     #[test]
     fn honest_resolution_of_tie_adopts() {
-        let mut s = sim(0.3, 0.5, 1);
+        let mut s = sim(PoolStrategy::Selfish);
         s.force_pool();
         s.force_honest(); // (1,1)
         s.force_honest(); // race resolved by honest block
@@ -594,7 +518,7 @@ mod tests {
 
     #[test]
     fn long_lead_publishes_one_by_one() {
-        let mut s = sim(0.3, 0.5, 1);
+        let mut s = sim(PoolStrategy::Selfish);
         for _ in 0..5 {
             s.force_pool();
         }
@@ -614,7 +538,7 @@ mod tests {
     fn uncle_references_created() {
         // Pool wins a 2-lead race; the honest loser is referenced by the
         // next block.
-        let mut s = sim(0.3, 0.5, 1);
+        let mut s = sim(PoolStrategy::Selfish);
         s.force_pool();
         s.force_pool();
         s.force_honest(); // honest block orphaned at height 1
@@ -681,16 +605,7 @@ mod tests {
 
     #[test]
     fn stubborn_pool_skips_the_two_one_concession() {
-        let mut s = sim(0.3, 0.5, 1);
-        s.config = SimConfig::builder()
-            .alpha(0.3)
-            .gamma(0.5)
-            .n_honest(99)
-            .blocks(u64::MAX)
-            .strategy(PoolStrategy::LeadStubborn)
-            .seed(1)
-            .build()
-            .unwrap();
+        let mut s = sim(PoolStrategy::LeadStubborn);
         s.force_pool();
         s.force_honest(); // (1,1)
         s.force_pool(); // selfish would publish-and-reset; stubborn holds
@@ -699,16 +614,7 @@ mod tests {
 
     #[test]
     fn stubborn_never_concedes_at_lead_one() {
-        let config = SimConfig::builder()
-            .alpha(0.3)
-            .gamma(0.5)
-            .n_honest(99)
-            .blocks(u64::MAX)
-            .strategy(PoolStrategy::LeadStubborn)
-            .seed(1)
-            .build()
-            .unwrap();
-        let mut s = Simulation::new(config);
+        let mut s = sim(PoolStrategy::LeadStubborn);
         s.force_pool();
         s.force_pool(); // (2,0)
         s.force_honest(); // selfish: publish all, reset; stubborn: match one
@@ -739,7 +645,7 @@ mod tests {
         assert!(unc > 0.0, "stubborn racing should orphan blocks");
     }
 
-    fn table_sim(table: seleth_mdp::PolicyTable, alpha: f64, gamma: f64, seed: u64) -> Simulation {
+    fn table_sim(table: PolicyTable, alpha: f64, gamma: f64, seed: u64) -> Simulation {
         let config = SimConfig::builder()
             .alpha(alpha)
             .gamma(gamma)
@@ -752,52 +658,39 @@ mod tests {
         Simulation::new(config)
     }
 
+    /// A classic table truncated at `max_len` that plays `rule`.
+    fn table(max_len: u32, rule: impl Fn(u32, u32, Fork) -> Action) -> PolicyTable {
+        crate::delay::tests::classic_table(0.3, 0.5, max_len, rule)
+    }
+
     /// A table that always waits (adopting only where wait is absent from
     /// the artifact, i.e. outside truncation via fallback).
-    fn all_wait_table(max_len: u32) -> seleth_mdp::PolicyTable {
-        seleth_mdp::PolicyTable::from_fn3(
-            0.3,
-            0.5,
-            seleth_mdp::RewardModel::Bitcoin,
-            seleth_chain::Scenario::RegularRate,
-            max_len,
-            0.3,
-            |_, _, _| Action::Wait,
-        )
+    fn all_wait_table(max_len: u32) -> PolicyTable {
+        table(max_len, |_, _, _| Action::Wait)
     }
 
     #[test]
     fn playback_override_settles_the_lead() {
         // Sapirshtein-style: wait at (1,0) and (2,0); override once honest
         // catches up. Encode just that far and rely on fallback elsewhere.
-        let table = seleth_mdp::PolicyTable::from_fn3(
-            0.3,
-            0.5,
-            seleth_mdp::RewardModel::Bitcoin,
-            seleth_chain::Scenario::RegularRate,
-            8,
-            0.3,
-            |a, h, _| {
-                if a > h {
-                    if h >= 1 {
-                        Action::Override
-                    } else {
-                        Action::Wait
-                    }
+        let table = table(8, |a, h, _| {
+            if a > h {
+                if h >= 1 {
+                    Action::Override
                 } else {
-                    Action::Adopt
+                    Action::Wait
                 }
-            },
-        );
+            } else {
+                Action::Adopt
+            }
+        });
         let mut s = table_sim(table, 0.3, 0.5, 1);
-        s.force_pool_policy();
-        s.force_pool_policy();
+        s.force_pool();
+        s.force_pool();
         assert_eq!(s.state(), (2, 0), "leads are held privately");
-        s.force_honest_policy();
-        assert_eq!(s.state(), (2, 1));
-        // Next decision point (before any further block) overrides: the
-        // two pool blocks publish and the honest block is orphaned.
-        s.policy_act();
+        // The decision right after the honest block, at (2, 1), overrides:
+        // the two pool blocks publish and the honest block is orphaned.
+        s.force_honest();
         assert_eq!(s.state(), (0, 0), "override settled the epoch");
         assert_eq!(s.tree().max_height(), 2);
         assert!(s.tree().iter().all(|b| s.is_published(b.id())));
@@ -807,41 +700,36 @@ mod tests {
     fn playback_match_splits_and_gamma_resolves() {
         // Always match when possible, γ = 1: every honest block after a
         // match mines on the pool's prefix, handing the pool the epoch.
-        let table = seleth_mdp::PolicyTable::from_fn3(
-            0.3,
-            1.0,
-            seleth_mdp::RewardModel::Bitcoin,
-            seleth_chain::Scenario::RegularRate,
-            8,
-            0.3,
-            |a, h, fork| {
-                if fork == Fork::Relevant && a >= h && h >= 1 {
-                    Action::Match
-                } else if a > h || h == 0 {
-                    Action::Wait
-                } else {
-                    Action::Adopt
-                }
-            },
-        );
+        let table = table(8, |a, h, fork| {
+            if fork == Fork::Relevant && a >= h && h >= 1 {
+                Action::Match
+            } else if a > h || h == 0 {
+                Action::Wait
+            } else {
+                Action::Adopt
+            }
+        });
         let mut s = table_sim(table, 0.3, 1.0, 1);
-        s.force_pool_policy(); // (1,0) private
-        s.force_honest_policy(); // (1,1) relevant
+        s.force_pool(); // (1,0) private
+        s.force_honest(); // (1,1) relevant: the decision matches
         assert_eq!(s.state(), (1, 1));
-        // The next decision matches (prefix published), and the honest
-        // block mines on the prefix with probability γ = 1: pool wins.
-        s.force_honest_policy();
-        assert_eq!(s.state(), (0, 1), "γβ outcome: pool block won, new epoch");
-        // The pool's block is on the main chain.
+        assert_eq!(s.epoch.fork, Fork::Active, "the prefix is published");
+        // The honest block mines on the prefix with probability γ = 1: the
+        // pool wins, and the new epoch's (0, 1) adopts the honest block.
+        s.force_honest();
+        assert_eq!(s.state(), (0, 0), "γβ outcome: pool block won, new epoch");
+        // The pool's block is on the main chain, under the honest block.
         assert_eq!(s.tree().max_height(), 2);
+        let parent = s.tree().block(s.epoch.base).parent().unwrap();
+        assert_eq!(s.tree().block(parent).miner(), POOL);
     }
 
     #[test]
     fn playback_fallback_forces_adopt_outside_truncation() {
         // An all-wait table truncated at 3: the executor forces adopt the
         // moment either chain reaches the boundary — the solver's own
-        // boundary rule — so the live state never leaves the truncated
-        // region at all.
+        // boundary rule — so the post-decision state never even sits on
+        // the boundary.
         let mut s = table_sim(all_wait_table(3), 0.3, 0.5, 7);
         for _ in 0..2_000 {
             s.step();
@@ -852,11 +740,11 @@ mod tests {
             .keys()
             .fold((0, 0), |(ma, mh), &(a, h)| (ma.max(a), mh.max(h)));
         assert!(
-            max_a <= 3,
+            max_a < 3,
             "private branch must adopt at the boundary: {max_a}"
         );
         assert!(
-            max_h <= 3,
+            max_h < 3,
             "honest branch must be adopted at the boundary: {max_h}"
         );
         // Adopt abandons unpublished blocks: they settle as stale.
@@ -872,35 +760,29 @@ mod tests {
         // must replay bit-for-bit identically — proof the executor's
         // runtime fallback *is* the solver's forced resolution, not one
         // slot later.
-        let resolved = seleth_mdp::PolicyTable::from_fn3(
-            0.3,
-            0.5,
-            seleth_mdp::RewardModel::Bitcoin,
-            seleth_chain::Scenario::RegularRate,
-            3,
-            0.3,
-            |a, h, _| {
-                if a >= 3 || h >= 3 {
-                    Action::Adopt
-                } else {
-                    Action::Wait
-                }
-            },
-        );
+        let resolved = table(3, |a, h, _| {
+            if a >= 3 || h >= 3 {
+                Action::Adopt
+            } else {
+                Action::Wait
+            }
+        });
         assert!(resolved.is_legal_everywhere());
         let mut implicit = table_sim(all_wait_table(3), 0.3, 0.5, 7);
         let mut explicit = table_sim(resolved, 0.3, 0.5, 7);
+        let log = Arc::new(EventLog::new(1 << 16));
+        implicit.attach_events(Arc::clone(&log));
         for _ in 0..2_000 {
             implicit.step();
             explicit.step();
         }
-        // The walk genuinely reaches the boundary in this run...
+        // The walk genuinely reaches the boundary in this run: the
+        // post-decision states never sit there, but the decisions taken
+        // there are the forced adopts...
         assert!(
-            implicit
-                .state_visits
-                .to_map()
-                .keys()
-                .any(|&(a, h)| a == 3 || h == 3),
+            log.events()
+                .iter()
+                .any(|e| e.kind == EventKind::Adopt && (e.a == 3 || e.b == 3)),
             "strategist never reached the truncation boundary"
         );
         // ...and both tables traced exactly the same trajectory.
@@ -921,15 +803,7 @@ mod tests {
         // A malicious/corrupt table prescribing override everywhere: with
         // a = 0 ≤ h the override is illegal and must degrade to adopt
         // rather than panic.
-        let table = seleth_mdp::PolicyTable::from_fn3(
-            0.3,
-            0.5,
-            seleth_mdp::RewardModel::Bitcoin,
-            seleth_chain::Scenario::RegularRate,
-            6,
-            0.3,
-            |_, _, _| Action::Override,
-        );
+        let table = table(6, |_, _, _| Action::Override);
         let mut s = table_sim(table, 0.3, 0.5, 3);
         for _ in 0..500 {
             s.step();

@@ -2,13 +2,14 @@
 //!
 //! Both simulators execute the MDP's moves — *adopt*, *override*, *match*
 //! and *wait* at the state `(a, h, fork, match_d)` — through this one
-//! epoch state machine: the instant-broadcast engine's
-//! [`crate::config::PoolStrategy::Table`] pool and every
+//! epoch state machine: the instant-broadcast engine's pool under every
+//! [`crate::config::PoolStrategy`] (built-in rule or table) and every
 //! [`crate::delay::MinerStrategy::Table`] strategist of the delay
-//! simulator. A simulator publishes the blocks [`PrivateFork::releases`]
-//! names and then calls [`PrivateFork::apply`]; the bookkeeping of the
-//! epoch (fork base, private branch, released prefix, fork qualifier and
-//! `match_d`) lives only here.
+//! simulator. A simulator decides at [`PrivateFork::state`], publishes
+//! the blocks [`PrivateFork::releases`] names and then calls
+//! [`PrivateFork::apply`]; the bookkeeping of the epoch (fork base,
+//! private branch, released prefix, fork qualifier and `match_d`) lives
+//! only here.
 //!
 //! The fork qualifier follows the MDP: *irrelevant* after a private
 //! block, *relevant* after a public one, *active* while a published match
@@ -20,7 +21,7 @@
 use std::ops::Range;
 
 use seleth_chain::{BlockId, BlockTree};
-use seleth_mdp::{Action, Fork, PolicyTable, StateSpace};
+use seleth_mdp::{Action, Fork, StateSpace};
 
 /// One epoch of a private fork: everything above the last block the
 /// miner considers settled.
@@ -72,13 +73,12 @@ impl PrivateFork {
         self.private.last().copied().unwrap_or(self.base)
     }
 
-    /// The table's action at the live state, resolved by
-    /// [`PolicyTable::decide`] (states outside the truncation and illegal
-    /// prescriptions become a forced adopt).
-    pub(crate) fn decide(&self, table: &PolicyTable) -> Action {
+    /// The live MDP state `(a, h, fork, match_d)` a decision is taken in:
+    /// a built-in rule's or [`seleth_mdp::PolicyTable::decide`]'s.
+    pub(crate) fn state(&self) -> (u32, u32, Fork, u8) {
         let a = u32::try_from(self.private.len()).unwrap_or(u32::MAX);
         let h = u32::try_from(self.h).unwrap_or(u32::MAX);
-        table.decide(a, h, self.fork, self.match_d)
+        (a, h, self.fork, self.match_d)
     }
 
     /// The indices into `private` that `action` makes public: *override*

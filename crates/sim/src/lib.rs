@@ -3,9 +3,10 @@
 //! This crate implements the simulation study of Section V of *Selfish
 //! Mining in Ethereum* (Niu & Feng, ICDCS 2019): a system of `n` miners
 //! whose block production is a sequence of Bernoulli/Poisson trials, a
-//! selfish pool running the paper's Algorithm 1, honest miners following
-//! the protocol (with the `γ` tie-breaking network model of Section IV-A),
-//! uncle referencing per the Ethereum rules, and full per-miner reward
+//! selfish pool running the paper's Algorithm 1 (the SM1 rule
+//! [`seleth_mdp::rules::sm1`]), honest miners following the protocol
+//! (with the `γ` tie-breaking network model of Section IV-A), uncle
+//! referencing per the Ethereum rules, and full per-miner reward
 //! accounting over the resulting block tree.
 //!
 //! Unlike the analytical model in `seleth-core`, nothing here is derived:
@@ -13,10 +14,13 @@
 //! machine and counts actual rewards — which is what makes it a meaningful
 //! cross-check of the theory (Fig. 8 of the paper).
 //!
-//! Besides the hand-coded strategies the pool can replay an *exported MDP
-//! policy artifact* ([`seleth_mdp::PolicyTable`], installed with
-//! [`SimConfigBuilder::policy`]): the same derive-optimal-then-simulate
-//! loop Sapirshtein et al. close for Bitcoin, here closing the gap between
+//! Every pool strategy is a decision rule played through one
+//! adopt/override/match executor, shared with the [`delay`] simulator.
+//! Besides the built-in rules (SM1, lead-stubborn, honest) the pool can
+//! replay an *exported MDP policy artifact* ([`seleth_mdp::PolicyTable`],
+//! installed with [`SimConfigBuilder::policy`]): the same
+//! derive-optimal-then-simulate loop Sapirshtein et al. close for
+//! Bitcoin, here closing the gap between
 //! `seleth-mdp`'s predicted optimal revenue ρ* and Monte-Carlo measurement
 //! (see `tests/policy_playback.rs` and the `optimal_sim` experiment).
 //!

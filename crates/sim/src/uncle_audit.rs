@@ -10,10 +10,13 @@
 //!   [`seleth_chain::classify::select_uncles`] picks the same lists.
 //! - **Executor anchors** pin the adopt/override/match executor both
 //!   engines share ([`crate::fork::PrivateFork`]): engine table playback
-//!   and the hand-coded paths (tree, reward bits, state visits), and
-//!   delay-engine strategists under crash resyncs, forced adopts and a
-//!   two-cluster graph (tree, reward bits, action counters). They were
-//!   recorded while each engine still ran its own copy of the executor.
+//!   and the built-in SM1 and lead-stubborn rules (tree, reward bits,
+//!   state visits), and delay-engine strategists under crash resyncs,
+//!   forced adopts and a two-cluster graph (tree, reward bits, action
+//!   counters). They were recorded while each engine still ran its own
+//!   copy of the executor, and the engine its hand-coded Algorithm 1 and
+//!   lead-stubborn paths. Table playback has decided right after each
+//!   block event since then, so its rows count post-decision visits.
 //! - **Fault-gate anchors** pin the delay engine's delivery fault gate for
 //!   both receiver kinds, public views and strategist inboxes, under loss,
 //!   duplication, jitter, churn, downtime and partitions in uniform and
@@ -205,7 +208,7 @@ fn engine_anchor(alpha: f64, strategy: Result<PolicyTable, PoolStrategy>) -> [u6
         .schedule(RewardSchedule::ethereum());
     match strategy {
         Ok(table) => builder.policy(table),
-        Err(hand_coded) => builder.strategy(hand_coded),
+        Err(built_in) => builder.strategy(built_in),
     };
     let mut sim = Simulation::new(builder.build().unwrap());
     let report = sim.run_in_place();
@@ -270,7 +273,7 @@ fn engine_executor_matches_its_anchors() {
             5958,
             0x40c3_03a0_0000_0000,
             0x40da_7890_0000_0000,
-            0xf23d_6707_be4a_4ab9
+            0x4af2_c9b2_1ecd_de8b
         ]
     );
     assert_eq!(
@@ -280,7 +283,7 @@ fn engine_executor_matches_its_anchors() {
             10898,
             0x40c0_6f24_0000_0000,
             0x40d9_d526_0000_0000,
-            0x1810_c79a_0421_5cbc
+            0xb0d7_3422_1458_0f37
         ]
     );
     assert_eq!(
@@ -290,7 +293,7 @@ fn engine_executor_matches_its_anchors() {
             16911,
             0x40c6_691c_0000_0000,
             0x40d6_729a_0000_0000,
-            0x64d3_cc17_a075_3474
+            0x50e2_65eb_25b1_c219
         ]
     );
     assert_eq!(

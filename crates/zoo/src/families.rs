@@ -16,15 +16,15 @@
 //! or heard block):
 //!
 //! - [`Family::Honest`] — publish any lead immediately, adopt otherwise;
-//!   earns exactly the fair share `α`.
-//! - [`Family::Sm1`] — Eyal–Sirer selfish mining (the paper's
-//!   Algorithm 1 skeleton): withhold, match when the honest chain draws
-//!   level, override when the lead shrinks to one. Its revenue has the
-//!   closed form [`sm1_closed_form`].
+//!   earns exactly the fair share `α` ([`rules::honest`]).
+//! - [`Family::Sm1`] — Eyal–Sirer selfish mining, the paper's
+//!   Algorithm 1 ([`rules::sm1`]): withhold, match when the honest chain
+//!   draws level, override when the lead shrinks to one. Its revenue has
+//!   the closed form [`sm1_closed_form`].
 //! - [`Family::LeadStubborn`] `L_k` — SM1 that refuses to cash in a lead
 //!   while the public branch is short: instead of overriding at `a = h+1`
 //!   it *matches* (keeping one block hidden) until the honest branch
-//!   reaches length `k`. `L_0` is exactly SM1.
+//!   reaches length `k` ([`rules::lead_stubborn`]). `L_0` is exactly SM1.
 //! - [`Family::TrailStubborn`] `T_k` — SM1 that keeps mining up to `k`
 //!   blocks behind instead of adopting. `T_0` is exactly SM1.
 //! - [`Family::EqualForkStubborn`] — SM1 that stays stubborn about equal
@@ -48,7 +48,7 @@
 //! never hit the forced-adopt fallback except at the truncation boundary.
 
 use seleth_chain::Scenario;
-use seleth_mdp::{Action, Fork, PolicyTable, RewardModel, StateSpace};
+use seleth_mdp::{rules, Action, Fork, PolicyTable, RewardModel, StateSpace};
 
 /// A parametric hand-written withholding strategy (see the
 /// [module docs](self) for the catalogue).
@@ -136,31 +136,12 @@ impl Family {
     /// *match* only in a coverable relevant race (`a ≥ h ≥ 1`).
     pub fn action(&self, a: u32, h: u32, fork: Fork, match_d: u8) -> Action {
         match self {
-            Family::Honest => {
-                if a > h {
-                    Action::Override
-                } else {
-                    Action::Adopt
-                }
-            }
-            Family::Sm1 => sm1_action(a, h, fork),
-            Family::LeadStubborn { k } => {
-                // The override trigger is softened: with a short honest
-                // branch the family ties the race instead (a ≥ h ≥ 1, so
-                // the match is legal) and keeps one block hidden.
-                if a == h + 1 && h >= 1 && h < *k {
-                    if fork == Fork::Relevant {
-                        Action::Match
-                    } else {
-                        Action::Wait
-                    }
-                } else {
-                    sm1_action(a, h, fork)
-                }
-            }
+            Family::Honest => rules::honest(a, h),
+            Family::Sm1 => rules::sm1(a, h, fork),
+            Family::LeadStubborn { k } => rules::lead_stubborn(a, h, fork, *k),
             Family::TrailStubborn { k } => trail_stubborn_action(a, h, fork, *k),
             Family::EqualForkStubborn { race } => {
-                let base = sm1_action(a, h, fork);
+                let base = rules::sm1(a, h, fork);
                 if !*race && base == Action::Match {
                     // γ-blind: never reveal a prefix early — no tie races,
                     // no progressive reveal; only overrides publish.
@@ -252,39 +233,6 @@ pub fn canonicalize_boundary(action: Action, a: u32, h: u32, max_len: u32) -> Ac
     }
 }
 
-/// The SM1 core rule shared (and selectively overridden) by the stubborn
-/// families.
-///
-/// Two non-obvious cases make this the *faithful* Eyal–Sirer encoding:
-/// the tie (`a = h`) match, and the **progressive reveal** at a
-/// comfortable lead — Algorithm 1 publishes its block at the honest
-/// chain's height after every honest block ("publish first unpublished
-/// block"), which in the MDP alphabet is a *match* from `a ≥ h + 2`
-/// (legal: `a ≥ h ≥ 1`). With γ > 0, honest power that lands on the
-/// revealed prefix settles those blocks for the pool (the γβ rebase);
-/// dropping the reveal (playing *wait* instead) measurably underperforms
-/// the closed form — ≈ 0.03 absolute at `α = 0.4, γ = 0.5`.
-fn sm1_action(a: u32, h: u32, fork: Fork) -> Action {
-    if h > a {
-        Action::Adopt
-    } else if h == 0 {
-        // Nothing public to race; includes (0, 0) and any fresh lead.
-        Action::Wait
-    } else if a == h + 1 {
-        // The near-win: publish everything and settle (lines 15-17 / the
-        // pool-mined (2, 1) concession of Algorithm 1).
-        Action::Override
-    } else if fork == Fork::Relevant {
-        // Tie (a = h): publish the matching prefix and race. Comfortable
-        // lead (a ≥ h + 2): progressively reveal up to the honest height.
-        Action::Match
-    } else {
-        // The same states mid-race (active fork) or after the pool's own
-        // block (irrelevant): the prefix is already out; keep mining.
-        Action::Wait
-    }
-}
-
 /// The trail-stubborn `T_k` rule: concede only when the trail exceeds
 /// `k`; otherwise keep mining behind (`h ≤ a + k`) exactly like SM1 would
 /// ahead. Shared by [`Family::TrailStubborn`] and the uncle-aware
@@ -293,7 +241,7 @@ fn trail_stubborn_action(a: u32, h: u32, fork: Fork, k: u32) -> Action {
     if h > a && h <= a + k {
         Action::Wait
     } else {
-        sm1_action(a, h, fork)
+        rules::sm1(a, h, fork)
     }
 }
 
@@ -408,26 +356,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn sm1_plays_the_textbook_states() {
-        let f = Family::Sm1;
-        assert_eq!(f.action(0, 0, Fork::Irrelevant, 0), Action::Wait);
-        assert_eq!(f.action(1, 0, Fork::Irrelevant, 0), Action::Wait);
-        assert_eq!(f.action(0, 1, Fork::Relevant, 0), Action::Adopt);
-        assert_eq!(f.action(1, 1, Fork::Relevant, 0), Action::Match);
-        assert_eq!(f.action(1, 1, Fork::Active, 0), Action::Wait);
-        assert_eq!(f.action(2, 1, Fork::Relevant, 0), Action::Override);
-        assert_eq!(f.action(2, 1, Fork::Active, 0), Action::Override);
-        // The progressive reveal: at a comfortable lead SM1 keeps its
-        // public prefix level with the honest chain.
-        assert_eq!(f.action(3, 1, Fork::Relevant, 0), Action::Match);
-        assert_eq!(f.action(5, 2, Fork::Relevant, 0), Action::Match);
-        // Mid-race / after an own block the prefix is already out.
-        assert_eq!(f.action(3, 1, Fork::Active, 0), Action::Wait);
-        assert_eq!(f.action(3, 1, Fork::Irrelevant, 0), Action::Wait);
-        assert_eq!(f.action(3, 0, Fork::Irrelevant, 0), Action::Wait);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! This crate is a facade over the four workspace crates:
 //!
 //! - [`markov`] (`seleth-markov`) — generic Markov-chain machinery:
-//!   builders, CTMC/DTMC, stationary-distribution solvers.
+//!   builders, DTMC, stationary-distribution solvers.
 //! - [`chain`] (`seleth-chain`) — the blockchain substrate: block tree,
 //!   fork choice, regular/uncle/stale classification, reward schedules.
 //! - [`core`] (`seleth-core`) — the paper's contribution: the `(Ls, Lh)`

@@ -16,8 +16,10 @@
 //!    below were captured from the engine before the fault layer
 //!    existed; any drift in the zero-fault path fails loudly.
 //!
-//! Plus the committed-artifact gate: `results/chaos_study.json` must be
-//! coherent and its gated anchor cell must reproduce the artifact's ρ*.
+//! Plus the committed-artifact gates: `results/chaos_study.json` must be
+//! coherent, its gated anchor cell must reproduce the artifact's ρ*, and
+//! its cheapest cells must recompute bit for bit at their committed
+//! settings.
 
 use std::path::PathBuf;
 
@@ -27,29 +29,23 @@ use selfish_ethereum::prelude::*;
 
 use seleth_obs::{par_map, parse_json, JsonValue};
 
-/// The classic SM1 rule as a policy table — the same hand-written
-/// strategy the delay-study gates replay.
+/// The classic SM1 table the delay-study gates replay:
+/// `seleth_mdp::rules::sm1` without the progressive reveal, so it holds
+/// a lead of two or more.
 fn sm1(alpha: f64, gamma: f64, max_len: u32) -> PolicyTable {
+    let (bitcoin, regular) = (RewardModel::Bitcoin, Scenario::RegularRate);
     PolicyTable::from_fn3(
         alpha,
         gamma,
-        RewardModel::Bitcoin,
-        Scenario::RegularRate,
+        bitcoin,
+        regular,
         max_len,
         alpha,
         |a, h, fork| {
-            if h > a {
-                Action::Adopt
-            } else if a == h && a >= 1 {
-                if fork == Fork::Relevant {
-                    Action::Match
-                } else {
-                    Action::Wait
-                }
-            } else if a == h + 1 && h >= 1 {
-                Action::Override
-            } else {
+            if a > h + 1 {
                 Action::Wait
+            } else {
+                seleth_mdp::rules::sm1(a, h, fork)
             }
         },
     )
@@ -376,4 +372,82 @@ fn committed_chaos_study_is_coherent_and_anchored() {
         }
     }
     assert!(gated_seen, "at least one series is gated against its rho*");
+}
+
+/// Recompute the committed fault-free duopoly cell `name` of `strategy`
+/// (replaying `table`) at the study's committed runs, blocks, interval,
+/// delay and fault seed, and compare its statistics with the committed
+/// ones bit for bit.
+fn recompute_committed_cell(doc: &JsonValue, strategy: &str, table: &PolicyTable, name: &str) {
+    /// The simulation seed of `chaos_study` (not recorded in the file).
+    const STUDY_SEED: u64 = 57_005;
+    let series = array_field(doc, "series")
+        .iter()
+        .find(|s| str_field(s, "strategy") == strategy && str_field(s, "split") == "duopoly")
+        .unwrap_or_else(|| panic!("{strategy} duopoly series"));
+    let cell = array_field(series, "cells")
+        .iter()
+        .find(|c| str_field(c, "cell") == name)
+        .unwrap_or_else(|| panic!("{strategy} cell {name}"));
+    let fault_free = [("churn", false), ("partition", false)]
+        .into_iter()
+        .all(|(key, on)| cell.get(key) == Some(&JsonValue::Bool(on)));
+    assert!(
+        fault_free && f64_field(cell, "loss") == 0.0,
+        "a fault-free cell"
+    );
+    let alpha = f64_field(series, "alpha");
+    let fault_seed = f64_field(doc, "fault_seed") as u64;
+    let plan = FaultPlan::builder()
+        .seed(fault_seed)
+        .loss(0.0)
+        .build()
+        .unwrap();
+    let outcome = seleth_bench::report::replay_revenue(f64_field(doc, "runs") as u64, 1, |k| {
+        DelayConfig::builder()
+            .shares(vec![alpha, 1.0 - alpha])
+            .policy(0, table.clone())
+            .tie_gamma(f64_field(series, "gamma"))
+            .delay(f64_field(cell, "delay"))
+            .interval(f64_field(doc, "interval"))
+            .schedule(RewardSchedule::bitcoin())
+            .blocks(f64_field(doc, "blocks") as u64)
+            .seed(STUDY_SEED + k)
+            .faults(plan.with_seed(fault_seed + k))
+            .build()
+            .expect("valid chaos config")
+    });
+    for (key, got) in [
+        ("revenue", outcome.mean()),
+        ("std_err", outcome.std_err()),
+        ("orphan_rate", outcome.orphan_rate),
+        ("mined_fraction", outcome.mined_fraction),
+    ] {
+        let want = f64_field(cell, key);
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "{strategy} {name} {key}: {got} vs {want}"
+        );
+    }
+}
+
+/// The committed chaos study must be what `chaos_study` writes. Two cells
+/// recompute bit for bit: the cheapest, the solved artifact's zero-delay
+/// anchor, and SM1's fault-free 6 s baseline, one of the cells the
+/// truncation-boundary rule of `PolicyTable::decide` moved (the file went
+/// stale on that change once).
+#[test]
+fn committed_chaos_study_recomputes_bit_for_bit() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(root.join("results/chaos_study.json"))
+        .expect("committed results/chaos_study.json");
+    let doc = parse_json(&text).expect("results/chaos_study.json parses");
+    let artifact = PolicyTable::load(&root.join("results/policies/bitcoin_a040_g050.json"))
+        .expect("committed artifact");
+    recompute_committed_cell(&doc, "bitcoin_a040_g050", &artifact, "anchor_delay0");
+    // Family tables are lowered at the study's default truncation
+    // (`SELETH_MDP_LEN`, 30).
+    let sm1 = Family::Sm1.table(0.35, 0.5, 30);
+    recompute_committed_cell(&doc, "sm1", &sm1, "baseline");
 }

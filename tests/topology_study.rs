@@ -30,29 +30,23 @@ use selfish_ethereum::prelude::*;
 
 use seleth_obs::{par_map, parse_json, JsonValue};
 
-/// The classic SM1 rule as a policy table — the same hand-written
-/// strategy the delay-study and chaos gates replay.
+/// The classic SM1 table the delay-study and chaos gates replay:
+/// `seleth_mdp::rules::sm1` without the progressive reveal, so it holds
+/// a lead of two or more.
 fn sm1(alpha: f64, gamma: f64, max_len: u32) -> PolicyTable {
+    let (bitcoin, regular) = (RewardModel::Bitcoin, Scenario::RegularRate);
     PolicyTable::from_fn3(
         alpha,
         gamma,
-        RewardModel::Bitcoin,
-        Scenario::RegularRate,
+        bitcoin,
+        regular,
         max_len,
         alpha,
         |a, h, fork| {
-            if h > a {
-                Action::Adopt
-            } else if a == h && a >= 1 {
-                if fork == Fork::Relevant {
-                    Action::Match
-                } else {
-                    Action::Wait
-                }
-            } else if a == h + 1 && h >= 1 {
-                Action::Override
-            } else {
+            if a > h + 1 {
                 Action::Wait
+            } else {
+                seleth_mdp::rules::sm1(a, h, fork)
             }
         },
     )

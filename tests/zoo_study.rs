@@ -13,12 +13,17 @@
 //! because nothing rebases its epochs' `(a, h)` walk (see the zoo crate
 //! docs), and a shallow table's boundary forced-adopts bias the replay
 //! low.
+//!
+//! Plus the committed-artifact gate: the cheapest cell of
+//! `results/zoo_study.json` recomputes bit for bit at its committed
+//! settings.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use selfish_ethereum::prelude::*;
 
 use seleth_bench::mean_stderr;
+use seleth_obs::{parse_json, JsonValue};
 
 const SEED: u64 = 424_242;
 
@@ -186,4 +191,89 @@ fn matchup_cells_field_two_strategists_deterministically() {
     assert_eq!(cell.strategists[0].family, "sm1");
     assert!(cell.strategists[0].revenue > 0.0 && cell.strategists[1].revenue > 0.0);
     assert!(cell.orphan_rate > 0.0, "rival withholding orphans blocks");
+}
+
+/// The numeric field `key` of the JSON object `node`.
+fn f64_field(node: &JsonValue, key: &str) -> f64 {
+    node.get(key)
+        .and_then(JsonValue::as_f64)
+        .unwrap_or_else(|| panic!("numeric field {key} present"))
+}
+
+/// Recompute the committed zero-fault duopoly cell of `family` at `point`
+/// and `delay` at the study's committed runs, blocks, interval and family
+/// truncation, and compare its statistics with the committed ones bit for
+/// bit.
+fn recompute_committed_cell(doc: &JsonValue, point: &str, family: Family, delay: f64) {
+    /// The tournament seed of `strategy_zoo` (not recorded in the file).
+    const STUDY_SEED: u64 = 90_210;
+    let (cell, committed) = doc
+        .get("cells")
+        .and_then(JsonValue::as_array)
+        .expect("cells array")
+        .iter()
+        .filter(|c| c.get("point").and_then(JsonValue::as_str) == Some(point))
+        .filter(|c| c.get("split").and_then(JsonValue::as_str) == Some("duopoly"))
+        .filter(|c| f64_field(c, "delay") == delay)
+        .find_map(|c| {
+            let lead = c.get("strategists")?.as_array()?.first()?;
+            (lead.get("name")?.as_str()? == family.id()).then_some((c, lead))
+        })
+        .unwrap_or_else(|| panic!("{} duopoly cell at {point}, delay {delay}", family.id()));
+    let (alpha, gamma) = (f64_field(cell, "alpha"), f64_field(cell, "gamma"));
+    let mut registry = StrategyRegistry::new();
+    let truncation = f64_field(doc, "family_truncation") as u32;
+    let idx = registry.register_family(family, alpha, gamma, truncation);
+    let config = TournamentConfig {
+        interval: f64_field(doc, "interval"),
+        runs: f64_field(doc, "runs") as u64,
+        blocks: f64_field(doc, "blocks") as u64,
+        seed: STUDY_SEED,
+        threads: 1,
+    };
+    let mut tournament = Tournament::new(&registry, config);
+    tournament.add_cell(Cell::single(
+        "duopoly",
+        idx,
+        vec![alpha, 1.0 - alpha],
+        gamma,
+        delay,
+    ));
+    let result = &tournament.run()[0];
+    let got = &result.strategists[0];
+    for (key, want, got) in [
+        (
+            "orphan_rate",
+            f64_field(cell, "orphan_rate"),
+            result.orphan_rate,
+        ),
+        ("share", f64_field(committed, "share"), got.share),
+        (
+            "predicted",
+            f64_field(committed, "predicted"),
+            got.predicted,
+        ),
+        ("revenue", f64_field(committed, "revenue"), got.revenue),
+        ("std_err", f64_field(committed, "std_err"), got.std_err),
+    ] {
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "{point} {delay} {key}: {got} vs {want}"
+        );
+    }
+}
+
+/// The committed zoo study must be what `strategy_zoo` writes. Two cells
+/// recompute bit for bit: the cheapest, the honest family in the
+/// zero-delay duopoly at `α = 0.2`, and SM1 at a 2 s delay, one of the
+/// cells the truncation-boundary rule of `PolicyTable::decide` moved
+/// (the file went stale on that change once).
+#[test]
+fn committed_zoo_study_recomputes_bit_for_bit() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results/zoo_study.json");
+    let text = std::fs::read_to_string(&path).expect("committed results/zoo_study.json");
+    let doc = parse_json(&text).expect("results/zoo_study.json parses");
+    recompute_committed_cell(&doc, "bitcoin_a020_g050", Family::Honest, 0.0);
+    recompute_committed_cell(&doc, "bitcoin_a040_g050", Family::Sm1, 2.0);
 }

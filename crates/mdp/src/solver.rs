@@ -48,7 +48,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 use serde::{Deserialize, Serialize};
 
 use seleth_chain::Scenario;
-use seleth_obs::{EventKind, NoopRecorder, Recorder};
 
 use crate::model::{Action, Fork, MdpConfig, MdpError, MdpState};
 
@@ -848,28 +847,6 @@ impl MdpConfig {
     ///
     /// As [`MdpConfig::solve`].
     pub fn solve_with_cache(&self, cache: &mut ValueCache) -> Result<Solution, MdpError> {
-        self.solve_observed(cache, &NoopRecorder)
-    }
-
-    /// [`MdpConfig::solve_with_cache`] with a flight recorder attached.
-    ///
-    /// Each bisection candidate emits an [`EventKind::Bisect`] event
-    /// (actor: step number; payloads: the candidate ρ's bits and the
-    /// sweeps it took), warm-start payoffs emit [`EventKind::WarmStart`]
-    /// (sweeps vs the cold first iterate), and the closing full-tolerance
-    /// evaluation emits [`EventKind::Sweep`] with the solved revenue.
-    /// Recording is pure observation of values the solver already
-    /// computes: the bisection walk, the revenue and the exported policy
-    /// are bit-identical with any recorder, including none.
-    ///
-    /// # Errors
-    ///
-    /// As [`MdpConfig::solve`].
-    pub fn solve_observed(
-        &self,
-        cache: &mut ValueCache,
-        recorder: &dyn Recorder,
-    ) -> Result<Solution, MdpError> {
         self.validate()?;
         let threads = self.resolved_threads();
         let expanded = ExpandedMdp::build(self)?;
@@ -897,24 +874,7 @@ impl MdpConfig {
                 .optimal_average(mid, self.tolerance, threads, true, &mut ws)
                 .map_err(|e| widen_bracket(e, lo, hi, iterations))?;
             iterations += sweeps;
-            let cold = stats.sweeps_per_iterate.first().copied();
             stats.record(sweeps, span);
-            recorder.event(
-                EventKind::Bisect,
-                u32::try_from(steps).unwrap_or(u32::MAX),
-                mid.to_bits(),
-                sweeps as u64,
-            );
-            if let Some(cold) = cold {
-                if sweeps < cold {
-                    recorder.event(
-                        EventKind::WarmStart,
-                        u32::try_from(steps).unwrap_or(u32::MAX),
-                        sweeps as u64,
-                        cold as u64,
-                    );
-                }
-            }
             if g > 0.0 {
                 lo = mid;
             } else {
@@ -931,7 +891,6 @@ impl MdpConfig {
             .map_err(|e| widen_bracket(e, lo, hi, iterations))?;
         iterations += sweeps;
         stats.record(sweeps, span);
-        recorder.event(EventKind::Sweep, 0, revenue.to_bits(), sweeps as u64);
         let actions = expanded.greedy_policy(&mut ws, threads);
         cache.v.clear();
         cache.v.extend_from_slice(&ws.v);
@@ -1022,40 +981,6 @@ mod tests {
             rate > 0.5,
             "warm starts should beat the cold iterate most of the time: {rate}"
         );
-    }
-
-    #[test]
-    fn observed_solve_records_events_without_changing_the_answer() {
-        let config = MdpConfig::new(0.35, 0.5, RewardModel::Bitcoin).with_max_len(30);
-        let plain = config.solve().unwrap();
-        let log = seleth_obs::EventLog::new(4096);
-        let observed = config.solve_observed(&mut ValueCache::new(), &log).unwrap();
-        // Observation is bit-neutral: same revenue, same policy walk.
-        assert_eq!(plain.revenue.to_bits(), observed.revenue.to_bits());
-        assert_eq!(plain.iterations, observed.iterations);
-        let counts = log.counts_by_kind();
-        let count_of = |k: EventKind| {
-            counts
-                .iter()
-                .find(|(kind, _)| *kind == k)
-                .map_or(0, |(_, n)| *n)
-        };
-        assert_eq!(
-            count_of(EventKind::Bisect) as usize,
-            observed.stats.bisection_steps
-        );
-        assert_eq!(count_of(EventKind::Sweep), 1);
-        assert_eq!(
-            count_of(EventKind::WarmStart) as usize,
-            observed.stats.warm_start_hits
-        );
-        // The closing Sweep event carries the solved revenue's exact bits.
-        let sweep = log
-            .events()
-            .into_iter()
-            .find(|e| e.kind == EventKind::Sweep)
-            .unwrap();
-        assert_eq!(sweep.a, observed.revenue.to_bits());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! `f64` bit patterns says nothing about *where* two runs first parted
 //! ways.  The [`EventLog`] closes that gap: instrumented code records each
 //! semantically meaningful step (a block mined, heard, released; a policy
-//! decision; a fault-coin outcome; a solver bisection step) as a small
+//! decision; a fault-coin outcome; a gossip delivery) as a small
 //! fixed-size [`Event`], and every event folds into a rolling splitmix64
 //! **digest** of the run so far.  Periodic digest **checkpoints** survive
 //! even after the ring has evicted old events, so two logs can be compared
@@ -15,19 +15,19 @@
 //! over the common checkpoints brackets the first divergent window, and
 //! the retained events inside it pin the exact first divergent event.
 //!
-//! Cost model: a log with capacity 0 ([`EventLog::disabled`]) performs no
-//! allocation at construction and each `record` call is a single branch —
-//! engines keep their recording handle as `Option<Arc<EventLog>>`, so the
-//! fully disabled path stays allocation-free.  Recording never consults
-//! any RNG and only *reads* simulation state, so attaching a recorder
-//! cannot perturb a run (regression-gated in `tests/flight_recorder.rs`).
+//! The two simulation engines are the only producers: each keeps its
+//! recording handle as `Option<Arc<EventLog>>` and calls
+//! [`EventLog::record`] directly, so the fully disabled path is one
+//! `None` check and stays allocation-free.  A log with capacity 0
+//! ([`EventLog::disabled`]) allocates nothing either, and each `record`
+//! call on it is a single branch.  Recording never consults any RNG and
+//! only *reads* simulation state, so attaching a recorder cannot perturb
+//! a run (regression-gated in `tests/flight_recorder.rs`).
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Mutex;
-
-use crate::recorder::Recorder;
 
 /// Initial digest value (the digest of an empty log).
 pub const DIGEST_SEED: u64 = 0x5e1e_7468_f11e_57a7;
@@ -39,11 +39,11 @@ const MAX_CHECKPOINTS: usize = 64;
 
 /// The canonical event vocabulary of the workspace.
 ///
-/// One flat enum across both simulation engines and the MDP solver, so a
-/// single diff tool understands every log.  Payload conventions are
-/// documented per variant; `f64` payloads are carried as raw bits
-/// (`f64::to_bits`) so the digest is sensitive to the exact values the
-/// bit-identity gates assert on.
+/// One flat enum across both simulation engines, so a single diff tool
+/// understands every log.  Payload conventions are documented per
+/// variant; `f64` payloads are carried as raw bits (`f64::to_bits`) so the
+/// digest is sensitive to the exact values the bit-identity gates assert
+/// on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum EventKind {
@@ -82,13 +82,6 @@ pub enum EventKind {
     CrashResync,
     /// A mining event thinned by a crashed winner. `actor` = miner.
     Thinned,
-    /// A Dinkelbach bisection step. `a` = ρ bits, `b` = iteration.
-    Bisect,
-    /// A value-iteration sweep finished. `a` = sweep index, `b` = residual
-    /// bits.
-    Sweep,
-    /// A warm start was applied. `a` = cached states, `b` = context.
-    WarmStart,
     /// A gossip edge delivered a block to a miner (graph propagation).
     /// `actor` = receiving miner, `a` = block index, `b` = arrival-time
     /// bits (time after release).
@@ -100,7 +93,7 @@ pub enum EventKind {
 }
 
 /// Every kind, in stable code order (used by summaries and tests).
-pub const EVENT_KINDS: [EventKind; 18] = [
+pub const EVENT_KINDS: [EventKind; 15] = [
     EventKind::Mine,
     EventKind::Hear,
     EventKind::Release,
@@ -114,16 +107,14 @@ pub const EVENT_KINDS: [EventKind; 18] = [
     EventKind::CrashMiss,
     EventKind::CrashResync,
     EventKind::Thinned,
-    EventKind::Bisect,
-    EventKind::Sweep,
-    EventKind::WarmStart,
     EventKind::EdgeDelivery,
     EventKind::RelayHop,
 ];
 
 impl EventKind {
     /// Stable numeric code folded into the digest (1-based; never reuse
-    /// or reorder codes — recorded digests depend on them).
+    /// or reorder codes — recorded digests depend on them). Codes 14–16
+    /// belonged to retired solver kinds and stay unused.
     #[must_use]
     pub fn code(self) -> u64 {
         match self {
@@ -140,9 +131,6 @@ impl EventKind {
             EventKind::CrashMiss => 11,
             EventKind::CrashResync => 12,
             EventKind::Thinned => 13,
-            EventKind::Bisect => 14,
-            EventKind::Sweep => 15,
-            EventKind::WarmStart => 16,
             EventKind::EdgeDelivery => 17,
             EventKind::RelayHop => 18,
         }
@@ -165,14 +153,15 @@ impl EventKind {
             EventKind::CrashMiss => "crash_miss",
             EventKind::CrashResync => "crash_resync",
             EventKind::Thinned => "thinned",
-            EventKind::Bisect => "bisect",
-            EventKind::Sweep => "sweep",
-            EventKind::WarmStart => "warm_start",
             EventKind::EdgeDelivery => "edge_delivery",
             EventKind::RelayHop => "relay_hop",
         }
     }
 }
+
+/// The highest [`EventKind::code`] in use: per-kind tallies are indexed by
+/// `code() - 1`, so their size follows the codes, not the kind count.
+const MAX_CODE: usize = 18;
 
 /// One recorded event, with the digest before and after folding it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -255,7 +244,7 @@ struct LogInner {
     /// Current checkpoint spacing (doubles when `MAX_CHECKPOINTS` hit).
     interval: u64,
     /// Per-kind event totals, indexed by `code() - 1`.
-    by_kind: [u64; EVENT_KINDS.len()],
+    by_kind: [u64; MAX_CODE],
 }
 
 /// A bounded flight recorder.
@@ -264,10 +253,6 @@ struct LogInner {
 /// only exists on runs that asked for it) and cheap when disabled: with
 /// capacity 0 nothing is allocated and [`EventLog::record`] returns after
 /// one branch, before touching the lock.
-///
-/// Implements [`Recorder`], so anything that accepts `&dyn Recorder`
-/// (e.g. the observed solver) can write into a flight recorder through
-/// the same trait the metrics layer uses.
 #[derive(Debug)]
 pub struct EventLog {
     capacity: usize,
@@ -297,7 +282,7 @@ impl EventLog {
                 digest: DIGEST_SEED,
                 checkpoints: Vec::new(),
                 interval: interval.max(1),
-                by_kind: [0; EVENT_KINDS.len()],
+                by_kind: [0; MAX_CODE],
             }),
         }
     }
@@ -450,31 +435,6 @@ impl EventLog {
         std::fs::write(path, self.to_jsonl())
     }
 
-    /// A JSON summary block (`"event_log"` convention in study JSONs):
-    /// total count, final digest, and per-kind totals.  Rendered by
-    /// [`crate::render_profile`] when present.
-    #[must_use]
-    pub fn summary_json(&self, indent: usize) -> String {
-        let pad = " ".repeat(indent);
-        let inner_pad = " ".repeat(indent + 2);
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "{inner_pad}\"count\": {},", self.count());
-        let _ = writeln!(out, "{inner_pad}\"digest\": \"{:#018x}\",", self.digest());
-        let _ = writeln!(out, "{inner_pad}\"by_kind\": {{");
-        let kinds = self.counts_by_kind();
-        for (i, (kind, n)) in kinds.iter().enumerate() {
-            let comma = if i + 1 < kinds.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "{inner_pad}  {}: {n}{comma}",
-                crate::json::escape_string(kind.name())
-            );
-        }
-        let _ = writeln!(out, "{inner_pad}}}");
-        let _ = write!(out, "{pad}}}");
-        out
-    }
-
     /// Locate the first event where `self` and `other` diverge.
     ///
     /// Returns `None` when the logs are identical (same count, same final
@@ -562,16 +522,6 @@ impl EventLog {
             left: self.event_at(i),
             right: other.event_at(i),
         })
-    }
-}
-
-impl Recorder for EventLog {
-    fn enabled(&self) -> bool {
-        self.is_enabled()
-    }
-
-    fn event(&self, kind: EventKind, actor: u32, a: u64, b: u64) {
-        self.record(kind, actor, a, b);
     }
 }
 
@@ -817,35 +767,16 @@ mod tests {
     }
 
     #[test]
-    fn recorder_trait_routes_into_the_log() {
-        let log = EventLog::new(8);
-        let rec: &dyn Recorder = &log;
-        assert!(rec.enabled());
-        rec.event(EventKind::Bisect, 0, 42, 7);
-        assert_eq!(log.count(), 1);
-        assert_eq!(log.events()[0].kind, EventKind::Bisect);
-        let off: &dyn Recorder = &EventLog::disabled();
-        assert!(!off.enabled());
-        off.event(EventKind::Bisect, 0, 1, 2);
-    }
-
-    #[test]
-    fn summary_json_parses_and_carries_counts() {
-        let log = EventLog::new(32);
-        log.record(EventKind::Mine, 0, 1, 1);
-        log.record(EventKind::Mine, 1, 2, 2);
-        log.record(EventKind::Release, 0, 1, 0);
-        let doc = log.summary_json(0);
-        let v = crate::json::parse_json(&doc).expect("valid json");
-        assert_eq!(v.get("count").and_then(crate::JsonValue::as_f64), Some(3.0));
-        let by_kind = v.get("by_kind").expect("by_kind block");
+    fn every_kind_keeps_its_code_and_its_tally() {
+        let log = EventLog::new(EVENT_KINDS.len());
+        for kind in EVENT_KINDS {
+            log.record(kind, 0, 0, 0);
+        }
+        assert_eq!(log.counts_by_kind(), EVENT_KINDS.map(|k| (k, 1)).to_vec());
+        // Recorded digests fold these codes in; 14–16 are retired.
         assert_eq!(
-            by_kind.get("mine").and_then(crate::JsonValue::as_f64),
-            Some(2.0)
-        );
-        assert_eq!(
-            by_kind.get("release").and_then(crate::JsonValue::as_f64),
-            Some(1.0)
+            EVENT_KINDS.map(EventKind::code),
+            [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 17, 18]
         );
     }
 

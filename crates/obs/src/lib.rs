@@ -6,7 +6,7 @@
 //! * **Primitives** ([`metrics`]): fixed-bucket power-of-two
 //!   [`Histogram`]s and a monotonic [`Stopwatch`] for scoped timing.
 //! * **Recorder** ([`recorder`]): the [`Recorder`] trait, a sink for
-//!   spans and flight-recorder events.  The default method bodies are
+//!   timing spans ("where did the time go").  The default method bodies are
 //!   empty, so the no-op implementation ([`NoopRecorder`]) compiles to
 //!   nothing on hot paths; [`TraceLog`] is an in-memory span sink that can
 //!   be dumped as JSON lines for the `--trace` flag of the study bins.
@@ -21,13 +21,15 @@
 //!   [`resolve_threads`] is the one rule for an automatic (`0`) worker
 //!   count.
 //! * **Profiles** ([`profile`]): a tiny JSON parser ([`json`]) and
-//!   [`render_profile`], which turns the `"telemetry"` and `"event_log"`
-//!   blocks of any study JSON into a human-readable report (used by the
-//!   `perf_report` bin).
+//!   [`render_profile`], which turns the `"telemetry"` blocks of any
+//!   study JSON into a human-readable report (used by the `perf_report`
+//!   bin).
 //! * **Flight recorder** ([`events`]): a bounded ring-buffer [`EventLog`]
 //!   of canonical structured events with a rolling splitmix64 digest and
 //!   periodic checkpoints; [`trace_diff`] localizes the first divergent
-//!   event between two recordings when a bit-identity gate fails.
+//!   event between two recordings when a bit-identity gate fails.  The
+//!   two simulation engines are its only producers ("what did the run
+//!   do"); the MDP solver reports its walk in `SolveStats` instead.
 //! * **Trend** ([`trend`]): parsing and noise-aware regression evaluation
 //!   of the `results/BENCH_history.jsonl` perf-trajectory ledger (the
 //!   `perf_report --trend` gate).
@@ -40,7 +42,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod events;
 pub mod json;

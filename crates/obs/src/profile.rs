@@ -41,47 +41,19 @@ pub fn render_profile(name: &str, text: &str) -> Result<String, JsonError> {
         }
     }
     let mut blocks = Vec::new();
-    collect_named("telemetry", "", &doc, &mut blocks);
-    let mut event_logs = Vec::new();
-    collect_named("event_log", "", &doc, &mut event_logs);
-    if blocks.is_empty() && event_logs.is_empty() {
+    collect_telemetry("", &doc, &mut blocks);
+    if blocks.is_empty() {
         let _ = writeln!(out, "  (no telemetry block recorded)");
         return Ok(out);
     }
     for (path, telemetry) in blocks {
         render_block(&mut out, &path, telemetry);
     }
-    for (path, log) in event_logs {
-        render_event_log(&mut out, &path, log);
-    }
     Ok(out)
 }
 
-/// Renders an `"event_log"` summary block (total count, final digest,
-/// per-kind totals) — the flight recorder's footprint in a study JSON.
-/// Degrades silently when fields are absent.
-fn render_event_log(out: &mut String, path: &str, log: &JsonValue) {
-    let _ = writeln!(out, "\n-- event log at {path} --");
-    let count = num(log.get("count"));
-    let digest = log
-        .get("digest")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("(none)");
-    let _ = writeln!(out, "  events: {count:.0}, digest: {digest}");
-    if let Some(kinds) = log.get("by_kind").and_then(JsonValue::as_object) {
-        let mut rows: Vec<(&str, f64)> = kinds
-            .iter()
-            .map(|(k, v)| (k.as_str(), num(Some(v))))
-            .collect();
-        rows.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        for (key, value) in rows {
-            let _ = writeln!(out, "    {key:<36} {value:>16.0}");
-        }
-    }
-}
-
-fn collect_named<'a>(
-    wanted: &str,
+/// Collects every `"telemetry"` object in the tree with its key path.
+fn collect_telemetry<'a>(
     path: &str,
     node: &'a JsonValue,
     found: &mut Vec<(String, &'a JsonValue)>,
@@ -94,16 +66,16 @@ fn collect_named<'a>(
                 } else {
                     format!("{path}.{key}")
                 };
-                if key == wanted && value.as_object().is_some() {
+                if key == "telemetry" && value.as_object().is_some() {
                     found.push((child, value));
                 } else {
-                    collect_named(wanted, &child, value, found);
+                    collect_telemetry(&child, value, found);
                 }
             }
         }
         JsonValue::Array(items) => {
             for (i, item) in items.iter().enumerate() {
-                collect_named(wanted, &format!("{path}[{i}]"), item, found);
+                collect_telemetry(&format!("{path}[{i}]"), item, found);
             }
         }
         _ => {}
@@ -225,22 +197,6 @@ mod tests {
         assert!(report.contains("sweep"));
         assert!(report.contains("host.parallelism"));
         assert!(report.contains("|#"));
-    }
-
-    #[test]
-    fn renders_event_log_blocks() {
-        let log = crate::EventLog::new(16);
-        log.record(crate::EventKind::Mine, 0, 1, 2);
-        log.record(crate::EventKind::Release, 0, 1, 3);
-        let doc = format!(
-            "{{\n  \"kind\": \"seleth-chaos-study\",\n  \"event_log\": {}\n}}\n",
-            log.summary_json(2)
-        );
-        let report = render_profile("chaos_study.json", &doc).unwrap();
-        assert!(report.contains("event log at event_log"));
-        assert!(report.contains("events: 2"));
-        assert!(report.contains("mine"));
-        assert!(report.contains("release"));
     }
 
     #[test]

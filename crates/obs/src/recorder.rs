@@ -5,15 +5,14 @@ use std::path::Path;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::events::EventKind;
-
-/// A sink for the spans and flight-recorder events emitted by
-/// instrumented code.
+/// A sink for the timing spans emitted by instrumented code: it answers
+/// "where did the time go". What a simulation *did* is recorded
+/// separately, by the engines' [`crate::EventLog`] handle.
 ///
 /// All methods have empty default bodies, so the no-op implementation
 /// ([`NoopRecorder`]) is literally `impl Recorder for NoopRecorder {}` and
 /// every call site inlines to nothing.  Hot paths that would otherwise pay
-/// to *construct* an event (formatting a name, reading a clock) should
+/// to *construct* a span (formatting a name, reading a clock) should
 /// check [`Recorder::enabled`] first:
 ///
 /// ```
@@ -32,7 +31,7 @@ use crate::events::EventKind;
 /// Implementations must be safe to call from multiple worker threads
 /// concurrently (`Send + Sync`).
 pub trait Recorder: Send + Sync {
-    /// Returns `true` if this recorder actually stores events.  Callers may
+    /// Returns `true` if this recorder actually stores spans.  Callers may
     /// skip constructing expensive annotations when this is `false`.
     fn enabled(&self) -> bool {
         false
@@ -47,11 +46,6 @@ pub trait Recorder: Send + Sync {
     /// Records a completed span: `name` ran on `worker` from `start_ns` to
     /// `end_ns` (both relative to [`Recorder::now_ns`]'s epoch).
     fn span(&self, _name: &str, _worker: usize, _start_ns: u64, _end_ns: u64) {}
-
-    /// Records one canonical flight-recorder event (see
-    /// [`crate::events`]).  The stock sink is [`crate::EventLog`]; the
-    /// default body is empty, so metrics-only recorders ignore events.
-    fn event(&self, _kind: EventKind, _actor: u32, _a: u64, _b: u64) {}
 }
 
 /// The recorder that records nothing.  Every method is the trait's empty
@@ -95,7 +89,7 @@ impl SpanEvent {
     }
 }
 
-/// An in-memory span/event recorder backing the `--trace <path>` flag of
+/// An in-memory span recorder backing the `--trace <path>` flag of
 /// the study bins.
 ///
 /// Spans are buffered under a mutex (tracing is opt-in, so contention on

@@ -1,6 +1,6 @@
 //! First-divergence diagnostics for the determinism gates.
 //!
-//! The bit-identity suites (`tests/determinism.rs`, `tests/fault_sim.rs`,
+//! The bit-identity suites (`tests/chaos_study.rs`,
 //! `tests/flight_recorder.rs`) assert that two runs — same config twice,
 //! fault-free plan vs fault-unaware engine, 1 thread vs N threads — produce
 //! byte-identical reports. When such a gate fails, the raw assertion tells

@@ -17,6 +17,10 @@
 //!   copy of the executor, and the engine its hand-coded Algorithm 1 and
 //!   lead-stubborn paths. Table playback has decided right after each
 //!   block event since then, so its rows count post-decision visits.
+//! - **Event anchors** pin the Section V engine's flight-recorder stream
+//!   (digest and count) for the built-in SM1 rule and a table artifact.
+//!   They were recorded before the solver's event kinds were retired, so
+//!   they also pin that every remaining kind kept its code.
 //! - **Fault-gate anchors** pin the delay engine's delivery fault gate for
 //!   both receiver kinds, public views and strategist inboxes, under loss,
 //!   duplication, jitter, churn, downtime and partitions in uniform and
@@ -195,9 +199,9 @@ fn visits_digest(visits: &HashMap<(u32, u32), u64>) -> u64 {
     hash
 }
 
-/// One engine run under Ethereum rewards with 99 honest miners and 30k
-/// blocks: tree digest, pool and total reward bits, state-visit digest.
-fn engine_anchor(alpha: f64, strategy: Result<PolicyTable, PoolStrategy>) -> [u64; 5] {
+/// An engine config under Ethereum rewards with 99 honest miners and 30k
+/// blocks.
+fn engine_config(alpha: f64, strategy: Result<PolicyTable, PoolStrategy>) -> SimConfig {
     let mut builder = SimConfig::builder();
     builder
         .alpha(alpha)
@@ -210,7 +214,13 @@ fn engine_anchor(alpha: f64, strategy: Result<PolicyTable, PoolStrategy>) -> [u6
         Ok(table) => builder.policy(table),
         Err(built_in) => builder.strategy(built_in),
     };
-    let mut sim = Simulation::new(builder.build().unwrap());
+    builder.build().unwrap()
+}
+
+/// One engine run of [`engine_config`]: tree digest, pool and total reward
+/// bits, state-visit digest.
+fn engine_anchor(alpha: f64, strategy: Result<PolicyTable, PoolStrategy>) -> [u64; 5] {
+    let mut sim = Simulation::new(engine_config(alpha, strategy));
     let report = sim.run_in_place();
     let (tree, refs) = tree_digest(sim.tree());
     [
@@ -315,6 +325,23 @@ fn engine_executor_matches_its_anchors() {
             0x40db_1110_0000_0000,
             0xbd8d_aa80_d591_dec1
         ]
+    );
+}
+
+#[test]
+fn engine_events_match_their_anchors() {
+    // Pool reward bits, the flight recorder's digest and its event count.
+    let anchor = |alpha, strategy| {
+        let (report, log) = diagnose::record_engine_run(&engine_config(alpha, strategy), 1);
+        [report.pool.total().to_bits(), log.digest(), log.count()]
+    };
+    assert_eq!(
+        anchor(0.35, Err(PoolStrategy::Selfish)),
+        [0x40c4_35c4_0000_0000, 0x1d53_5ed5_0ced_e98c, 80_767]
+    );
+    assert_eq!(
+        anchor(0.30, Ok(artifact("ethereum_a030_g050"))),
+        [0x40c0_6f24_0000_0000, 0x2885_a27f_0b81_3c19, 80_907]
     );
 }
 

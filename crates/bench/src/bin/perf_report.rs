@@ -11,6 +11,7 @@
 //! ```text
 //! cargo run --release -p seleth-bench --bin perf_report [FILE ...]
 //! cargo run --release -p seleth-bench --bin perf_report -- --trend [--smoke]
+//! cargo run --release -p seleth-bench --bin perf_report -- --ingest <workload> <perfbench-output>
 //! ```
 //!
 //! Without arguments, every study JSON of [`seleth_bench::STUDIES`]
@@ -30,6 +31,14 @@
 //! single-row ledger (the first run on a fresh checkout is *seeding* the
 //! trajectory, not regressing it); without `--smoke` a missing ledger is
 //! an error so CI cannot silently skip the gate.
+//!
+//! `--ingest <workload> <perfbench-output>` feeds the ledger from
+//! perfbench: it reads a file holding a perfbench run's printed output,
+//! takes the JSON summary on its last JSON line and appends one
+//! `perfbench_<workload>` row under perfbench's metric names
+//! (`op_ms_p90`, `setup_s`, `peak_rss_mb`, or the per-layer names of a
+//! `--trace 1` run). A run that is not `correct` or has failed ops is
+//! refused with exit code 1 and appends nothing.
 
 use std::path::PathBuf;
 
@@ -82,8 +91,49 @@ fn run_trend(smoke: bool) -> ! {
     std::process::exit(1);
 }
 
+/// The `--ingest` mode: append one `perfbench_<workload>` ledger row
+/// from the perfbench output in `file`; exit 1 if the run is refused.
+fn run_ingest(workload: Option<&String>, file: Option<&String>) -> ! {
+    let (Some(workload), Some(file)) = (workload, file) else {
+        eprintln!("usage: perf_report --ingest <workload> <perfbench-output>");
+        std::process::exit(2);
+    };
+    // The name lands in a hand-written JSON string: keep it to a plain
+    // identifier.
+    if workload.is_empty()
+        || !workload
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || b == b'_')
+    {
+        eprintln!("FAIL: workload name {workload:?} must be [A-Za-z0-9_]+");
+        std::process::exit(1);
+    }
+    let metrics = std::fs::read_to_string(file)
+        .map_err(|e| format!("read {file}: {e}"))
+        .and_then(|text| seleth_bench::perfbench_metrics(&text));
+    let metrics = match metrics {
+        Ok(metrics) => metrics,
+        Err(e) => {
+            eprintln!("FAIL: {file}: {e}; nothing appended");
+            std::process::exit(1);
+        }
+    };
+    let named: Vec<(&str, f64)> = metrics.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+    let bin = format!("perfbench_{workload}");
+    let path = seleth_bench::append_history_row(&bin, &named);
+    println!(
+        "ingest: {bin} row with {} metrics appended to {}",
+        named.len(),
+        path.display()
+    );
+    std::process::exit(0);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(i) = args.iter().position(|a| a == "--ingest") {
+        run_ingest(args.get(i + 1), args.get(i + 2));
+    }
     if args.iter().any(|a| a == "--trend") {
         let smoke = args.iter().any(|a| a == "--smoke");
         run_trend(smoke);

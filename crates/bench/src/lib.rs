@@ -233,6 +233,51 @@ pub fn append_history_row(bin: &str, metrics: &[(&str, f64)]) -> PathBuf {
     path
 }
 
+/// The metrics of one perfbench run, from its captured output: the last
+/// line that starts with `{` is perfbench's JSON summary
+/// (`{"correct": …, "attempted": …, "failed": …, "metrics": {name:
+/// {"value": …, "unit": …}}}`), and each metric comes back as
+/// `(name, value)` under perfbench's own name.
+///
+/// # Errors
+///
+/// A message when there is no such line, it is not valid JSON, the run
+/// is not `correct: true` with `failed: 0`, or it carries no numeric
+/// metric: a failed or partial run must not enter the ledger.
+pub fn perfbench_metrics(output: &str) -> Result<Vec<(String, f64)>, String> {
+    let line = output
+        .lines()
+        .rev()
+        .map(str::trim)
+        .find(|l| l.starts_with('{'))
+        .ok_or("no JSON line in the perfbench output")?;
+    let doc = seleth_obs::parse_json(line).map_err(|e| format!("perfbench JSON: {e}"))?;
+    if doc.get("correct") != Some(&seleth_obs::JsonValue::Bool(true)) {
+        return Err("the run is not marked correct".into());
+    }
+    match doc.get("failed").and_then(seleth_obs::JsonValue::as_u64) {
+        Some(0) => {}
+        Some(n) => return Err(format!("{n} ops failed")),
+        None => return Err("the run does not report `failed`".into()),
+    }
+    let metrics: Vec<(String, f64)> = doc
+        .get("metrics")
+        .and_then(seleth_obs::JsonValue::as_object)
+        .ok_or("the run carries no `metrics` object")?
+        .iter()
+        .map(|(name, m)| {
+            m.get("value")
+                .and_then(seleth_obs::JsonValue::as_f64)
+                .map(|v| (name.clone(), v))
+                .ok_or_else(|| format!("metric {name} has no numeric value"))
+        })
+        .collect::<Result<_, _>>()?;
+    if metrics.is_empty() {
+        return Err("the run carries no metrics".into());
+    }
+    Ok(metrics)
+}
+
 /// Write a text file (e.g. hand-rolled JSON) into [`results_dir`],
 /// creating the directory if needed.
 ///
@@ -405,6 +450,76 @@ mod tests {
             report.compared, 2,
             "both metrics of the bench_sim pair compare"
         );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A perfbench summary line with the given verdict fields.
+    fn perfbench_line(correct: bool, failed: u64) -> String {
+        format!(
+            "{{\"correct\": {correct}, \"attempted\": 121, \"failed\": {failed}, \
+             \"metrics\": {{\"setup_s\": {{\"value\": 0.0026, \"unit\": \"s\"}}, \
+             \"op_ms_p90\": {{\"value\": 12.5, \"unit\": \"ms\"}}, \
+             \"peak_rss_mb\": {{\"value\": 4.4, \"unit\": \"MB\"}}}}}}"
+        )
+    }
+
+    #[test]
+    fn perfbench_metrics_reads_the_last_json_line() {
+        let output = format!(
+            "workload gossip_graph seed 0\nop_ms_p90    12.500 ms\n{}\n\n",
+            perfbench_line(true, 0)
+        );
+        let metrics = perfbench_metrics(&output).unwrap();
+        assert_eq!(
+            metrics,
+            vec![
+                ("op_ms_p90".to_string(), 12.5),
+                ("peak_rss_mb".to_string(), 4.4),
+                ("setup_s".to_string(), 0.0026),
+            ]
+        );
+        // An earlier JSON line is ignored: only the last one counts.
+        let two = format!("{}\n{}", perfbench_line(true, 3), perfbench_line(true, 0));
+        assert!(perfbench_metrics(&two).is_ok());
+    }
+
+    #[test]
+    fn perfbench_metrics_refuses_failed_or_malformed_runs() {
+        let err = |text: &str| perfbench_metrics(text).unwrap_err();
+        assert!(err(&perfbench_line(false, 0)).contains("not marked correct"));
+        assert!(err(&perfbench_line(true, 2)).contains("2 ops failed"));
+        assert!(err("op_ms_p90 12.5 ms\n").contains("no JSON line"));
+        assert!(err("{not json").contains("perfbench JSON"));
+        assert!(err(r#"{"correct": true, "metrics": {}}"#).contains("`failed`"));
+        assert!(err(r#"{"correct": true, "failed": 0}"#).contains("`metrics`"));
+        assert!(err(r#"{"correct": true, "failed": 0, "metrics": {}}"#).contains("no metrics"));
+        assert!(err(r#"{"correct": true, "failed": 0, "metrics": {"x_ms": {}}}"#).contains("x_ms"));
+    }
+
+    #[test]
+    fn ingested_perfbench_rows_gate_op_ms_p90() {
+        let _guard = ENV_LOCK.lock().unwrap();
+        let dir = std::env::temp_dir().join("seleth-bench-ingest-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::env::set_var("SELETH_RESULTS", &dir);
+        let row = |p90: f64, rss: f64| {
+            let metrics = [
+                ("op_ms_p90", p90),
+                ("peak_rss_mb", rss),
+                ("setup_s", 0.0026),
+            ];
+            append_history_row("perfbench_gossip_graph", &metrics)
+        };
+        row(12.0, 4.0);
+        let path = row(30.0, 40.0);
+        std::env::remove_var("SELETH_RESULTS");
+        let rows = seleth_obs::parse_history(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let report = seleth_obs::evaluate_trend(&rows, 1.5);
+        // `op_ms_p90` and `setup_s` gate; `peak_rss_mb` is informational,
+        // so its tenfold rise alone would not fail the gate.
+        assert_eq!(report.compared, 2, "{}", report.rendered);
+        assert_eq!(report.regressions.len(), 1, "{}", report.rendered);
+        assert!(report.regressions[0].contains("op_ms_p90"));
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -262,12 +262,10 @@ pub struct GossipStats {
     /// Copies discarded by a receiver's seen-set (the receiver already
     /// held the block, or an equal-or-earlier copy was already queued).
     pub dedup_drops: u64,
-    /// Loss-coin failures that forced a backoff re-send on some edge.
-    /// Coins are drawn on every send, including copies a receiver's
-    /// seen-set then drops, so retries of dropped copies count too. That
-    /// is why propagation skips only the latency draw of a copy toward a
-    /// node that already holds the block, never its coins: this total
-    /// stays what a full draw of every send gives.
+    /// Lost attempts on each reached node's earliest-arrival copy (the
+    /// last edge of its winning path), summed over the reached nodes.
+    /// Copies a seen-set drops are not counted, so the total does not
+    /// depend on which of them propagation skips drawing coins for.
     pub loss_retries: u64,
 }
 
@@ -337,8 +335,8 @@ pub struct Scratch {
     dist: Vec<f64>,
     /// Edges on the current best path per node.
     hops: Vec<u32>,
-    /// Settled nodes: their arrival is final.
-    settled: Vec<bool>,
+    /// Lost attempts on the last edge of the current best path per node.
+    lost: Vec<u32>,
     /// Bitset of reached but unsettled nodes (64 per word).
     frontier: Vec<u64>,
 }
@@ -350,8 +348,8 @@ impl Scratch {
         self.dist.resize(n, f64::INFINITY);
         self.hops.clear();
         self.hops.resize(n, 0);
-        self.settled.clear();
-        self.settled.resize(n, false);
+        self.lost.clear();
+        self.lost.resize(n, 0);
         self.frontier.clear();
         self.frontier.resize(n.div_ceil(64), 0);
         self.dist[src] = 0.0;
@@ -379,7 +377,6 @@ impl Scratch {
             return None;
         }
         self.frontier[u / 64] &= !(1 << (u % 64));
-        self.settled[u] = true;
         Some(u)
     }
 }
@@ -744,9 +741,24 @@ impl Topology {
         self.nodes.len() - self.miner_nodes.len()
     }
 
+    /// The role of every graph node, by node index.
+    pub fn nodes(&self) -> &[NodeRole] {
+        &self.nodes
+    }
+
     /// The directed links of the graph.
     pub fn links(&self) -> &[Link] {
         &self.links
+    }
+
+    /// Loss re-send attempts before a copy is forced through.
+    pub fn max_attempts(&self) -> u32 {
+        self.max_attempts
+    }
+
+    /// Base of the capped exponential re-send backoff.
+    pub fn backoff_base(&self) -> f64 {
+        self.backoff_base
     }
 
     /// The seed of the per-edge draw chain.
@@ -979,11 +991,16 @@ impl Topology {
     /// node index and gossip accounting folded into `stats`. Selection
     /// scans only the frontier bitset of reached, unsettled nodes.
     ///
-    /// Every send draws its loss coins (`lost_attempts`), so retries
-    /// count whether or not the copy then hits a seen-set. `weight`
-    /// prices a copy from its lost attempts, and only toward an unsettled
-    /// node: a copy to a settled node cannot change any arrival, so it
-    /// skips its latency draw.
+    /// A copy over `edge` first meets one test: if `du + edge.lo` does
+    /// not beat the receiver's tentative arrival, it is a dedup drop and
+    /// draws nothing. That is exact, because every `weight` is at least
+    /// `edge.lo` (latency bounds and the backoff base are non-negative)
+    /// and `f64` addition is monotone, so the priced copy would have been
+    /// dropped too; and it covers settled receivers, whose arrival is at
+    /// most `du`. Only a copy that passes draws its loss coins
+    /// (`lost_attempts`) and is priced by `weight`. The lost attempts of
+    /// each node's winning copy count into `loss_retries` when it
+    /// settles.
     fn shortest_from(
         &self,
         src: usize,
@@ -995,19 +1012,20 @@ impl Topology {
         s.reset(self.nodes.len(), src);
         while let Some(u) = s.pop_nearest() {
             let (du, hu) = (s.dist[u], s.hops[u]);
+            stats.loss_retries += u64::from(s.lost[u]);
             let out = &self.edges[self.edge_start[u]..self.edge_start[u + 1]];
             stats.sends += out.len() as u64;
             for edge in out {
-                let lost = lost_attempts(edge);
-                stats.loss_retries += u64::from(lost);
                 let v = edge.to;
                 // The receiver's seen-set drops the copy when it already
-                // holds the block (no latency draw: the copy cannot change
-                // any arrival) or an equal-or-earlier copy is in flight.
-                if s.settled[v] {
+                // holds the block or an equal-or-earlier copy is in
+                // flight; one that cannot beat it even unpriced draws
+                // nothing.
+                if du + edge.lo >= s.dist[v] {
                     stats.dedup_drops += 1;
                     continue;
                 }
+                let lost = lost_attempts(edge);
                 let cand = du + weight(edge, lost);
                 if cand >= s.dist[v] {
                     stats.dedup_drops += 1;
@@ -1015,6 +1033,7 @@ impl Topology {
                 }
                 s.dist[v] = cand;
                 s.hops[v] = hu + 1;
+                s.lost[v] = lost;
                 s.frontier[v / 64] |= 1 << (v % 64);
             }
         }

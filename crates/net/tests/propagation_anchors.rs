@@ -1,13 +1,27 @@
 //! Bit-identity anchors of gossip propagation.
 //!
 //! Each anchor is one digest over every producer × 2 000 blocks of a
-//! topology: the arrival bits and hop count of every miner plus the
-//! `sends`, `dedup_drops` and `loss_retries` totals of every call. The
-//! digests were captured from the original O(n²)-selection Dijkstra, so
-//! any change to the propagation path that moves a single draw, arrival,
-//! tie-break or counter fails here.
+//! topology. The schedule digest folds the arrival bits and hop count of
+//! every miner plus the `sends` and `dedup_drops` totals of every call;
+//! the full digest folds `loss_retries` too. The schedule digests were
+//! captured before propagation stopped drawing for copies that cannot
+//! win, from code the full digests pinned to the original
+//! O(n²)-selection Dijkstra; the full digests were captured again when
+//! `loss_retries` came to count winning copies only. Any change to the
+//! propagation path that moves a single arrival, tie-break or schedule
+//! counter fails here.
+//!
+//! An independent oracle sits beside them: a textbook Dijkstra with
+//! O(n²) selection that draws every copy's coins and latency straight
+//! from [`seleth_net::hash`] and the public graph description, with no
+//! pruning. It must agree with [`Topology::propagate`] on the anchor
+//! graphs and on random small lossy graphs.
 
-use seleth_net::{Latency, Link, Propagation, Scratch, Topology, TopologyBuilder};
+use proptest::prelude::*;
+use seleth_net::{
+    hash, unit, GossipStats, Latency, Link, NodeRole, Propagation, Scratch, Topology,
+    TopologyBuilder,
+};
 
 const BLOCKS: u64 = 2_000;
 
@@ -16,21 +30,25 @@ fn fold(h: u64, word: u64) -> u64 {
     (h ^ word).wrapping_mul(0x0000_0100_0000_01b3)
 }
 
-fn digest_one(mut h: u64, p: &Propagation) -> u64 {
+/// Fold one call's schedule, and its `loss_retries` when `retries`.
+fn digest_one(mut h: u64, p: &Propagation, retries: bool) -> u64 {
     for (&a, &hops) in p.arrival.iter().zip(&p.hops) {
         h = fold(h, a.to_bits());
         h = fold(h, u64::from(hops));
     }
     h = fold(h, p.stats.sends);
     h = fold(h, p.stats.dedup_drops);
-    fold(h, p.stats.loss_retries)
+    if retries {
+        h = fold(h, p.stats.loss_retries);
+    }
+    h
 }
 
-fn digest(t: &Topology) -> String {
+fn digest(t: &Topology, retries: bool) -> String {
     let mut h = 0xcbf2_9ce4_8422_2325;
     for producer in 0..t.miner_count() {
         for block in 0..BLOCKS {
-            h = digest_one(h, &t.propagate(producer, block));
+            h = digest_one(h, &t.propagate(producer, block), retries);
         }
     }
     format!("{h:016x}")
@@ -167,31 +185,73 @@ fn fixed_ties() -> Topology {
     b.build().unwrap()
 }
 
-#[test]
-fn propagation_matches_its_anchors() {
-    let cases: [(&str, Topology, &str); 7] = [
-        (
-            "two_cluster_bridge",
-            two_cluster_bridge(),
-            "d2ac47b2fdc10229",
-        ),
-        ("star_relay", star_relay(), "93db80a08324d057"),
-        ("shortcut_overlay", shortcut_overlay(), "25e2578bda625b5b"),
-        ("saturated_ring", saturated_ring(), "3d795ca9974a0b07"),
-        ("generated_wide", generated_wide(), "893675c3f247139a"),
-        ("isolated_miner", isolated_miner(), "9897edf736262c66"),
-        ("fixed_ties", fixed_ties(), "c3811514821810c9"),
+/// Check every anchor graph's digest against `want`, in graph order.
+fn check_anchors(retries: bool, want: [&str; 7]) {
+    let names = [
+        "two_cluster_bridge",
+        "star_relay",
+        "shortcut_overlay",
+        "saturated_ring",
+        "generated_wide",
+        "isolated_miner",
+        "fixed_ties",
     ];
     let mut got = Vec::new();
-    for (name, t, _) in &cases {
+    for (name, t) in names.iter().zip(anchor_graphs()) {
         assert!(!t.is_static(), "{name} must take the dynamic path");
-        got.push(format!("{name}: {}", digest(t)));
+        got.push(format!("{name}: {}", digest(&t, retries)));
     }
-    let want: Vec<String> = cases
+    let want: Vec<String> = names
         .iter()
-        .map(|(name, _, hex)| format!("{name}: {hex}"))
+        .zip(want)
+        .map(|(name, hex)| format!("{name}: {hex}"))
         .collect();
     assert_eq!(got, want);
+}
+
+/// The seven anchor graphs, in anchor order.
+fn anchor_graphs() -> [Topology; 7] {
+    [
+        two_cluster_bridge(),
+        star_relay(),
+        shortcut_overlay(),
+        saturated_ring(),
+        generated_wide(),
+        isolated_miner(),
+        fixed_ties(),
+    ]
+}
+
+#[test]
+fn schedules_match_their_anchors() {
+    check_anchors(
+        false,
+        [
+            "8339a53be743bc9b",
+            "cdb028504c73a663",
+            "3399edbaa23cd761",
+            "6cf72be4e61311d1",
+            "e796d65ea01ee784",
+            "5aa2ee7411296cf0",
+            "e5d8cec62f72fcb6",
+        ],
+    );
+}
+
+#[test]
+fn propagation_matches_its_anchors() {
+    check_anchors(
+        true,
+        [
+            "b43f81c5d4b0acb1",
+            "99e9366b9cc46416",
+            "b6454da64e533a73",
+            "0da1be40a5b3ce84",
+            "6d078d929f58c79a",
+            "002692058aa809a4",
+            "8a8c2fd1c4576526",
+        ],
+    );
 }
 
 #[test]
@@ -240,5 +300,173 @@ fn one_scratch_serves_every_topology_in_any_order() {
             t.propagate_into(producer, block, &mut scratch, &mut out);
             assert_eq!(out, t.propagate(producer, block), "block {block}");
         }
+    }
+}
+
+/// Stream tags of the draw chain (`STREAM_LATENCY` and `STREAM_LOSS` in
+/// `seleth-net`): latency draws on stream 1, loss coins on stream 2.
+const LATENCY: u64 = 1;
+const LOSS: u64 = 2;
+
+/// Textbook gossip propagation over the public description of `t`: the
+/// unsettled reached node with the lowest arrival settles next (lowest
+/// index on ties), and it sends over every out-link in link order. Every
+/// copy draws all its loss coins and its latency before the receiver's
+/// seen-set looks at it. `loss_retries` sums the lost attempts of the
+/// copy that set each reached node's final arrival.
+fn oracle(t: &Topology, producer: usize, block: u64) -> Propagation {
+    let roles = t.nodes();
+    let n = roles.len();
+    let node_of = |id: usize| {
+        roles
+            .iter()
+            .position(|r| *r == NodeRole::Miner(id))
+            .unwrap()
+    };
+    let (mut dist, mut hops, mut lost) = (vec![f64::INFINITY; n], vec![0u32; n], vec![0u32; n]);
+    let mut settled = vec![false; n];
+    let mut stats = GossipStats::default();
+    dist[node_of(producer)] = 0.0;
+    loop {
+        let mut u = None;
+        for v in 0..n {
+            if !settled[v] && dist[v].is_finite() && u.is_none_or(|w: usize| dist[v] < dist[w]) {
+                u = Some(v);
+            }
+        }
+        let Some(u) = u else { break };
+        settled[u] = true;
+        stats.loss_retries += u64::from(lost[u]);
+        for (e, link) in t.links().iter().enumerate().filter(|(_, l)| l.from == u) {
+            stats.sends += 1;
+            let e = e as u64;
+            let mut attempts = 0;
+            if !link.shortcut {
+                while attempts < t.max_attempts()
+                    && unit(hash(t.seed(), LOSS, block, e, attempts)) < link.loss
+                {
+                    attempts += 1;
+                }
+            }
+            let mut time = match link.latency {
+                Latency::Fixed(l) => l,
+                Latency::Uniform { lo, hi } => {
+                    lo + unit(hash(t.seed(), LATENCY, block, e, 0)) * (hi - lo)
+                }
+            };
+            let mut backoff = 0.0;
+            for a in 0..attempts {
+                backoff += t.backoff_base() * 2f64.powi(a.min(6) as i32);
+            }
+            if attempts > 0 {
+                time += backoff;
+            }
+            let v = link.to;
+            let cand = dist[u] + time;
+            if settled[v] || cand >= dist[v] {
+                stats.dedup_drops += 1;
+            } else {
+                (dist[v], hops[v], lost[v]) = (cand, hops[u] + 1, attempts);
+            }
+        }
+    }
+    let miners = 0..t.miner_count();
+    Propagation {
+        arrival: miners.clone().map(|id| dist[node_of(id)]).collect(),
+        hops: miners.map(|id| hops[node_of(id)]).collect(),
+        stats,
+    }
+}
+
+/// Compare `t` against the oracle for every producer over `blocks`,
+/// arrivals bit for bit.
+fn assert_matches_oracle(t: &Topology, blocks: std::ops::Range<u64>) {
+    for producer in 0..t.miner_count() {
+        for block in blocks.clone() {
+            let (got, want) = (t.propagate(producer, block), oracle(t, producer, block));
+            let bits = |p: &Propagation| p.arrival.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "arrivals, producer {producer} block {block}"
+            );
+            assert_eq!(
+                got.hops, want.hops,
+                "hops, producer {producer} block {block}"
+            );
+            assert_eq!(
+                got.stats, want.stats,
+                "stats, producer {producer} block {block}"
+            );
+        }
+    }
+}
+
+#[test]
+fn anchor_graphs_match_the_oracle() {
+    for t in anchor_graphs() {
+        assert_matches_oracle(&t, 0..200);
+    }
+}
+
+/// A random graph of `nodes` nodes drawn from `seed`: some relays, about
+/// `degree` out-links per node (some nodes get none, so miners can be
+/// unreachable), fixed latencies on a coarse grid so arrivals tie,
+/// uniform ones, lossy links up to the attempt cap, and shortcuts.
+fn random_graph(nodes: usize, degree: u64, seed: u64) -> Topology {
+    let mut k = 0u64;
+    let mut draw = |bound: u64| {
+        k += 1;
+        hash(seed, 9, k, 0, 0) % bound
+    };
+    let mut b = Topology::builder();
+    b.seed(seed)
+        .backoff([0.25, 1.0, 3.0][draw(3) as usize])
+        .max_attempts(1 + draw(8) as u32);
+    for n in 0..nodes {
+        if n == 0 || draw(4) != 0 {
+            b.miner();
+        } else {
+            b.relay();
+        }
+    }
+    for from in 0..nodes {
+        for _ in 0..draw(2 * degree + 1) {
+            let to = draw(nodes as u64) as usize;
+            if to == from {
+                continue;
+            }
+            let latency = if draw(2) == 0 {
+                Latency::Fixed(draw(4) as f64 * 0.5)
+            } else {
+                let lo = draw(3) as f64;
+                Latency::Uniform {
+                    lo,
+                    hi: lo + draw(3) as f64,
+                }
+            };
+            b.edge_spec(Link {
+                from,
+                to,
+                latency,
+                loss: [0.0, 0.1, 0.5, 0.9][draw(4) as usize],
+                shortcut: draw(6) == 0,
+            });
+        }
+    }
+    b.build().unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random small lossy graphs agree with the oracle on every producer.
+    #[test]
+    fn random_graphs_match_the_oracle(
+        nodes in 2usize..12,
+        degree in 1u64..4,
+        seed in any::<u64>(),
+    ) {
+        assert_matches_oracle(&random_graph(nodes, degree, seed), 0..16);
     }
 }

@@ -1,9 +1,12 @@
 //! Perf-trajectory evaluation over the `BENCH_history.jsonl` ledger.
 //!
 //! The `bench_gates` bin appends one snapshot row per run — git sha,
-//! host fingerprint, headline metrics — to `results/BENCH_history.jsonl`
-//! (older rows from the retired `bench_sim`/`bench_net`/`bench_solver`
-//! bins stay in the ledger and are evaluated per bin the same way).
+//! host fingerprint, headline metrics — to `results/BENCH_history.jsonl`,
+//! and `perf_report --ingest <workload> <file>` appends one
+//! `perfbench_<workload>` row per perfbench run under perfbench's metric
+//! names (older rows from the retired `bench_sim`/`bench_net`/
+//! `bench_solver` bins stay in the ledger and are evaluated per bin the
+//! same way).
 //! This module parses those rows and evaluates the **trend**: for every
 //! bin, the latest row is compared against the previous row from a
 //! *comparable host* (same OS, architecture and `available_parallelism` —
@@ -13,8 +16,12 @@
 //! * **higher is better**: names containing `per_sec`, `ratio` or
 //!   `speedup`;
 //! * **lower is better**: names ending in `_s`, `_ms`, `_ns` or
-//!   containing `seconds`;
-//! * anything else is informational and never gates.
+//!   `_ms_p<NN>` (a latency percentile such as perfbench's `op_ms_p90`),
+//!   or containing `seconds`;
+//! * anything else is informational and never gates. That includes
+//!   perfbench's `peak_rss_mb`: it reads the process's VmHWM, which
+//!   also counts the binary's file-backed pages, so it can move with no
+//!   change in the heap.
 //!
 //! The default band factor is 1.5 (a metric must degrade by more than
 //! 50% relative to the previous comparable row to trip the gate): the
@@ -117,6 +124,9 @@ pub fn direction_of(name: &str) -> Direction {
         || name.ends_with("_ms")
         || name.ends_with("_ns")
         || name.contains("seconds")
+        || name
+            .rsplit_once("_ms_p")
+            .is_some_and(|(_, p)| !p.is_empty() && p.bytes().all(|b| b.is_ascii_digit()))
     {
         Direction::LowerBetter
     } else {
@@ -249,6 +259,13 @@ mod tests {
         assert_eq!(direction_of("sweep_ms"), Direction::LowerBetter);
         assert_eq!(direction_of("queue_wait_ns"), Direction::LowerBetter);
         assert_eq!(direction_of("runs"), Direction::Informational);
+        // perfbench's end-to-end names.
+        assert_eq!(direction_of("op_ms_p90"), Direction::LowerBetter);
+        assert_eq!(direction_of("op_ms_p50"), Direction::LowerBetter);
+        assert_eq!(direction_of("setup_s"), Direction::LowerBetter);
+        assert_eq!(direction_of("peak_rss_mb"), Direction::Informational);
+        assert_eq!(direction_of("op_ms_p"), Direction::Informational);
+        assert_eq!(direction_of("op_ms_p9x"), Direction::Informational);
     }
 
     #[test]

@@ -558,7 +558,9 @@ pub struct DelayCounters {
     pub gossip_sends: u64,
     /// Graph mode: copies dropped by a receiving node's seen-set.
     pub gossip_dedup_drops: u64,
-    /// Graph mode: per-edge loss coins that forced a backoff re-send.
+    /// Graph mode: lost attempts on each receiver's earliest-arrival copy
+    /// (the last edge of its winning path), summed over releases; see
+    /// `seleth_net::GossipStats::loss_retries`.
     pub gossip_loss_retries: u64,
     /// Graph mode: (block, miner) pairs the graph never delivered.
     pub gossip_unreachable: u64,
@@ -1212,7 +1214,10 @@ impl DelaySimulation {
             } else {
                 tied[0]
             };
-            let p = self.strategists[chosen].inbox.pop_front().expect("peeked");
+            // `chosen`'s inbox front was peeked just above.
+            let Some(p) = self.strategists[chosen].inbox.pop_front() else {
+                break;
+            };
             // A down receiver simply misses the gossip; re-gossip retries
             // (from the fault gate, for fault plans with link faults) or
             // the forced-adopt resync on recovery pick the chain back up.
@@ -1311,7 +1316,10 @@ impl DelaySimulation {
         if tip_h <= base_h {
             return;
         }
-        let anchor = tree.ancestor_at(block, base_h).expect("height checked");
+        // `tip_h > base_h`, so the heard chain has a block at `base_h`.
+        let Some(anchor) = tree.ancestor_at(block, base_h) else {
+            return;
+        };
         if anchor == epoch.base {
             // How much of our released prefix the heard chain builds on.
             let mut k = 0usize;

@@ -89,13 +89,6 @@ const ARTIFACTS: &[Artifact] = &[
     },
 ];
 
-/// Load a committed artifact, or solve and save it when absent (fresh
-/// checkouts and scratch `SELETH_POLICIES` directories stay
-/// self-contained).
-fn load_or_solve(spec: &Artifact, max_len: u32) -> PolicyTable {
-    seleth_bench::load_or_solve_policy(spec.name, spec.alpha, spec.gamma, spec.rewards, max_len)
-}
-
 struct Point {
     delay: f64,
     mean: f64,
@@ -191,7 +184,13 @@ fn main() {
     let mut series_json = Vec::new();
     for spec in artifacts {
         let load = Stopwatch::start();
-        let table = load_or_solve(spec, max_len);
+        let table = seleth_bench::load_or_solve_policy(
+            spec.name,
+            spec.alpha,
+            spec.gamma,
+            spec.rewards,
+            max_len,
+        );
         telemetry.add_phase("load_policies", load.elapsed_ns());
         let rho = table.predicted_revenue();
         let splits: &[(&str, Vec<f64>)] = &[

@@ -854,15 +854,8 @@ impl Topology {
     ///
     /// If `producer` is not a valid miner id.
     pub fn propagate(&self, producer: usize, block: u64) -> Propagation {
-        if let Some((arrival, hops, stats)) = self.static_row(producer) {
-            return Propagation {
-                arrival: arrival.to_vec(),
-                hops: hops.to_vec(),
-                stats,
-            };
-        }
         let mut out = Propagation::default();
-        self.propagate_dynamic(producer, block, &mut Scratch::default(), &mut out);
+        self.propagate_into(producer, block, &mut Scratch::default(), &mut out);
         out
     }
 

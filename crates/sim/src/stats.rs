@@ -75,19 +75,13 @@ impl SimReport {
         }
 
         let pool = reward_report.miner(POOL);
-        let honest = reward_report
-            .per_miner
-            .iter()
-            .filter(|(&id, _)| id != POOL)
-            .fold(MinerRewards::default(), |mut acc, (_, m)| {
-                acc.static_reward += m.static_reward;
-                acc.uncle_reward += m.uncle_reward;
-                acc.nephew_reward += m.nephew_reward;
-                acc.regular_blocks += m.regular_blocks;
-                acc.uncle_blocks += m.uncle_blocks;
-                acc.stale_blocks += m.stale_blocks;
-                acc
-            });
+        let honest = reward_report.combined(
+            reward_report
+                .per_miner
+                .keys()
+                .copied()
+                .filter(|&id| id != POOL),
+        );
 
         SimReport {
             alpha: config.alpha(),

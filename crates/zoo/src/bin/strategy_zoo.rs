@@ -44,7 +44,7 @@ use std::fmt::Write as _;
 
 use seleth_bench::json_f64;
 use seleth_bench::report::{gate_tolerance, Trace};
-use seleth_mdp::{MdpConfig, PolicyTable, RewardModel};
+use seleth_mdp::{MdpConfig, RewardModel};
 use seleth_obs::{Stopwatch, Telemetry};
 use seleth_sim::pools;
 use seleth_zoo::{
@@ -78,13 +78,6 @@ const POINTS: &[Point] = &[
         gamma: 0.5,
     },
 ];
-
-/// Load a committed artifact, or solve and save it when absent (fresh
-/// checkouts stay self-contained) — the shared bin helper; every grid
-/// point is a Bitcoin-model artifact.
-fn load_or_solve(name: &str, alpha: f64, gamma: f64, max_len: u32) -> PolicyTable {
-    seleth_bench::load_or_solve_policy(name, alpha, gamma, RewardModel::Bitcoin, max_len)
-}
 
 /// Grid metadata parallel to the tournament's cell list.
 struct Meta {
@@ -127,7 +120,13 @@ fn main() {
             .iter()
             .map(|&f| (f, registry.register_family(f, p.alpha, p.gamma, zoo_len)))
             .collect();
-        let artifact = load_or_solve(p.artifact, p.alpha, p.gamma, mdp_len);
+        let artifact = seleth_bench::load_or_solve_policy(
+            p.artifact,
+            p.alpha,
+            p.gamma,
+            RewardModel::Bitcoin,
+            mdp_len,
+        );
         let art_idx = registry.register_artifact(p.artifact, artifact);
         lineups.push((fam_idx, art_idx));
     }

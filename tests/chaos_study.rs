@@ -21,35 +21,14 @@
 //! its cheapest cells must recompute bit for bit at their committed
 //! settings.
 
-use std::path::PathBuf;
-
 use proptest::prelude::*;
 
 use selfish_ethereum::prelude::*;
 
-use seleth_obs::{par_map, parse_json, JsonValue};
+use seleth_obs::{par_map, JsonValue};
 
-/// The classic SM1 table the delay-study gates replay:
-/// `seleth_mdp::rules::sm1` without the progressive reveal, so it holds
-/// a lead of two or more.
-fn sm1(alpha: f64, gamma: f64, max_len: u32) -> PolicyTable {
-    let (bitcoin, regular) = (RewardModel::Bitcoin, Scenario::RegularRate);
-    PolicyTable::from_fn3(
-        alpha,
-        gamma,
-        bitcoin,
-        regular,
-        max_len,
-        alpha,
-        |a, h, fork| {
-            if a > h + 1 {
-                Action::Wait
-            } else {
-                seleth_mdp::rules::sm1(a, h, fork)
-            }
-        },
-    )
-}
+mod common;
+use common::{array_field, committed_json, f64_field, load_artifact, sm1, str_field};
 
 // ---------------------------------------------------------------------
 // 3. Zero-fault bit identity
@@ -289,27 +268,6 @@ proptest! {
 // Committed-artifact gate: results/chaos_study.json
 // ---------------------------------------------------------------------
 
-/// The numeric field `key` of the JSON object `node`.
-fn f64_field(node: &JsonValue, key: &str) -> f64 {
-    node.get(key)
-        .and_then(JsonValue::as_f64)
-        .unwrap_or_else(|| panic!("numeric field {key} present"))
-}
-
-/// The string field `key` of the JSON object `node`.
-fn str_field<'a>(node: &'a JsonValue, key: &str) -> &'a str {
-    node.get(key)
-        .and_then(JsonValue::as_str)
-        .unwrap_or_else(|| panic!("string field {key} present"))
-}
-
-/// The array field `key` of the JSON object `node`.
-fn array_field<'a>(node: &'a JsonValue, key: &str) -> &'a [JsonValue] {
-    node.get(key)
-        .and_then(JsonValue::as_array)
-        .unwrap_or_else(|| panic!("array field {key} present"))
-}
-
 /// The committed chaos study must be coherent: well-formed header, every
 /// series carries the zero-delay anchor cell plus a grid of fault cells
 /// with finite statistics, and every *gated* series reproduces its
@@ -318,9 +276,7 @@ fn array_field<'a>(node: &'a JsonValue, key: &str) -> &'a [JsonValue] {
 /// actually in the repository.
 #[test]
 fn committed_chaos_study_is_coherent_and_anchored() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results/chaos_study.json");
-    let text = std::fs::read_to_string(&path).expect("committed results/chaos_study.json");
-    let doc = parse_json(&text).expect("results/chaos_study.json parses");
+    let doc = committed_json("chaos_study.json");
     assert_eq!(
         str_field(&doc, "kind"),
         "seleth-chaos-study",
@@ -439,12 +395,8 @@ fn recompute_committed_cell(doc: &JsonValue, strategy: &str, table: &PolicyTable
 /// stale on that change once).
 #[test]
 fn committed_chaos_study_recomputes_bit_for_bit() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let text = std::fs::read_to_string(root.join("results/chaos_study.json"))
-        .expect("committed results/chaos_study.json");
-    let doc = parse_json(&text).expect("results/chaos_study.json parses");
-    let artifact = PolicyTable::load(&root.join("results/policies/bitcoin_a040_g050.json"))
-        .expect("committed artifact");
+    let doc = committed_json("chaos_study.json");
+    let artifact = load_artifact("bitcoin_a040_g050.json");
     recompute_committed_cell(&doc, "bitcoin_a040_g050", &artifact, "anchor_delay0");
     // Family tables are lowered at the study's default truncation
     // (`SELETH_MDP_LEN`, 30).

@@ -19,45 +19,15 @@
 //!    delay-aware artifact bit-for-bit identically to the fault-free
 //!    configuration path.
 
-use std::path::Path;
-
 use selfish_ethereum::prelude::*;
 
 use seleth_bench::mean_stderr;
 
+mod common;
+use common::{delay_playback, load_artifact, PLAYBACK_INTERVAL, PLAYBACK_SEED};
+
 const RUNS: u64 = 8;
 const BLOCKS: u64 = 30_000;
-const SEED: u64 = 31_337;
-/// Mean block interval used by the closed-loop study (seconds).
-const INTERVAL: f64 = 13.0;
-
-fn load_artifact(name: &str) -> PolicyTable {
-    let path = Path::new("results/policies").join(name);
-    PolicyTable::load(&path).unwrap_or_else(|e| panic!("committed artifact {name}: {e}"))
-}
-
-/// Replay `table` in the duopoly delay simulator at `delay` seconds —
-/// the closed-loop study's world, pinned seeds included.
-fn delay_playback(table: &PolicyTable, delay: f64, runs: u64, blocks: u64) -> Vec<f64> {
-    let config = DelayConfig::builder()
-        .shares(vec![table.alpha(), 1.0 - table.alpha()])
-        .policy(0, table.clone())
-        .tie_gamma(table.gamma())
-        .delay(delay)
-        .interval(INTERVAL)
-        .schedule(RewardSchedule::bitcoin())
-        .blocks(blocks)
-        .seed(SEED)
-        .build()
-        .expect("valid delay config");
-    (0..runs)
-        .map(|k| {
-            DelaySimulation::new(config.with_seed(SEED + k))
-                .run()
-                .revenue_share(0)
-        })
-        .collect()
-}
 
 /// The dominance gate shared by both design-delay tests: aware vs
 /// baseline at `delay` seconds, 3σ-or-1% tolerance plus the strict
@@ -101,7 +71,11 @@ fn aware_artifacts_carry_their_race_window_metadata() {
         ("bitcoin_a040_g050_d12.json", 12.0),
     ] {
         let aware = load_artifact(name);
-        assert_eq!(aware.delay(), seconds / INTERVAL, "{name} delay ratio");
+        assert_eq!(
+            aware.delay(),
+            seconds / PLAYBACK_INTERVAL,
+            "{name} delay ratio"
+        );
         assert_eq!(aware.max_len(), 200, "{name} truncation");
         assert_eq!(aware.alpha(), base.alpha());
         assert_eq!(aware.gamma(), base.gamma());
@@ -127,10 +101,10 @@ fn fault_free_plans_replay_aware_artifacts_bit_identically() {
         .policy(0, aware.clone())
         .tie_gamma(aware.gamma())
         .delay(6.0)
-        .interval(INTERVAL)
+        .interval(PLAYBACK_INTERVAL)
         .schedule(RewardSchedule::bitcoin())
         .blocks(20_000)
-        .seed(SEED)
+        .seed(PLAYBACK_SEED)
         .build()
         .expect("valid delay config");
     let none_config = DelayConfig::builder()
@@ -138,10 +112,10 @@ fn fault_free_plans_replay_aware_artifacts_bit_identically() {
         .policy(0, aware.clone())
         .tie_gamma(aware.gamma())
         .delay(6.0)
-        .interval(INTERVAL)
+        .interval(PLAYBACK_INTERVAL)
         .schedule(RewardSchedule::bitcoin())
         .blocks(20_000)
-        .seed(SEED)
+        .seed(PLAYBACK_SEED)
         .faults(FaultPlan::none())
         .build()
         .expect("valid delay config");

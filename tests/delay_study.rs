@@ -10,42 +10,15 @@
 //! the two simulators beyond the artifact and the reward accounting, so
 //! agreement validates the delay engine's strategic event loop end to end.
 
-use std::path::Path;
-
 use selfish_ethereum::prelude::*;
 
 use seleth_bench::mean_stderr;
 
+mod common;
+use common::{delay_playback, load_artifact, PLAYBACK_SEED};
+
 const RUNS: u64 = 8;
 const BLOCKS: u64 = 30_000;
-const SEED: u64 = 31_337;
-
-fn load_artifact(name: &str) -> PolicyTable {
-    let path = Path::new("results/policies").join(name);
-    PolicyTable::load(&path).unwrap_or_else(|e| panic!("committed artifact {name}: {e}"))
-}
-
-/// Replay `table` in the delay simulator: a two-miner world (strategist
-/// vs one honest pool), Bitcoin schedule, `runs` seeds.
-fn delay_playback(table: &PolicyTable, delay: f64, runs: u64, blocks: u64) -> Vec<f64> {
-    let config = DelayConfig::builder()
-        .shares(vec![table.alpha(), 1.0 - table.alpha()])
-        .policy(0, table.clone())
-        .tie_gamma(table.gamma())
-        .delay(delay)
-        .schedule(RewardSchedule::bitcoin())
-        .blocks(blocks)
-        .seed(SEED)
-        .build()
-        .expect("valid delay config");
-    (0..runs)
-        .map(|k| {
-            DelaySimulation::new(config.with_seed(SEED + k))
-                .run()
-                .revenue_share(0)
-        })
-        .collect()
-}
 
 #[test]
 fn zero_delay_strategic_run_reproduces_rho_star_below_threshold() {
@@ -97,7 +70,7 @@ fn zero_delay_strategic_run_matches_engine_playback() {
         .schedule(RewardSchedule::bitcoin())
         .blocks(BLOCKS)
         .n_honest(1)
-        .seed(SEED)
+        .seed(PLAYBACK_SEED)
         .policy(table)
         .build()
         .expect("valid engine config");

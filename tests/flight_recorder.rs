@@ -26,6 +26,9 @@ use selfish_ethereum::prelude::*;
 use seleth_obs::par_map;
 use seleth_sim::diagnose::capacity_for;
 
+mod common;
+use common::{committed_json, f64_field};
+
 // ---------------------------------------------------------------------
 // 1. Recording is bit-neutral
 // ---------------------------------------------------------------------
@@ -394,13 +397,8 @@ fn committed_bench_gates_row_gates_every_metric() {
 /// the same way `tests/telemetry.rs` pins the no-op overhead gate.
 #[test]
 fn committed_bench_certifies_the_disabled_recorder_gate() {
-    let text = std::fs::read_to_string("results/BENCH_gates.json")
-        .expect("committed results/BENCH_gates.json");
-    let doc = seleth_obs::parse_json(&text).expect("BENCH_gates.json parses");
-    let ratio = doc
-        .get("recorder_disabled_ratio")
-        .and_then(seleth_obs::JsonValue::as_f64)
-        .expect("recorder_disabled_ratio field");
+    let doc = committed_json("BENCH_gates.json");
+    let ratio = f64_field(&doc, "recorder_disabled_ratio");
     assert!(
         ratio >= 0.95,
         "committed disabled-recorder ratio {ratio} below the 0.95 gate"

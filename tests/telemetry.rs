@@ -5,7 +5,8 @@
 
 use selfish_ethereum::prelude::*;
 
-use seleth_obs::parse_json;
+mod common;
+use common::{array_field, committed_json, f64_field};
 
 /// A fixed-seed faulty delay run: every fault counter is exercised, so a
 /// partition-invariance bug in the merge has something to corrupt.
@@ -116,23 +117,15 @@ fn committed_bench_certifies_the_noop_overhead_gate() {
     // certify the overhead contract (the bin itself exits non-zero below
     // 0.95 — the tightest bound same-code host jitter can certify — and
     // this pins the committed state).
-    let text = std::fs::read_to_string("results/BENCH_gates.json")
-        .expect("committed results/BENCH_gates.json");
-    let doc = parse_json(&text).expect("BENCH_gates.json parses");
-    let ratio = doc
-        .get("noop_overhead_ratio")
-        .and_then(seleth_obs::JsonValue::as_f64)
-        .expect("noop_overhead_ratio field");
+    let doc = committed_json("BENCH_gates.json");
+    let ratio = f64_field(&doc, "noop_overhead_ratio");
     assert!(
         ratio >= 0.95,
         "committed no-op overhead ratio {ratio} below the 0.95 gate"
     );
     // And the scaling study must carry per-worker utilization.
     for key in ["run_many_t1_workers", "run_many_t8_workers"] {
-        let workers = doc
-            .get(key)
-            .and_then(seleth_obs::JsonValue::as_array)
-            .unwrap_or_else(|| panic!("{key} array"));
+        let workers = array_field(&doc, key);
         assert!(!workers.is_empty(), "{key} must list workers");
         let w0 = &workers[0];
         for field in [

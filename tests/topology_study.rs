@@ -18,39 +18,19 @@
 //!    same hex anchors `tests/chaos_study.rs` pins, so the gossip path
 //!    cannot drift from the engine it generalizes.
 //!
-//! Plus the committed-artifact gate: `results/topology_study.json` must
-//! be coherent, its complete-graph cells bit-equal to uniform, and its
-//! hub-vs-leaf attacker spread positive at fixed mean latency.
-
-use std::path::PathBuf;
+//! Plus the committed-artifact gates: `results/topology_study.json` must
+//! be coherent, its complete-graph cells bit-equal to uniform, its
+//! hub-vs-leaf attacker spread positive at fixed mean latency, and its
+//! anchor cells must recompute bit for bit at their committed settings.
 
 use proptest::prelude::*;
 
 use selfish_ethereum::prelude::*;
 
-use seleth_obs::{par_map, parse_json, JsonValue};
+use seleth_obs::{par_map, JsonValue};
 
-/// The classic SM1 table the delay-study and chaos gates replay:
-/// `seleth_mdp::rules::sm1` without the progressive reveal, so it holds
-/// a lead of two or more.
-fn sm1(alpha: f64, gamma: f64, max_len: u32) -> PolicyTable {
-    let (bitcoin, regular) = (RewardModel::Bitcoin, Scenario::RegularRate);
-    PolicyTable::from_fn3(
-        alpha,
-        gamma,
-        bitcoin,
-        regular,
-        max_len,
-        alpha,
-        |a, h, fork| {
-            if a > h + 1 {
-                Action::Wait
-            } else {
-                seleth_mdp::rules::sm1(a, h, fork)
-            }
-        },
-    )
-}
+mod common;
+use common::{array_field, committed_json, f64_field, load_artifact, sm1, str_field};
 
 // ---------------------------------------------------------------------
 // 4. Complete-graph/uniform bit identity against the pinned anchors
@@ -341,27 +321,6 @@ proptest! {
 // Committed-artifact gate: results/topology_study.json
 // ---------------------------------------------------------------------
 
-/// The numeric field `key` of the JSON object `node`.
-fn f64_field(node: &JsonValue, key: &str) -> f64 {
-    node.get(key)
-        .and_then(JsonValue::as_f64)
-        .unwrap_or_else(|| panic!("numeric field {key} present"))
-}
-
-/// The string field `key` of the JSON object `node`.
-fn str_field<'a>(node: &'a JsonValue, key: &str) -> &'a str {
-    node.get(key)
-        .and_then(JsonValue::as_str)
-        .unwrap_or_else(|| panic!("string field {key} present"))
-}
-
-/// The array field `key` of the JSON object `node`.
-fn array_field<'a>(node: &'a JsonValue, key: &str) -> &'a [JsonValue] {
-    node.get(key)
-        .and_then(JsonValue::as_array)
-        .unwrap_or_else(|| panic!("array field {key} present"))
-}
-
 /// The committed topology study must be coherent: well-formed header,
 /// every gate bit-identical and with a positive hub-vs-leaf spread, and
 /// every swept cell carrying finite statistics at the fixed mean
@@ -370,9 +329,7 @@ fn array_field<'a>(node: &'a JsonValue, key: &str) -> &'a [JsonValue] {
 /// repository.
 #[test]
 fn committed_topology_study_is_coherent_and_gated() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results/topology_study.json");
-    let text = std::fs::read_to_string(&path).expect("committed results/topology_study.json");
-    let doc = parse_json(&text).expect("results/topology_study.json parses");
+    let doc = committed_json("topology_study.json");
     assert_eq!(
         str_field(&doc, "kind"),
         "seleth-topology-study",
@@ -433,4 +390,69 @@ fn committed_topology_study_is_coherent_and_gated() {
         }
     }
     assert!(relay_seen, "the relay-shortcut shape is part of the sweep");
+}
+
+/// The committed topology study must be what `topology_study` writes: the
+/// `uniform` and `complete` cells of the solved artifact's 4-miner split
+/// recompute bit for bit at the study's committed runs, blocks, seed,
+/// interval and mean latency. No other test replays a topology-study cell,
+/// so without this gate a behaviour change could leave the file stale.
+#[test]
+fn committed_topology_study_recomputes_bit_for_bit() {
+    let doc = committed_json("topology_study.json");
+    let artifact = load_artifact("bitcoin_a040_g050.json");
+    let series = array_field(&doc, "series")
+        .iter()
+        .find(|s| {
+            str_field(s, "strategy") == "bitcoin_a040_g050" && str_field(s, "split") == "quad"
+        })
+        .expect("bitcoin_a040_g050 quad series");
+    let alpha = f64_field(series, "alpha");
+    let rest = (1.0 - alpha) / 3.0;
+    let delay = f64_field(&doc, "mean_latency");
+    for (shape, topology) in [
+        ("uniform", None),
+        (
+            "complete",
+            Some(Topology::complete(4, delay).expect("valid")),
+        ),
+    ] {
+        let cell = array_field(series, "cells")
+            .iter()
+            .find(|c| str_field(c, "shape") == shape)
+            .unwrap_or_else(|| panic!("{shape} cell"));
+        let outcome =
+            seleth_bench::report::replay_revenue(f64_field(&doc, "runs") as u64, 1, |k| {
+                let mut b = DelayConfig::builder();
+                b.shares(vec![alpha, rest, rest, rest])
+                    .policy(0, artifact.clone())
+                    .tie_gamma(f64_field(series, "gamma"))
+                    .delay(delay)
+                    .interval(f64_field(&doc, "interval"))
+                    .schedule(RewardSchedule::bitcoin())
+                    .blocks(f64_field(&doc, "blocks") as u64)
+                    .seed(f64_field(&doc, "seed") as u64 + k);
+                if let Some(t) = &topology {
+                    b.topology(t.clone());
+                }
+                b.build().expect("valid topology config")
+            });
+        let bits = format!("0x{:016x}", outcome.mean().to_bits());
+        assert_eq!(
+            bits,
+            str_field(cell, "revenue_bits"),
+            "{shape} revenue_bits"
+        );
+        for (key, got) in [
+            ("std_err", outcome.std_err()),
+            ("orphan_rate", outcome.orphan_rate),
+        ] {
+            let want = f64_field(cell, key);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{shape} {key}: {got} vs {want}"
+            );
+        }
+    }
 }

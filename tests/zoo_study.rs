@@ -18,12 +18,13 @@
 //! `results/zoo_study.json` recomputes bit for bit at its committed
 //! settings.
 
-use std::path::{Path, PathBuf};
-
 use selfish_ethereum::prelude::*;
 
 use seleth_bench::mean_stderr;
-use seleth_obs::{parse_json, JsonValue};
+use seleth_obs::JsonValue;
+
+mod common;
+use common::{array_field, committed_json, f64_field, load_artifact};
 
 const SEED: u64 = 424_242;
 
@@ -79,8 +80,7 @@ fn optimal_artifact_dominates_every_family_at_its_own_point() {
     // The acceptance bar: at (α = 0.40, γ = 0.5), zero-delay duopoly, the
     // committed solved artifact must earn at least as much as every
     // hand-written family, within combined Monte-Carlo noise.
-    let artifact = PolicyTable::load(Path::new("results/policies/bitcoin_a040_g050.json"))
-        .expect("committed artifact");
+    let artifact = load_artifact("bitcoin_a040_g050.json");
     let (alpha, gamma) = (artifact.alpha(), artifact.gamma());
 
     let mut registry = StrategyRegistry::new();
@@ -193,13 +193,6 @@ fn matchup_cells_field_two_strategists_deterministically() {
     assert!(cell.orphan_rate > 0.0, "rival withholding orphans blocks");
 }
 
-/// The numeric field `key` of the JSON object `node`.
-fn f64_field(node: &JsonValue, key: &str) -> f64 {
-    node.get(key)
-        .and_then(JsonValue::as_f64)
-        .unwrap_or_else(|| panic!("numeric field {key} present"))
-}
-
 /// Recompute the committed zero-fault duopoly cell of `family` at `point`
 /// and `delay` at the study's committed runs, blocks, interval and family
 /// truncation, and compare its statistics with the committed ones bit for
@@ -207,10 +200,7 @@ fn f64_field(node: &JsonValue, key: &str) -> f64 {
 fn recompute_committed_cell(doc: &JsonValue, point: &str, family: Family, delay: f64) {
     /// The tournament seed of `strategy_zoo` (not recorded in the file).
     const STUDY_SEED: u64 = 90_210;
-    let (cell, committed) = doc
-        .get("cells")
-        .and_then(JsonValue::as_array)
-        .expect("cells array")
+    let (cell, committed) = array_field(doc, "cells")
         .iter()
         .filter(|c| c.get("point").and_then(JsonValue::as_str) == Some(point))
         .filter(|c| c.get("split").and_then(JsonValue::as_str) == Some("duopoly"))
@@ -271,9 +261,7 @@ fn recompute_committed_cell(doc: &JsonValue, point: &str, family: Family, delay:
 /// (the file went stale on that change once).
 #[test]
 fn committed_zoo_study_recomputes_bit_for_bit() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results/zoo_study.json");
-    let text = std::fs::read_to_string(&path).expect("committed results/zoo_study.json");
-    let doc = parse_json(&text).expect("results/zoo_study.json parses");
+    let doc = committed_json("zoo_study.json");
     recompute_committed_cell(&doc, "bitcoin_a020_g050", Family::Honest, 0.0);
     recompute_committed_cell(&doc, "bitcoin_a040_g050", Family::Sm1, 2.0);
 }

@@ -52,53 +52,56 @@ echo "==> optimal_sim agreement gate (fast settings)"
 SELETH_RESULTS="$(mktemp -d)" SELETH_RUNS=4 SELETH_BLOCKS=20000 SELETH_MDP_LEN=24 \
     cargo run --release -q --offline --locked -p seleth-bench --bin optimal_sim
 
+# The five delay-study smoke gates write into one scratch dir, which the
+# perf_report gate below then renders: every fresh study JSON (and the
+# chaos trace) must flow through the profiler end to end. The committed
+# artifacts are read via SELETH_POLICIES.
+STUDY_SCRATCH="$(mktemp -d)"
+
 echo "==> optimal_delay smoke gate (strategic delay path)"
 # Replays a committed artifact through the strategic delay engine: one
-# Bitcoin point, two delays, small budgets. Output goes to a scratch dir;
-# the committed artifacts are read via SELETH_POLICIES.
-SELETH_RESULTS="$(mktemp -d)" SELETH_POLICIES=results/policies \
+# Bitcoin point, two delays, small budgets.
+SELETH_RESULTS="$STUDY_SCRATCH" SELETH_POLICIES=results/policies \
     cargo run --release -q --offline --locked -p seleth-bench --bin optimal_delay -- --smoke
 
 echo "==> optimal_closed_loop smoke gate (race-window artifacts vs the zero-delay optimum)"
 # Replays the committed truncation-200 delay-aware artifact against the
 # zero-delay baseline at its design delay, small budgets, loosened
-# tolerance. Reads committed artifacts (no solving in CI); output goes to
-# a scratch dir.
-SELETH_RESULTS="$(mktemp -d)" SELETH_POLICIES=results/policies \
+# tolerance. Reads committed artifacts (no solving in CI).
+SELETH_RESULTS="$STUDY_SCRATCH" SELETH_POLICIES=results/policies \
     cargo run --release -q --offline --locked -p seleth-bench --bin optimal_closed_loop -- --smoke
 
 echo "==> strategy_zoo smoke gate (zoo tournament + multi-strategist matchups)"
 # One (α, γ) point, duopoly split, two delays, one matchup cell, small
 # budgets; gates SM1 against its closed form and the optimal artifact
 # against every hand-written family.
-SELETH_RESULTS="$(mktemp -d)" SELETH_POLICIES=results/policies \
+SELETH_RESULTS="$STUDY_SCRATCH" SELETH_POLICIES=results/policies \
     cargo run --release -q --offline --locked -p seleth-zoo --bin strategy_zoo -- --smoke
 
 echo "==> chaos_study smoke gate (deterministic fault injection)"
 # Zero-delay anchor plus a handful of fault cells (loss, churn +
 # partition) under small budgets; gates the anchor against the
-# artifact's rho*. Output goes to a scratch dir, which the perf_report
-# gate below then renders: a fresh study JSON (with trace) must flow
-# through the profiler end to end.
-CHAOS_SCRATCH="$(mktemp -d)"
-SELETH_RESULTS="$CHAOS_SCRATCH" SELETH_POLICIES=results/policies \
+# artifact's rho*, and records a trace.
+SELETH_RESULTS="$STUDY_SCRATCH" SELETH_POLICIES=results/policies \
     cargo run --release -q --offline --locked -p seleth-zoo --bin chaos_study -- --smoke \
-    --trace "$CHAOS_SCRATCH/chaos_trace.jsonl"
+    --trace "$STUDY_SCRATCH/chaos_trace.jsonl"
 
 echo "==> topology_study smoke gate (peer-graph gossip propagation)"
 # Uniform anchor, the bit-identity-gated complete graph, and the
 # hub/leaf attacker-position pair under small budgets; gates the
 # complete graph bitwise against the uniform engine and the positional
 # revenue spread against the smoke noise floor.
-SELETH_RESULTS="$(mktemp -d)" SELETH_POLICIES=results/policies \
+SELETH_RESULTS="$STUDY_SCRATCH" SELETH_POLICIES=results/policies \
     cargo run --release -q --offline --locked -p seleth-zoo --bin topology_study -- --smoke
 
 echo "==> perf_report smoke gate (telemetry renders end to end)"
-# The fresh smoke output and every committed study JSON must render;
-# the trace file must be non-empty JSON lines.
+# All five fresh smoke outputs (each telemetry block written by the one
+# study driver) and every committed study JSON must render; the trace
+# file must be non-empty JSON lines.
 cargo run --release -q --offline --locked -p seleth-bench --bin perf_report -- \
-    "$CHAOS_SCRATCH/chaos_study_smoke.json" > /dev/null
-test -s "$CHAOS_SCRATCH/chaos_trace.jsonl"
+    "$STUDY_SCRATCH"/{delay_study,optimal_closed_loop,zoo_study,chaos_study,topology_study}_smoke.json \
+    > /dev/null
+test -s "$STUDY_SCRATCH/chaos_trace.jsonl"
 SELETH_RESULTS=results \
     cargo run --release -q --offline --locked -p seleth-bench --bin perf_report > /dev/null
 

@@ -34,14 +34,11 @@
 //! loosened tolerance (the committed artifacts are read via
 //! `SELETH_POLICIES`, so no solve happens in CI).
 
-use std::fmt::Write as _;
+use std::sync::Arc;
 
 use seleth_bench::json_f64;
-use seleth_bench::report::{gate_tolerance, replay_revenue, Trace};
-use seleth_chain::RewardSchedule;
+use seleth_bench::report::{json_block, ReplayCell, Study};
 use seleth_mdp::{PolicyTable, RewardModel};
-use seleth_obs::{par_map_traced, Recorder, Stopwatch, Telemetry, TelemetryShard};
-use seleth_sim::delay::DelayConfig;
 
 /// Mean block interval for every run (Ethereum-like, seconds).
 const INTERVAL: f64 = 13.0;
@@ -72,75 +69,20 @@ const AWARE: &[AwareSpec] = &[
     },
 ];
 
-struct Point {
-    delay: f64,
-    mean: f64,
-    std_err: f64,
-    orphan_rate: f64,
-}
-
-/// Replay `table` in the duopoly delay simulator at one delay, through
-/// the shared replay loop. The run's deterministic engine counters are
-/// folded into the worker's telemetry shard.
-fn eval_point(
-    table: &PolicyTable,
-    delay: f64,
-    runs: u64,
-    blocks: u64,
-    shard: &mut TelemetryShard,
-) -> Point {
-    let config = DelayConfig::builder()
-        .shares(vec![ALPHA, 1.0 - ALPHA])
-        .policy(0, table.clone())
-        .tie_gamma(GAMMA)
-        .delay(delay)
-        .interval(INTERVAL)
-        .schedule(RewardSchedule::bitcoin())
-        .blocks(blocks)
-        .seed(SEED)
-        .build()
-        .expect("valid delay config");
-    let outcome = replay_revenue(runs, 1, |k| config.with_seed(SEED + k));
-    outcome.counters.record_into(shard);
-    shard.add("study.runs", runs);
-    Point {
-        delay,
-        mean: outcome.mean(),
-        std_err: outcome.std_err(),
-        orphan_rate: outcome.orphan_rate,
-    }
-}
-
-/// One table replayed over the delay sweep, sweep points in parallel
-/// through the shared work-queue helper (bit-identical for every thread
-/// count). Returns the points plus the workers' telemetry shards.
-fn sweep_table(
-    table: &PolicyTable,
-    delays: &[f64],
-    runs: u64,
-    blocks: u64,
-    recorder: &dyn Recorder,
-) -> (Vec<Point>, Vec<TelemetryShard>) {
-    par_map_traced(delays, 0, recorder, |&delay, _: &mut (), shard| {
-        eval_point(table, delay, runs, blocks, shard)
-    })
-}
-
-fn point_at(points: &[Point], delay: f64) -> &Point {
-    points
+/// `table` in the duopoly the artifacts were solved for, one cell per
+/// delay.
+fn duopoly_cells(table: &Arc<PolicyTable>, delays: &[f64]) -> Vec<ReplayCell> {
+    delays
         .iter()
-        .find(|p| p.delay == delay)
-        .expect("sweep covers the gated delay")
+        .map(|&d| ReplayCell::new(vec![Arc::clone(table)], vec![ALPHA, 1.0 - ALPHA], GAMMA, d))
+        .collect()
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let trace = Trace::from_args();
-    let recorder = trace.recorder();
-    let wall = Stopwatch::start();
-    let mut telemetry = Telemetry::new();
-    let runs = seleth_bench::env_u64("SELETH_RUNS", if smoke { 3 } else { 8 });
-    let blocks = seleth_bench::env_u64("SELETH_BLOCKS", if smoke { 10_000 } else { 30_000 });
+    let mut study = Study::from_args("optimal_closed_loop");
+    let smoke = study.smoke();
+    let replay = study.replay(INTERVAL, SEED, [3, 8], [10_000, 30_000]);
+    let (runs, blocks) = (replay.runs, replay.blocks);
     let aware_len = u32::try_from(seleth_bench::env_u64("SELETH_MDP_LEN", 200)).unwrap_or(200);
     let specs: &[AwareSpec] = if smoke { &AWARE[..1] } else { AWARE };
 
@@ -150,90 +92,77 @@ fn main() {
         if smoke { ", SMOKE" } else { "" }
     );
 
-    let load = Stopwatch::start();
-    let base =
-        seleth_bench::load_or_solve_policy(BASE_NAME, ALPHA, GAMMA, RewardModel::Bitcoin, BASE_LEN);
-    telemetry.add_phase("load_policies", load.elapsed_ns());
+    let base = Arc::new(study.phase("load_policies", || {
+        seleth_bench::load_or_solve_policy(BASE_NAME, ALPHA, GAMMA, RewardModel::Bitcoin, BASE_LEN)
+    }));
     let delays: Vec<f64> = if smoke {
         vec![specs[0].delay_seconds]
     } else {
         vec![0.0, 6.0, 12.0]
     };
-    let sweep = Stopwatch::start();
-    let (base_points, shards) = sweep_table(&base, &delays, runs, blocks, recorder);
-    telemetry.add_phase("sweep", sweep.elapsed_ns());
-    for shard in &shards {
-        telemetry.fold_shard(shard);
-    }
+    let base_points = study.sweep(&replay, &duopoly_cells(&base, &delays));
 
     println!(
         "{:>24} {:>9} {:>8} {:>10} {:>9} {:>10} {:>8}",
         "artifact", "delay[s]", "rho_mdp", "us_delay", "std_err", "vs_base", "orphans"
     );
-    for p in &base_points {
+    for (&delay, p) in delays.iter().zip(&base_points) {
         println!(
             "{:>24} {:>9.1} {:>8.5} {:>10.5} {:>9.5} {:>10} {:>8.4}",
             BASE_NAME,
-            p.delay,
+            delay,
             base.predicted_revenue(),
-            p.mean,
-            p.std_err,
+            p.mean(),
+            p.std_err(),
             "-",
             p.orphan_rate
         );
     }
 
-    let mut failed = false;
     let mut series_json = Vec::new();
     for spec in specs {
-        let load = Stopwatch::start();
-        let aware = seleth_bench::load_or_solve_policy_delay(
-            spec.name,
-            ALPHA,
-            GAMMA,
-            RewardModel::Bitcoin,
-            aware_len,
-            spec.delay_seconds / INTERVAL,
-        );
-        telemetry.add_phase("load_policies", load.elapsed_ns());
-        let sweep = Stopwatch::start();
-        let (points, shards) = sweep_table(&aware, &delays, runs, blocks, recorder);
-        telemetry.add_phase("sweep", sweep.elapsed_ns());
-        for shard in &shards {
-            telemetry.fold_shard(shard);
-        }
-        for p in &points {
-            let b = point_at(&base_points, p.delay);
+        let aware = Arc::new(study.phase("load_policies", || {
+            seleth_bench::load_or_solve_policy_delay(
+                spec.name,
+                ALPHA,
+                GAMMA,
+                RewardModel::Bitcoin,
+                aware_len,
+                spec.delay_seconds / INTERVAL,
+            )
+        }));
+        let points = study.sweep(&replay, &duopoly_cells(&aware, &delays));
+        for ((&delay, p), b) in delays.iter().zip(&points).zip(&base_points) {
             println!(
                 "{:>24} {:>9.1} {:>8.5} {:>10.5} {:>9.5} {:>+10.5} {:>8.4}",
                 spec.name,
-                p.delay,
+                delay,
                 aware.predicted_revenue(),
-                p.mean,
-                p.std_err,
-                p.mean - b.mean,
+                p.mean(),
+                p.std_err(),
+                p.mean() - b.mean(),
                 p.orphan_rate
             );
         }
 
         // The acceptance gate: at its design delay, the aware artifact
         // must not trail the zero-delay baseline.
-        let a = point_at(&points, spec.delay_seconds);
-        let b = point_at(&base_points, spec.delay_seconds);
-        let combined_err = a.std_err.hypot(b.std_err);
-        let tolerance = gate_tolerance(smoke, combined_err);
-        if a.mean < b.mean - tolerance {
-            eprintln!(
-                "FAIL {}: {:.5} at {}s trails the zero-delay baseline {:.5} \
+        let design = delays.iter().position(|&d| d == spec.delay_seconds);
+        let design = design.expect("sweep covers the gated delay");
+        let (a, b) = (&points[design], &base_points[design]);
+        let tolerance = study.tolerance(a.std_err().hypot(b.std_err()));
+        if a.mean() < b.mean() - tolerance {
+            study.fail(&format!(
+                "{}: {:.5} at {}s trails the zero-delay baseline {:.5} \
                  beyond tolerance {tolerance:.5}",
-                spec.name, a.mean, spec.delay_seconds, b.mean
-            );
-            failed = true;
+                spec.name,
+                a.mean(),
+                spec.delay_seconds,
+                b.mean()
+            ));
         }
 
-        let mut s = String::new();
-        let _ = write!(
-            s,
+        let head = format!(
             "    {{\n      \"artifact\": \"{}\",\n      \"baseline\": \"{BASE_NAME}\",\n      \
              \"alpha\": {},\n      \"gamma\": {},\n      \"delay_ratio\": {},\n      \
              \"design_delay\": {},\n      \"rho_star\": {},\n      \
@@ -247,59 +176,42 @@ fn main() {
             json_f64(base.predicted_revenue()),
             aware.max_len(),
         );
-        let point_lines: Vec<String> = points
+        let rows = delays
             .iter()
-            .map(|p| {
-                let b = point_at(&base_points, p.delay);
+            .zip(&points)
+            .zip(&base_points)
+            .map(|((&delay, p), b)| {
                 format!(
                     "        {{\"delay\": {}, \"revenue\": {}, \"std_err\": {}, \
                      \"baseline_revenue\": {}, \"baseline_std_err\": {}, \
                      \"vs_baseline\": {}, \"orphan_rate\": {}}}",
-                    json_f64(p.delay),
-                    json_f64(p.mean),
-                    json_f64(p.std_err),
-                    json_f64(b.mean),
-                    json_f64(b.std_err),
-                    json_f64(p.mean - b.mean),
+                    json_f64(delay),
+                    json_f64(p.mean()),
+                    json_f64(p.std_err()),
+                    json_f64(b.mean()),
+                    json_f64(b.std_err()),
+                    json_f64(p.mean() - b.mean()),
                     json_f64(p.orphan_rate)
                 )
-            })
-            .collect();
-        s.push_str(&point_lines.join(",\n"));
-        s.push_str("\n      ]\n    }");
-        series_json.push(s);
+            });
+        series_json.push(json_block(head, rows));
     }
 
-    telemetry.wall_ns = wall.elapsed_ns();
-    telemetry.stamp_host();
-    let json = format!(
-        "{{\n  \"kind\": \"seleth-closed-loop-study\",\n  \"format\": 1,\n  \
-         \"interval\": {},\n  \"runs\": {runs},\n  \"blocks\": {blocks},\n  \
-         \"series\": [\n{}\n  ],\n  \"telemetry\": {}\n}}\n",
+    let fields = format!(
+        "  \"interval\": {},\n  \"runs\": {runs},\n  \"blocks\": {blocks},\n  \
+         \"seed\": {SEED},\n  \"series\": [\n{}\n  ]",
         json_f64(INTERVAL),
         series_json.join(",\n"),
-        telemetry.to_json(2)
     );
-    let out_name = if smoke {
-        "optimal_closed_loop_smoke.json"
-    } else {
-        "optimal_closed_loop.json"
-    };
-    let path = seleth_bench::write_text(out_name, &json);
-
-    println!("\nReading: 'vs_base' is the aware artifact's measured revenue minus the");
-    println!("zero-delay optimum's at the same simulated delay. At the design delay the");
-    println!("gate below enforces the aware policy recovers (at least) the baseline;");
-    println!("at delay 0 the aware policy may trail — it prices in races that never");
-    println!("happen there.");
-    println!("wrote {}", path.display());
-    trace.finish();
-
-    if failed {
-        eprintln!(
-            "FAIL: a delay-aware artifact trails the zero-delay baseline at its design delay"
-        );
-        std::process::exit(1);
-    }
-    println!("all delay-aware artifacts hold their gate at their design delay");
+    study.finish(
+        "seleth-closed-loop-study",
+        &fields,
+        "Reading: 'vs_base' is the aware artifact's measured revenue minus the\n\
+         zero-delay optimum's at the same simulated delay. At the design delay the\n\
+         gate below enforces the aware policy recovers (at least) the baseline;\n\
+         at delay 0 the aware policy may trail — it prices in races that never\n\
+         happen there.",
+        "all delay-aware artifacts hold their gate at their design delay",
+        "a delay-aware artifact trails the zero-delay baseline at its design delay",
+    );
 }

@@ -34,14 +34,11 @@
 //! `--smoke` for the CI gate: one Bitcoin artifact, the duopoly split,
 //! two delay points, small budgets, loosened zero-delay tolerance.
 
-use std::fmt::Write as _;
+use std::sync::Arc;
 
-use seleth_bench::json_f64;
-use seleth_bench::report::{gate_tolerance, replay_revenue, Trace};
-use seleth_chain::RewardSchedule;
-use seleth_mdp::{PolicyTable, RewardModel};
-use seleth_obs::{par_map_traced, Recorder, Stopwatch, Telemetry, TelemetryShard};
-use seleth_sim::delay::DelayConfig;
+use seleth_bench::report::{json_block, ReplayCell, Study};
+use seleth_bench::{json_f64, json_f64_list};
+use seleth_mdp::RewardModel;
 use seleth_sim::pools;
 
 /// Mean block interval for every run (Ethereum-like, seconds).
@@ -89,79 +86,11 @@ const ARTIFACTS: &[Artifact] = &[
     },
 ];
 
-struct Point {
-    delay: f64,
-    mean: f64,
-    std_err: f64,
-    orphan_rate: f64,
-}
-
-/// One evaluated sweep point: an artifact replayed at one delay under a
-/// fixed share split, through the shared replay loop. The run's
-/// deterministic engine counters are folded into the worker's telemetry
-/// shard.
-fn eval_point(
-    table: &PolicyTable,
-    spec: &Artifact,
-    shares: &[f64],
-    delay: f64,
-    runs: u64,
-    blocks: u64,
-    shard: &mut TelemetryShard,
-) -> Point {
-    let schedule = match spec.rewards {
-        RewardModel::Bitcoin => RewardSchedule::bitcoin(),
-        RewardModel::EthereumApprox => RewardSchedule::ethereum(),
-    };
-    let config = DelayConfig::builder()
-        .shares(shares.to_vec())
-        .policy(0, table.clone())
-        .tie_gamma(spec.gamma)
-        .delay(delay)
-        .interval(INTERVAL)
-        .schedule(schedule)
-        .blocks(blocks)
-        .seed(SEED)
-        .build()
-        .expect("valid delay config");
-    let outcome = replay_revenue(runs, 1, |k| config.with_seed(SEED + k));
-    outcome.counters.record_into(shard);
-    shard.add("study.runs", runs);
-    Point {
-        delay,
-        mean: outcome.mean(),
-        std_err: outcome.std_err(),
-        orphan_rate: outcome.orphan_rate,
-    }
-}
-
-/// One degradation curve: an artifact replayed over the delay sweep under
-/// a fixed share split, sweep points in parallel through the shared
-/// work-queue helper (the same scheduler the zoo tournament uses; results
-/// are bit-identical for every thread count). Returns the points plus the
-/// workers' telemetry shards.
-fn sweep_series(
-    table: &PolicyTable,
-    spec: &Artifact,
-    shares: &[f64],
-    delays: &[f64],
-    runs: u64,
-    blocks: u64,
-    recorder: &dyn Recorder,
-) -> (Vec<Point>, Vec<TelemetryShard>) {
-    par_map_traced(delays, 0, recorder, |&delay, _: &mut (), shard| {
-        eval_point(table, spec, shares, delay, runs, blocks, shard)
-    })
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let trace = Trace::from_args();
-    let recorder = trace.recorder();
-    let wall = Stopwatch::start();
-    let mut telemetry = Telemetry::new();
-    let runs = seleth_bench::env_u64("SELETH_RUNS", if smoke { 3 } else { 6 });
-    let blocks = seleth_bench::env_u64("SELETH_BLOCKS", if smoke { 10_000 } else { 40_000 });
+    let mut study = Study::from_args("delay_study");
+    let smoke = study.smoke();
+    let replay = study.replay(INTERVAL, SEED, [3, 6], [10_000, 40_000]);
+    let (runs, blocks) = (replay.runs, replay.blocks);
     let max_len = u32::try_from(seleth_bench::env_u64("SELETH_MDP_LEN", 30)).unwrap_or(30);
     let delays: &[f64] = if smoke {
         &[0.0, 6.0]
@@ -180,18 +109,17 @@ fn main() {
         "artifact", "split", "delay[s]", "rho_mdp", "us_delay", "std_err", "vs_rho", "orphans"
     );
 
-    let mut failed = false;
     let mut series_json = Vec::new();
     for spec in artifacts {
-        let load = Stopwatch::start();
-        let table = seleth_bench::load_or_solve_policy(
-            spec.name,
-            spec.alpha,
-            spec.gamma,
-            spec.rewards,
-            max_len,
-        );
-        telemetry.add_phase("load_policies", load.elapsed_ns());
+        let table = Arc::new(study.phase("load_policies", || {
+            seleth_bench::load_or_solve_policy(
+                spec.name,
+                spec.alpha,
+                spec.gamma,
+                spec.rewards,
+                max_len,
+            )
+        }));
         let rho = table.predicted_revenue();
         let splits: &[(&str, Vec<f64>)] = &[
             ("duopoly", vec![spec.alpha, 1.0 - spec.alpha]),
@@ -200,23 +128,23 @@ fn main() {
         let splits = if smoke { &splits[..1] } else { splits };
 
         for (split_name, shares) in splits {
-            let sweep = Stopwatch::start();
-            let (points, shards) =
-                sweep_series(&table, spec, shares, delays, runs, blocks, recorder);
-            telemetry.add_phase("sweep", sweep.elapsed_ns());
-            for shard in &shards {
-                telemetry.fold_shard(shard);
-            }
-            for p in &points {
+            // One degradation curve: the artifact over the delay sweep
+            // under a fixed share split.
+            let cells: Vec<ReplayCell> = delays
+                .iter()
+                .map(|&d| ReplayCell::new(vec![Arc::clone(&table)], shares.clone(), spec.gamma, d))
+                .collect();
+            let points = study.sweep(&replay, &cells);
+            for (&delay, p) in delays.iter().zip(&points) {
                 println!(
                     "{:>20} {:>9} {:>9.1} {:>8.5} {:>10.5} {:>9.5} {:>+10.5} {:>8.4}",
                     spec.name,
                     split_name,
-                    p.delay,
+                    delay,
                     rho,
-                    p.mean,
-                    p.std_err,
-                    p.mean - rho,
+                    p.mean(),
+                    p.std_err(),
+                    p.mean() - rho,
                     p.orphan_rate
                 );
             }
@@ -225,22 +153,19 @@ fn main() {
             // playback numbers for gated (Bitcoin-model) artifacts.
             if spec.gated && *split_name == "duopoly" {
                 let zero = &points[0];
-                assert!(zero.delay == 0.0, "sweep starts at the zero-delay limit");
-                let diff = (zero.mean - rho).abs();
-                let tolerance = gate_tolerance(smoke, zero.std_err);
-                if diff > tolerance {
-                    eprintln!(
-                        "FAIL {}: zero-delay revenue {:.5} vs rho* {rho:.5} \
+                assert!(delays[0] == 0.0, "sweep starts at the zero-delay limit");
+                let tolerance = study.tolerance(zero.std_err());
+                if (zero.mean() - rho).abs() > tolerance {
+                    study.fail(&format!(
+                        "{}: zero-delay revenue {:.5} vs rho* {rho:.5} \
                          exceeds tolerance {tolerance:.5}",
-                        spec.name, zero.mean
-                    );
-                    failed = true;
+                        spec.name,
+                        zero.mean()
+                    ));
                 }
             }
 
-            let mut s = String::new();
-            let _ = write!(
-                s,
+            let head = format!(
                 "    {{\n      \"artifact\": \"{}\",\n      \"model\": \"{}\",\n      \
                  \"split\": \"{split_name}\",\n      \"alpha\": {},\n      \
                  \"gamma\": {},\n      \"rho_star\": {},\n      \"gated\": {},\n      \
@@ -254,60 +179,38 @@ fn main() {
                 json_f64(spec.gamma),
                 json_f64(rho),
                 spec.gated && *split_name == "duopoly",
-                shares
-                    .iter()
-                    .map(|v| json_f64(*v))
-                    .collect::<Vec<_>>()
-                    .join(", "),
+                json_f64_list(shares),
             );
-            let point_lines: Vec<String> = points
-                .iter()
-                .map(|p| {
-                    format!(
-                        "        {{\"delay\": {}, \"revenue\": {}, \"std_err\": {}, \
+            let rows = delays.iter().zip(&points).map(|(&delay, p)| {
+                format!(
+                    "        {{\"delay\": {}, \"revenue\": {}, \"std_err\": {}, \
                          \"vs_rho_star\": {}, \"orphan_rate\": {}}}",
-                        json_f64(p.delay),
-                        json_f64(p.mean),
-                        json_f64(p.std_err),
-                        json_f64(p.mean - rho),
-                        json_f64(p.orphan_rate)
-                    )
-                })
-                .collect();
-            s.push_str(&point_lines.join(",\n"));
-            s.push_str("\n      ]\n    }");
-            series_json.push(s);
+                    json_f64(delay),
+                    json_f64(p.mean()),
+                    json_f64(p.std_err()),
+                    json_f64(p.mean() - rho),
+                    json_f64(p.orphan_rate)
+                )
+            });
+            series_json.push(json_block(head, rows));
         }
     }
 
-    telemetry.wall_ns = wall.elapsed_ns();
-    telemetry.stamp_host();
-    let json = format!(
-        "{{\n  \"kind\": \"seleth-delay-study\",\n  \"format\": 1,\n  \
-         \"interval\": {},\n  \"runs\": {runs},\n  \"blocks\": {blocks},\n  \
-         \"series\": [\n{}\n  ],\n  \"telemetry\": {}\n}}\n",
+    let fields = format!(
+        "  \"interval\": {},\n  \"runs\": {runs},\n  \"blocks\": {blocks},\n  \
+         \"seed\": {SEED},\n  \"series\": [\n{}\n  ]",
         json_f64(INTERVAL),
         series_json.join(",\n"),
-        telemetry.to_json(2)
     );
-    let out_name = if smoke {
-        "delay_study_smoke.json"
-    } else {
-        "delay_study.json"
-    };
-    let path = seleth_bench::write_text(out_name, &json);
-
-    println!("\nReading: 'vs_rho' is measured strategist revenue share minus the");
-    println!("artifact's predicted rho*. At delay 0 (duopoly) it is statistical noise —");
-    println!("the gate below enforces that. As delay/interval grows, honest miners");
-    println!("race the strategist's overrides and the optimal-under-zero-delay policy");
-    println!("bleeds its edge; 'orphans' tracks the systemic cost.");
-    println!("wrote {}", path.display());
-    trace.finish();
-
-    if failed {
-        eprintln!("FAIL: a gated zero-delay point disagrees with its PR 2 prediction");
-        std::process::exit(1);
-    }
-    println!("all gated zero-delay points reproduce their PR 2 playback numbers");
+    study.finish(
+        "seleth-delay-study",
+        &fields,
+        "Reading: 'vs_rho' is measured strategist revenue share minus the\n\
+         artifact's predicted rho*. At delay 0 (duopoly) it is statistical noise —\n\
+         the gate below enforces that. As delay/interval grows, honest miners\n\
+         race the strategist's overrides and the optimal-under-zero-delay policy\n\
+         bleeds its edge; 'orphans' tracks the systemic cost.",
+        "all gated zero-delay points reproduce their optimal_sim playback numbers",
+        "a gated zero-delay point disagrees with its recorded rho*",
+    );
 }

@@ -34,8 +34,9 @@
 //! Binaries print the same rows/series the paper reports and write CSV
 //! files under `results/` (override with `SELETH_RESULTS`). Their sweeps
 //! parallelize through the workspace work queue,
-//! [`seleth_obs::par_map_traced`]; this crate holds the shared output,
-//! artifact and `--trace` plumbing ([`report`]).
+//! [`seleth_obs::par_map_traced`]; this crate holds the shared output and
+//! artifact plumbing, and [`report`] holds the replay runner and study
+//! driver every delay-study bin shares.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -148,6 +149,13 @@ pub fn load_or_solve_policy_delay(
 /// vendored serde is marker-only), matching the policy-artifact format.
 pub fn json_f64(v: f64) -> String {
     format!("{v}")
+}
+
+/// `values` as the body of a JSON number list: [`json_f64`] of each,
+/// comma-separated.
+pub fn json_f64_list(values: &[f64]) -> String {
+    let items: Vec<String> = values.iter().map(|v| json_f64(*v)).collect();
+    items.join(", ")
 }
 
 /// The host fingerprint block shared by every perf artifact:

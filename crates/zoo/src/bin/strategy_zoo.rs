@@ -43,13 +43,10 @@
 use std::fmt::Write as _;
 
 use seleth_bench::json_f64;
-use seleth_bench::report::{gate_tolerance, Trace};
+use seleth_bench::report::{json_block, Study};
 use seleth_mdp::{MdpConfig, RewardModel};
-use seleth_obs::{Stopwatch, Telemetry};
 use seleth_sim::pools;
-use seleth_zoo::{
-    sm1_closed_form, Cell, CellResult, Family, StrategyRegistry, Tournament, TournamentConfig,
-};
+use seleth_zoo::{sm1_closed_form, Cell, CellResult, Family, StrategyRegistry, Tournament};
 
 const INTERVAL: f64 = 13.0;
 const SEED: u64 = 90_210;
@@ -90,13 +87,10 @@ struct Meta {
 
 #[allow(clippy::too_many_lines)]
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let trace = Trace::from_args();
-    let recorder = trace.recorder();
-    let wall = Stopwatch::start();
-    let mut telemetry = Telemetry::new();
-    let runs = seleth_bench::env_u64("SELETH_RUNS", if smoke { 3 } else { 8 });
-    let blocks = seleth_bench::env_u64("SELETH_BLOCKS", if smoke { 8_000 } else { 30_000 });
+    let mut study = Study::from_args("zoo_study");
+    let smoke = study.smoke();
+    let config = study.replay(INTERVAL, SEED, [3, 8], [8_000, 30_000]);
+    let (runs, blocks) = (config.runs, config.blocks);
     let mdp_len = u32::try_from(seleth_bench::env_u64("SELETH_MDP_LEN", 30)).unwrap_or(30);
     let zoo_len = u32::try_from(seleth_bench::env_u64("SELETH_ZOO_LEN", 64)).unwrap_or(64);
     let delays: &[f64] = if smoke { &[0.0, 6.0] } else { &[0.0, 2.0, 6.0] };
@@ -140,13 +134,6 @@ fn main() {
     // ------------------------------------------------------------------
     // Grid: single-strategist cells + matchups, with parallel metadata.
     // ------------------------------------------------------------------
-    let config = TournamentConfig {
-        interval: INTERVAL,
-        runs,
-        blocks,
-        seed: SEED,
-        threads: 0,
-    };
     let mut tournament = Tournament::new(&registry, config);
     let mut metas: Vec<Meta> = Vec::new();
     for (p, (fam_idx, art_idx)) in points.iter().zip(&lineups) {
@@ -223,12 +210,7 @@ fn main() {
     // ------------------------------------------------------------------
     // Run (parallel across cells) and rank within (point, split, delay).
     // ------------------------------------------------------------------
-    let sweep = Stopwatch::start();
-    let (results, shards) = tournament.run_traced(recorder);
-    telemetry.add_phase("tournament", sweep.elapsed_ns());
-    for shard in &shards {
-        telemetry.fold_shard(shard);
-    }
+    let results = study.traced("tournament", |recorder| tournament.run_traced(recorder));
     assert_eq!(results.len(), metas.len(), "meta list tracks the grid");
     let mut rank: Vec<usize> = vec![0; results.len()];
     {
@@ -307,7 +289,6 @@ fn main() {
     // ------------------------------------------------------------------
     // Gates.
     // ------------------------------------------------------------------
-    let mut failed = false;
     let zero_duopoly = |name: &str, point: &str| -> Option<&CellResult> {
         metas.iter().zip(&results).find_map(|(m, r)| {
             (m.kind == "single"
@@ -323,14 +304,13 @@ fn main() {
         let sm1 = zero_duopoly("sm1", p.artifact).expect("sm1 zero-delay duopoly cell");
         let cf = sm1_closed_form(p.alpha, p.gamma);
         let (mean, se) = (sm1.lead_revenue(), sm1.strategists[0].std_err);
-        let tol = gate_tolerance(smoke, se);
+        let tol = study.tolerance(se);
         if (mean - cf).abs() > tol {
-            eprintln!(
-                "FAIL sm1@{}: zero-delay revenue {mean:.5} vs closed form {cf:.5} \
+            study.fail(&format!(
+                "sm1@{}: zero-delay revenue {mean:.5} vs closed form {cf:.5} \
                  exceeds tolerance {tol:.5}",
                 p.artifact
-            );
-            failed = true;
+            ));
         }
         // Gate 2: the optimum dominates every hand-written family *scored
         // under the same reward schedule*. Tournament cells follow the
@@ -351,15 +331,14 @@ fn main() {
                 (3.0 * combined).max(0.005)
             };
             if opt.lead_revenue() < fam.lead_revenue() - tol {
-                eprintln!(
-                    "FAIL {}@{}: family revenue {:.5} beats the optimal artifact's {:.5} \
+                study.fail(&format!(
+                    "{}@{}: family revenue {:.5} beats the optimal artifact's {:.5} \
                      beyond tolerance {tol:.5}",
                     family.id(),
                     p.artifact,
                     fam.lead_revenue(),
                     opt.lead_revenue()
-                );
-                failed = true;
+                ));
             }
         }
         // Gate 3: uncle-aware families stay below the *Ethereum-model*
@@ -385,14 +364,13 @@ fn main() {
                     0.01 + 3.0 * se
                 };
                 if fam.lead_revenue() > eth_rho + tol {
-                    eprintln!(
-                        "FAIL {}@{}: family revenue {:.5} beats the Ethereum-model optimum \
+                    study.fail(&format!(
+                        "{}@{}: family revenue {:.5} beats the Ethereum-model optimum \
                          {eth_rho:.5} beyond tolerance {tol:.5}",
                         family.id(),
                         p.artifact,
                         fam.lead_revenue(),
-                    );
-                    failed = true;
+                    ));
                 }
             }
         }
@@ -404,9 +382,9 @@ fn main() {
     let mut cells_json: Vec<String> = Vec::new();
     for &i in &order {
         let (m, r) = (&metas[i], &results[i]);
-        let mut s = String::new();
+        let mut head = String::new();
         let _ = write!(
-            s,
+            head,
             "    {{\n      \"point\": \"{}\",\n      \"kind\": \"{}\",\n      \
              \"split\": \"{}\",\n      \"alpha\": {},\n      \"gamma\": {},\n      \
              \"delay\": {},\n",
@@ -418,65 +396,45 @@ fn main() {
             json_f64(r.delay),
         );
         if m.kind == "single" {
-            let _ = writeln!(s, "      \"rank\": {},", rank[i]);
+            let _ = writeln!(head, "      \"rank\": {},", rank[i]);
         }
         let _ = write!(
-            s,
+            head,
             "      \"orphan_rate\": {},\n      \"strategists\": [\n",
             json_f64(r.orphan_rate)
         );
-        let lines: Vec<String> = r
-            .strategists
-            .iter()
-            .map(|st| {
-                format!(
-                    "        {{\"name\": \"{}\", \"family\": \"{}\", \"share\": {}, \
+        let rows = r.strategists.iter().map(|st| {
+            format!(
+                "        {{\"name\": \"{}\", \"family\": \"{}\", \"share\": {}, \
                      \"predicted\": {}, \"revenue\": {}, \"std_err\": {}, \
                      \"vs_predicted\": {}}}",
-                    st.name,
-                    st.family,
-                    json_f64(st.share),
-                    json_f64(st.predicted),
-                    json_f64(st.revenue),
-                    json_f64(st.std_err),
-                    json_f64(st.revenue - st.predicted),
-                )
-            })
-            .collect();
-        s.push_str(&lines.join(",\n"));
-        s.push_str("\n      ]\n    }");
-        cells_json.push(s);
+                st.name,
+                st.family,
+                json_f64(st.share),
+                json_f64(st.predicted),
+                json_f64(st.revenue),
+                json_f64(st.std_err),
+                json_f64(st.revenue - st.predicted),
+            )
+        });
+        cells_json.push(json_block(head, rows));
     }
-    telemetry.wall_ns = wall.elapsed_ns();
-    telemetry.stamp_host();
-    let json = format!(
-        "{{\n  \"kind\": \"seleth-zoo-study\",\n  \"format\": 1,\n  \
-         \"interval\": {},\n  \"runs\": {runs},\n  \"blocks\": {blocks},\n  \
-         \"family_truncation\": {zoo_len},\n  \"cells\": [\n{}\n  ],\n  \
-         \"telemetry\": {}\n}}\n",
+    let fields = format!(
+        "  \"interval\": {},\n  \"runs\": {runs},\n  \"blocks\": {blocks},\n  \
+         \"seed\": {SEED},\n  \"family_truncation\": {zoo_len},\n  \"cells\": [\n{}\n  ]",
         json_f64(INTERVAL),
         cells_json.join(",\n"),
-        telemetry.to_json(2)
     );
-    let out_name = if smoke {
-        "zoo_study_smoke.json"
-    } else {
-        "zoo_study.json"
-    };
-    let path = seleth_bench::write_text(out_name, &json);
-
-    println!("\nReading: within each (point, split, delay) group, 'rank' orders the");
-    println!("strategies by measured revenue (RegularRate normalization, the same");
-    println!("quantity as an artifact's rho*). 'vs_pred' compares against each");
-    println!("strategy's own prediction: closed form for SM1, rho* for the MDP");
-    println!("artifact, the fair share alpha elsewhere. Matchup cells field two");
-    println!("strategists in one run; their revenues are per-miner.");
-    println!("wrote {}", path.display());
-    trace.finish();
-
-    if failed {
-        eprintln!("FAIL: a zoo gate disagrees with its prediction");
-        std::process::exit(1);
-    }
-    println!("all gates hold: SM1 reproduces its closed form; the optimum dominates the zoo");
+    study.finish(
+        "seleth-zoo-study",
+        &fields,
+        "Reading: within each (point, split, delay) group, 'rank' orders the\n\
+         strategies by measured revenue (RegularRate normalization, the same\n\
+         quantity as an artifact's rho*). 'vs_pred' compares against each\n\
+         strategy's own prediction: closed form for SM1, rho* for the MDP\n\
+         artifact, the fair share alpha elsewhere. Matchup cells field two\n\
+         strategists in one run; their revenues are per-miner.",
+        "all gates hold: SM1 reproduces its closed form; the optimum dominates the zoo",
+        "a zoo gate disagrees with its prediction",
+    );
 }

@@ -39,16 +39,13 @@
 //! `--smoke` for the CI gate: artifact only, 4-miner split, reduced shape
 //! set, small budgets, loosened spread tolerance.
 
-use std::fmt::Write as _;
+use std::sync::Arc;
 
 use seleth_bench::json_f64;
-use seleth_bench::report::{gate_tolerance, replay_revenue, Trace};
-use seleth_chain::RewardSchedule;
-use seleth_mdp::{PolicyTable, RewardModel};
+use seleth_bench::report::{json_block, ReplayCell, ReplayOutcome, Study};
+use seleth_mdp::RewardModel;
 use seleth_net::Topology;
-use seleth_obs::{par_map_traced, Stopwatch, Telemetry, TelemetryShard};
-use seleth_sim::delay::DelayConfig;
-use seleth_zoo::Family;
+use seleth_zoo::{Family, StrategyRegistry};
 
 /// Mean block interval for every run (Ethereum-like, seconds).
 const INTERVAL: f64 = 13.0;
@@ -68,22 +65,28 @@ const SPOKE_FAR: f64 = 8.0;
 const INTRA: f64 = 1.0;
 const BRIDGE: f64 = 16.0;
 
-struct Strategy {
-    name: String,
-    table: PolicyTable,
-    alpha: f64,
-    gamma: f64,
-    /// Predicted zero-delay revenue (ρ* for the solved artifact, the
-    /// family's closed form otherwise) — reporting reference only.
-    rho: f64,
-}
-
 /// One swept cell: a named shape, compiled per miner count.
 struct ShapeSpec {
     name: &'static str,
     /// `None` is the uniform delay engine (no topology) — the anchor the
     /// complete graph must reproduce bitwise.
-    topology: Option<Topology>,
+    topology: Option<Arc<Topology>>,
+}
+
+impl ShapeSpec {
+    fn new(name: &'static str, topology: Topology) -> Self {
+        ShapeSpec {
+            name,
+            topology: Some(Arc::new(topology)),
+        }
+    }
+
+    /// The shape's effective mean pairwise latency.
+    fn mean_latency(&self) -> f64 {
+        self.topology
+            .as_deref()
+            .map_or(DELAY, Topology::nominal_mean_latency)
+    }
 }
 
 /// Star with the strategist's spoke at `miner0`, everyone else at
@@ -134,89 +137,30 @@ fn shapes(n: usize, smoke: bool) -> Vec<ShapeSpec> {
             name: "uniform",
             topology: None,
         },
-        ShapeSpec {
-            name: "complete",
-            topology: Some(Topology::complete(n, DELAY).expect("complete is valid")),
-        },
-        ShapeSpec {
-            name: "hub_attacker",
-            topology: Some(star(n, SPOKE_NEAR, SPOKE_FAR)),
-        },
-        ShapeSpec {
-            name: "leaf_attacker",
-            topology: Some(star(n, SPOKE_FAR, SPOKE_NEAR)),
-        },
+        ShapeSpec::new(
+            "complete",
+            Topology::complete(n, DELAY).expect("complete is valid"),
+        ),
+        ShapeSpec::new("hub_attacker", star(n, SPOKE_NEAR, SPOKE_FAR)),
+        ShapeSpec::new("leaf_attacker", star(n, SPOKE_FAR, SPOKE_NEAR)),
     ];
     if !smoke {
-        all.push(ShapeSpec {
-            name: "ring",
-            topology: Some(
-                Topology::ring(n, 1.0)
-                    .and_then(|t| t.scaled_to_mean(DELAY))
-                    .expect("ring is valid"),
-            ),
-        });
-        all.push(ShapeSpec {
-            name: "clustered",
-            topology: Some(clustered(n, false)),
-        });
-        all.push(ShapeSpec {
-            name: "relay_shortcut",
-            topology: Some(clustered(n, true)),
-        });
+        all.push(ShapeSpec::new(
+            "ring",
+            Topology::ring(n, 1.0)
+                .and_then(|t| t.scaled_to_mean(DELAY))
+                .expect("ring is valid"),
+        ));
+        all.push(ShapeSpec::new("clustered", clustered(n, false)));
+        all.push(ShapeSpec::new("relay_shortcut", clustered(n, true)));
     }
     all
 }
 
-struct CellResult {
-    mean: f64,
-    std_err: f64,
-    orphan_rate: f64,
-    mean_latency: f64,
-    gossip_sends: u64,
-    gossip_dedup_drops: u64,
-    relay_hops: u64,
-}
-
-fn eval_cell(
-    strategy: &Strategy,
-    shares: &[f64],
-    shape: &ShapeSpec,
-    runs: u64,
-    blocks: u64,
-    shard: &mut TelemetryShard,
-) -> CellResult {
-    let outcome = replay_revenue(runs, 1, |k| {
-        let mut b = DelayConfig::builder();
-        b.shares(shares.to_vec())
-            .policy(0, strategy.table.clone())
-            .tie_gamma(strategy.gamma)
-            .delay(DELAY)
-            .interval(INTERVAL)
-            .schedule(RewardSchedule::bitcoin())
-            .blocks(blocks)
-            .seed(SEED + k);
-        if let Some(t) = &shape.topology {
-            b.topology(t.clone());
-        }
-        b.build().expect("valid topology config")
-    });
-    outcome.counters.record_into(shard);
-    shard.add("study.runs", runs);
-    CellResult {
-        mean: outcome.mean(),
-        std_err: outcome.std_err(),
-        orphan_rate: outcome.orphan_rate,
-        mean_latency: shape
-            .topology
-            .as_ref()
-            .map_or(DELAY, Topology::nominal_mean_latency),
-        gossip_sends: outcome.counters.gossip_sends,
-        gossip_dedup_drops: outcome.counters.gossip_dedup_drops,
-        relay_hops: outcome.counters.gossip_hops_2
-            + outcome.counters.gossip_hops_3
-            + outcome.counters.gossip_hops_4_plus,
-    }
+/// The sum of the gossip hop counters above one hop: deliveries that
+/// went through at least one relay.
+fn relay_hops(r: &ReplayOutcome) -> u64 {
+    r.counters.gossip_hops_2 + r.counters.gossip_hops_3 + r.counters.gossip_hops_4_plus
 }
 
 fn hex_bits(v: f64) -> String {
@@ -224,13 +168,10 @@ fn hex_bits(v: f64) -> String {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let trace = Trace::from_args();
-    let recorder = trace.recorder();
-    let wall = Stopwatch::start();
-    let mut telemetry = Telemetry::new();
-    let runs = seleth_bench::env_u64("SELETH_RUNS", if smoke { 2 } else { 4 });
-    let blocks = seleth_bench::env_u64("SELETH_BLOCKS", if smoke { 6_000 } else { 30_000 });
+    let mut study = Study::from_args("topology_study");
+    let smoke = study.smoke();
+    let replay = study.replay(INTERVAL, SEED, [2, 4], [6_000, 30_000]);
+    let (runs, blocks) = (replay.runs, replay.blocks);
     let max_len = u32::try_from(seleth_bench::env_u64("SELETH_MDP_LEN", 30)).unwrap_or(30);
 
     let artifact = seleth_bench::load_or_solve_policy(
@@ -240,23 +181,12 @@ fn main() {
         RewardModel::Bitcoin,
         max_len,
     );
-    let rho_star = artifact.predicted_revenue();
-    let mut strategies = vec![Strategy {
-        name: "bitcoin_a040_g050".into(),
-        table: artifact,
-        alpha: 0.40,
-        gamma: 0.5,
-        rho: rho_star,
-    }];
+    // Each strategy's prediction (ρ* for the solved artifact, the
+    // family's closed form otherwise) is a reporting reference only.
+    let mut strategies = StrategyRegistry::new();
+    strategies.register_artifact("bitcoin_a040_g050", artifact);
     if !smoke {
-        let family = Family::Sm1;
-        strategies.push(Strategy {
-            name: family.id(),
-            table: family.table(0.35, 0.5, max_len),
-            alpha: 0.35,
-            gamma: 0.5,
-            rho: family.predicted_revenue(0.35, 0.5),
-        });
+        strategies.register_family(Family::Sm1, 0.35, 0.5, max_len);
     }
 
     println!(
@@ -270,42 +200,45 @@ fn main() {
         "strategy", "split", "shape", "revenue", "std_err", "vs_rho", "orphans", "latency"
     );
 
-    let mut failed = false;
     let mut series_json = Vec::new();
     let mut gates_json = Vec::new();
-    for strategy in &strategies {
+    for strategy in strategies.iter() {
+        let (alpha, gamma) = (strategy.table.alpha(), strategy.table.gamma());
         let splits: &[(&str, usize)] = &[("quad", 4), ("octet", 8)];
         let splits = if smoke { &splits[..1] } else { splits };
 
         for &(split_name, miners) in splits {
-            let rest = (1.0 - strategy.alpha) / (miners - 1) as f64;
+            let rest = (1.0 - alpha) / (miners - 1) as f64;
             let mut shares = vec![rest; miners];
-            shares[0] = strategy.alpha;
+            shares[0] = alpha;
             let cells = shapes(miners, smoke);
 
-            // Shapes in parallel through the shared work-queue helper;
-            // every per-edge draw hashes off the topology seed, so the
+            // Every per-edge draw hashes off the topology seed, so the
             // sweep is bit-identical at any thread count.
-            let sweep = Stopwatch::start();
-            let (results, shards) =
-                par_map_traced(&cells, 0, recorder, |shape, _: &mut (), shard| {
-                    eval_cell(strategy, &shares, shape, runs, blocks, shard)
-                });
-            telemetry.add_phase("sweep", sweep.elapsed_ns());
-            for shard in &shards {
-                telemetry.fold_shard(shard);
-            }
+            let replay_cells: Vec<ReplayCell> = cells
+                .iter()
+                .map(|shape| ReplayCell {
+                    topology: shape.topology.clone(),
+                    ..ReplayCell::new(
+                        vec![Arc::clone(&strategy.table)],
+                        shares.clone(),
+                        gamma,
+                        DELAY,
+                    )
+                })
+                .collect();
+            let results = study.sweep(&replay, &replay_cells);
             for (shape, r) in cells.iter().zip(&results) {
                 println!(
                     "{:>20} {:>7} {:>16} {:>9.5} {:>9.5} {:>+9.5} {:>8.4} {:>8.3}",
                     strategy.name,
                     split_name,
                     shape.name,
-                    r.mean,
-                    r.std_err,
-                    r.mean - strategy.rho,
+                    r.mean(),
+                    r.std_err(),
+                    r.mean() - strategy.predicted,
                     r.orphan_rate,
-                    r.mean_latency
+                    shape.mean_latency()
                 );
             }
 
@@ -323,16 +256,15 @@ fn main() {
                 find("uniform").expect("uniform cell always swept"),
                 find("complete").expect("complete cell always swept"),
             );
-            let bit_identical = uniform.mean.to_bits() == complete.mean.to_bits()
+            let bit_identical = uniform.mean().to_bits() == complete.mean().to_bits()
                 && uniform.orphan_rate.to_bits() == complete.orphan_rate.to_bits();
             if !bit_identical {
-                eprintln!(
-                    "FAIL {}/{split_name}: complete-graph revenue {} != uniform {}",
+                study.fail(&format!(
+                    "{}/{split_name}: complete-graph revenue {} != uniform {}",
                     strategy.name,
-                    hex_bits(complete.mean),
-                    hex_bits(uniform.mean)
-                );
-                failed = true;
+                    hex_bits(complete.mean()),
+                    hex_bits(uniform.mean())
+                ));
             }
 
             // Gate 2: at the same mean latency, the hub-attacker must out-
@@ -342,20 +274,16 @@ fn main() {
                 find("hub_attacker").expect("hub cell always swept"),
                 find("leaf_attacker").expect("leaf cell always swept"),
             );
-            let spread = hub.mean - leaf.mean;
-            let noise = (hub.std_err * hub.std_err + leaf.std_err * leaf.std_err).sqrt();
-            let floor = if smoke {
-                -gate_tolerance(true, noise)
-            } else {
-                0.0
-            };
+            let spread = hub.mean() - leaf.mean();
+            let (h, l) = (hub.std_err(), leaf.std_err());
+            let noise = (h * h + l * l).sqrt();
+            let floor = if smoke { -study.tolerance(noise) } else { 0.0 };
             if spread <= floor {
-                eprintln!(
-                    "FAIL {}/{split_name}: hub-vs-leaf revenue spread {spread:.5} \
+                study.fail(&format!(
+                    "{}/{split_name}: hub-vs-leaf revenue spread {spread:.5} \
                      is not positive (noise {noise:.5})",
                     strategy.name
-                );
-                failed = true;
+                ));
             }
 
             gates_json.push(format!(
@@ -364,89 +292,66 @@ fn main() {
                  \"uniform_revenue_bits\": \"{}\", \"complete_revenue_bits\": \"{}\", \
                  \"hub_leaf_spread\": {}, \"spread_noise\": {}}}",
                 strategy.name,
-                hex_bits(uniform.mean),
-                hex_bits(complete.mean),
+                hex_bits(uniform.mean()),
+                hex_bits(complete.mean()),
                 json_f64(spread),
                 json_f64(noise)
             ));
 
-            let mut s = String::new();
-            let _ = write!(
-                s,
+            let head = format!(
                 "    {{\n      \"strategy\": \"{}\",\n      \
                  \"split\": \"{split_name}\",\n      \"miners\": {miners},\n      \
                  \"alpha\": {},\n      \"gamma\": {},\n      \"rho_star\": {},\n      \
                  \"cells\": [\n",
                 strategy.name,
-                json_f64(strategy.alpha),
-                json_f64(strategy.gamma),
-                json_f64(strategy.rho),
+                json_f64(alpha),
+                json_f64(gamma),
+                json_f64(strategy.predicted),
             );
-            let cell_lines: Vec<String> = cells
-                .iter()
-                .zip(&results)
-                .map(|(shape, r)| {
-                    format!(
-                        "        {{\"shape\": \"{}\", \"mean_latency\": {}, \
+            let rows = cells.iter().zip(&results).map(|(shape, r)| {
+                format!(
+                    "        {{\"shape\": \"{}\", \"mean_latency\": {}, \
                          \"revenue\": {}, \"revenue_bits\": \"{}\", \"std_err\": {}, \
                          \"vs_rho_star\": {}, \"orphan_rate\": {}, \
                          \"gossip_sends\": {}, \"gossip_dedup_drops\": {}, \
                          \"relay_hops\": {}}}",
-                        shape.name,
-                        json_f64(r.mean_latency),
-                        json_f64(r.mean),
-                        hex_bits(r.mean),
-                        json_f64(r.std_err),
-                        json_f64(r.mean - strategy.rho),
-                        json_f64(r.orphan_rate),
-                        r.gossip_sends,
-                        r.gossip_dedup_drops,
-                        r.relay_hops
-                    )
-                })
-                .collect();
-            s.push_str(&cell_lines.join(",\n"));
-            s.push_str("\n      ]\n    }");
-            series_json.push(s);
+                    shape.name,
+                    json_f64(shape.mean_latency()),
+                    json_f64(r.mean()),
+                    hex_bits(r.mean()),
+                    json_f64(r.std_err()),
+                    json_f64(r.mean() - strategy.predicted),
+                    json_f64(r.orphan_rate),
+                    r.counters.gossip_sends,
+                    r.counters.gossip_dedup_drops,
+                    relay_hops(r)
+                )
+            });
+            series_json.push(json_block(head, rows));
         }
     }
 
-    let json = format!(
-        "{{\n  \"kind\": \"seleth-topology-study\",\n  \"format\": 1,\n  \
-         \"interval\": {},\n  \"mean_latency\": {},\n  \"runs\": {runs},\n  \
+    let fields = format!(
+        "  \"interval\": {},\n  \"mean_latency\": {},\n  \"runs\": {runs},\n  \
          \"blocks\": {blocks},\n  \"seed\": {SEED},\n  \
          \"gates\": [\n{}\n  ],\n  \
-         \"series\": [\n{}\n  ],\n  \"telemetry\": {}\n}}\n",
+         \"series\": [\n{}\n  ]",
         json_f64(INTERVAL),
         json_f64(DELAY),
         gates_json.join(",\n"),
         series_json.join(",\n"),
-        {
-            telemetry.wall_ns = wall.elapsed_ns();
-            telemetry.stamp_host();
-            telemetry.to_json(2)
-        }
     );
-    let out_name = if smoke {
-        "topology_study_smoke.json"
-    } else {
-        "topology_study.json"
-    };
-    let path = seleth_bench::write_text(out_name, &json);
-
-    println!("\nReading: 'complete' must equal 'uniform' to the bit — the graph");
-    println!("engine folds a complete graph at uniform latency into the exact");
-    println!("arithmetic of the PR 3 delay engine. The hub/leaf pair isolates");
-    println!("attacker position at a fixed mean pairwise latency: the spread is");
-    println!("the well-connected attacker's edge. 'relay_shortcut' keeps the");
-    println!("clustered graph's links and overlays one fast relay link — its");
-    println!("lower 'latency' column is the relay-network advantage.");
-    println!("wrote {}", path.display());
-    trace.finish();
-
-    if failed {
-        eprintln!("FAIL: a topology gate did not hold");
-        std::process::exit(1);
-    }
-    println!("all topology gates hold: complete==uniform bitwise, hub beats leaf");
+    study.finish(
+        "seleth-topology-study",
+        &fields,
+        "Reading: 'complete' must equal 'uniform' to the bit — the graph\n\
+         engine folds a complete graph at uniform latency into the exact\n\
+         arithmetic of the uniform delay engine. The hub/leaf pair isolates\n\
+         attacker position at a fixed mean pairwise latency: the spread is\n\
+         the well-connected attacker's edge. 'relay_shortcut' keeps the\n\
+         clustered graph's links and overlays one fast relay link — its\n\
+         lower 'latency' column is the relay-network advantage.",
+        "all topology gates hold: complete==uniform bitwise, hub beats leaf",
+        "a topology gate did not hold",
+    );
 }

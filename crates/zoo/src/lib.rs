@@ -22,8 +22,11 @@
 //! - [`tournament`]: grid sweeps over family × parameters × delay ×
 //!   share-split, including **multi-strategist matchups** (two
 //!   table-driven miners attacking each other in one delay-simulator
-//!   run), evaluated in parallel across sweep points on the workspace
-//!   work queue, [`seleth_obs::par_map_traced`].
+//!   run). Each cell maps onto a [`seleth_bench::report::ReplayCell`] and
+//!   the grid sweeps through the replay runner every delay study shares,
+//!   [`seleth_bench::report::Replay`]: one seeding rule, one parallel
+//!   sweep on [`seleth_obs::par_map_traced`], and a typed
+//!   [`seleth_sim::SimError`] for a rejected cell.
 //!
 //! The `strategy_zoo` binary drives the full study and writes the ranked
 //! `results/zoo_study.json`.
@@ -31,17 +34,18 @@
 //! # Example
 //!
 //! ```
-//! use seleth_zoo::{Cell, Family, StrategyRegistry, Tournament, TournamentConfig};
+//! use seleth_bench::report::Replay;
+//! use seleth_zoo::{Cell, Family, StrategyRegistry, Tournament};
 //!
 //! // SM1 vs the honest baseline in a zero-delay duopoly at α = 0.4.
 //! let mut registry = StrategyRegistry::new();
 //! let sm1 = registry.register_family(Family::Sm1, 0.4, 0.5, 20);
 //! let honest = registry.register_family(Family::Honest, 0.4, 0.5, 20);
-//! let config = TournamentConfig { runs: 2, blocks: 8_000, ..Default::default() };
+//! let config = Replay { runs: 2, blocks: 8_000, ..Default::default() };
 //! let mut tournament = Tournament::new(&registry, config);
 //! tournament.add_cell(Cell::single("duopoly", sm1, vec![0.4, 0.6], 0.5, 0.0));
 //! tournament.add_cell(Cell::single("duopoly", honest, vec![0.4, 0.6], 0.5, 0.0));
-//! let results = tournament.run();
+//! let results = tournament.run().expect("valid share splits");
 //! // Above the threshold, selfish mining beats honest play.
 //! assert!(results[0].lead_revenue() > results[1].lead_revenue());
 //! ```
@@ -49,8 +53,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Library code must degrade with typed errors, never a panic, on
-// untrusted input; invariant violations use `expect` with a message.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+// untrusted input.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod families;
 pub mod registry;
@@ -58,4 +65,4 @@ pub mod tournament;
 
 pub use families::{canonicalize_boundary, sm1_closed_form, Family};
 pub use registry::{RegisteredStrategy, StrategyRegistry, StrategySource};
-pub use tournament::{Cell, CellResult, StrategistOutcome, Tournament, TournamentConfig};
+pub use tournament::{Cell, CellResult, StrategistOutcome, Tournament};

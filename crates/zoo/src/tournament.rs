@@ -9,47 +9,24 @@
 //! the same run, each treating the other's releases as foreign chain
 //! (`seleth_sim::delay`'s multi-strategist semantics).
 //!
-//! [`Tournament::run`] evaluates every cell over `runs` seeded
-//! repetitions and reports per-strategist mean revenue (RegularRate
+//! [`Tournament::run`] maps every cell onto a
+//! [`seleth_bench::report::ReplayCell`] and sweeps the grid through the
+//! shared replay runner ([`seleth_bench::report::Replay`]), the same one
+//! the delay, closed-loop, chaos and topology studies use: `runs` seeded
+//! repetitions per cell, per-strategist mean revenue (RegularRate
 //! normalization, the same quantity as an artifact's ρ*), its standard
 //! error, and the cell's orphan rate. Cells are independent, so the sweep
 //! runs through the workspace work queue ([`seleth_obs::par_map_traced`]):
 //! results are bit-identical for every thread count, and heterogeneous
 //! cell costs stay load-balanced.
 
-use seleth_bench::report::replay_revenue;
-use seleth_chain::RewardSchedule;
-use seleth_mdp::RewardModel;
-use seleth_sim::delay::{DelayConfig, DelayCounters, MinerStrategy};
+use std::sync::Arc;
+
+use seleth_bench::report::{Replay, ReplayCell};
+use seleth_obs::{NoopRecorder, Recorder, TelemetryShard};
+use seleth_sim::SimError;
 
 use crate::registry::StrategyRegistry;
-
-/// Budgets and timing shared by every cell of a tournament.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TournamentConfig {
-    /// Mean block interval in seconds (Ethereum-like 13 s by default).
-    pub interval: f64,
-    /// Seeded repetitions per cell (standard errors come from these).
-    pub runs: u64,
-    /// Blocks mined per repetition.
-    pub blocks: u64,
-    /// Base RNG seed; repetition `k` of every cell uses `seed + k`.
-    pub seed: u64,
-    /// Worker threads for the cell sweep (`0` = `available_parallelism`).
-    pub threads: usize,
-}
-
-impl Default for TournamentConfig {
-    fn default() -> Self {
-        TournamentConfig {
-            interval: 13.0,
-            runs: 5,
-            blocks: 30_000,
-            seed: 31_337,
-            threads: 0,
-        }
-    }
-}
 
 /// One sweep point: strategists, their share split, delay and γ.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,15 +115,10 @@ pub struct CellResult {
     pub label: String,
     /// Propagation delay of the cell.
     pub delay: f64,
-    /// Tie-breaking γ of the cell.
-    pub tie_gamma: f64,
     /// Per-strategist outcomes, in miner-slot order.
     pub strategists: Vec<StrategistOutcome>,
     /// Mean system-wide orphan rate across repetitions.
     pub orphan_rate: f64,
-    /// Deterministic delay-engine counters summed over the cell's
-    /// repetitions (bit-identical at any thread count).
-    pub counters: DelayCounters,
 }
 
 impl CellResult {
@@ -161,13 +133,14 @@ impl CellResult {
 #[derive(Debug)]
 pub struct Tournament<'r> {
     registry: &'r StrategyRegistry,
-    config: TournamentConfig,
+    config: Replay,
     cells: Vec<Cell>,
 }
 
 impl<'r> Tournament<'r> {
-    /// An empty tournament over `registry`.
-    pub fn new(registry: &'r StrategyRegistry, config: TournamentConfig) -> Self {
+    /// An empty tournament over `registry`, replaying every cell under
+    /// `config`'s budgets and seeding rule.
+    pub fn new(registry: &'r StrategyRegistry, config: Replay) -> Self {
         Tournament {
             registry,
             config,
@@ -203,95 +176,67 @@ impl<'r> Tournament<'r> {
     /// Evaluate every cell, in parallel across sweep points, returning
     /// results in grid order. Bit-identical for every thread count.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when a cell's delay configuration is rejected (invalid share
-    /// distribution) — tournament grids are experiment code with no
-    /// recovery path.
-    pub fn run(&self) -> Vec<CellResult> {
-        self.run_traced(&seleth_obs::NoopRecorder).0
+    /// The [`SimError`] of the first cell whose delay configuration is
+    /// rejected (invalid share distribution, …), in grid order.
+    pub fn run(&self) -> Result<Vec<CellResult>, SimError> {
+        Ok(self.run_traced(&NoopRecorder)?.0)
     }
 
-    /// [`Tournament::run`] with per-worker telemetry: cells sweep through
-    /// [`seleth_obs::par_map_traced`], each worker folding its cells'
-    /// deterministic engine counters into a shard. Cell results are
-    /// bit-identical to [`Tournament::run`]; shard counter totals merge
-    /// to the same values at any thread count.
+    /// [`Tournament::run`] with per-worker telemetry: each worker folds
+    /// its cells' deterministic engine counters into a shard. Cell results
+    /// are bit-identical to [`Tournament::run`]; shard counter totals
+    /// merge to the same values at any thread count.
     ///
-    /// # Panics
+    /// # Errors
     ///
     /// As [`Tournament::run`].
     pub fn run_traced(
         &self,
-        recorder: &dyn seleth_obs::Recorder,
-    ) -> (Vec<CellResult>, Vec<seleth_obs::TelemetryShard>) {
-        seleth_obs::par_map_traced(
-            &self.cells,
-            self.config.threads,
-            recorder,
-            |cell, _: &mut (), shard| {
-                let result = self.eval(cell);
-                result.counters.record_into(shard);
-                shard.add("study.runs", self.config.runs);
-                result
-            },
-        )
-    }
-
-    fn eval(&self, cell: &Cell) -> CellResult {
-        let entries: Vec<_> = cell
-            .strategists
+        recorder: &dyn Recorder,
+    ) -> Result<(Vec<CellResult>, Vec<TelemetryShard>), SimError> {
+        let cells: Vec<ReplayCell> = self
+            .cells
             .iter()
-            .map(|&i| self.registry.get(i))
-            .collect();
-        // The cell's reward schedule follows the lead strategist's reward
-        // model (families are Bitcoin-model; Ethereum artifacts bring the
-        // uncle schedule with them).
-        let schedule = match entries[0].table.rewards() {
-            RewardModel::Bitcoin => RewardSchedule::bitcoin(),
-            RewardModel::EthereumApprox => RewardSchedule::ethereum(),
-        };
-        let strategies: Vec<MinerStrategy> = entries
-            .iter()
-            .map(|e| MinerStrategy::Table(e.table.clone()))
-            .collect();
-        let config = DelayConfig::builder()
-            .shares(cell.shares.clone())
-            .strategies(strategies)
-            .tie_gamma(cell.tie_gamma)
-            .delay(cell.delay)
-            .interval(self.config.interval)
-            .blocks(self.config.blocks)
-            .seed(self.config.seed)
-            .schedule(schedule)
-            .build()
-            .expect("valid tournament cell");
-
-        let outcome = replay_revenue(self.config.runs, entries.len(), |k| {
-            config.with_seed(self.config.seed + k)
-        });
-
-        let strategists = entries
-            .iter()
-            .zip(outcome.slots.iter())
-            .enumerate()
-            .map(|(slot, (entry, &(mean, std_err)))| StrategistOutcome {
-                name: entry.name.clone(),
-                family: entry.table.family().to_string(),
-                share: cell.shares[slot],
-                predicted: entry.predicted,
-                revenue: mean,
-                std_err,
+            .map(|cell| {
+                let tables = cell
+                    .strategists
+                    .iter()
+                    .map(|&i| Arc::clone(&self.registry.get(i).table))
+                    .collect();
+                ReplayCell::new(tables, cell.shares.clone(), cell.tie_gamma, cell.delay)
             })
             .collect();
-        CellResult {
-            label: cell.label.clone(),
-            delay: cell.delay,
-            tie_gamma: cell.tie_gamma,
-            strategists,
-            orphan_rate: outcome.orphan_rate,
-            counters: outcome.counters,
-        }
+        let (outcomes, shards) = self.config.sweep(&cells, recorder)?;
+        let results = self
+            .cells
+            .iter()
+            .zip(outcomes)
+            .map(|(cell, outcome)| CellResult {
+                label: cell.label.clone(),
+                delay: cell.delay,
+                strategists: cell
+                    .strategists
+                    .iter()
+                    .zip(&outcome.slots)
+                    .enumerate()
+                    .map(|(slot, (&i, &(revenue, std_err)))| {
+                        let entry = self.registry.get(i);
+                        StrategistOutcome {
+                            name: entry.name.clone(),
+                            family: entry.table.family().to_string(),
+                            share: cell.shares[slot],
+                            predicted: entry.predicted,
+                            revenue,
+                            std_err,
+                        }
+                    })
+                    .collect(),
+                orphan_rate: outcome.orphan_rate,
+            })
+            .collect();
+        Ok((results, shards))
     }
 }
 
@@ -300,12 +245,12 @@ mod tests {
     use super::*;
     use crate::families::Family;
 
-    fn small_config(threads: usize) -> TournamentConfig {
-        TournamentConfig {
+    fn small_config(threads: usize) -> Replay {
+        Replay {
             runs: 2,
             blocks: 4_000,
             threads,
-            ..TournamentConfig::default()
+            ..Replay::default()
         }
     }
 
@@ -324,9 +269,9 @@ mod tests {
         let mut registry = StrategyRegistry::new();
         registry.register_family(Family::Honest, 0.3, 0.5, 10);
         registry.register_family(Family::Sm1, 0.3, 0.5, 10);
-        let reference = grid(&registry, 1).run();
+        let reference = grid(&registry, 1).run().expect("valid grid");
         assert_eq!(reference.len(), 6);
-        let parallel = grid(&registry, 4).run();
+        let parallel = grid(&registry, 4).run().expect("valid grid");
         assert_eq!(reference, parallel);
         // Honest playback in the zero-delay duopoly earns the fair share.
         let honest_zero = &reference[0];
@@ -335,6 +280,15 @@ mod tests {
         // The matchup cell reports both strategists.
         assert_eq!(reference[2].strategists.len(), 2);
         assert_eq!(reference[2].strategists[1].name, "sm1");
+    }
+
+    #[test]
+    fn rejected_cells_are_typed_errors() {
+        let mut registry = StrategyRegistry::new();
+        registry.register_family(Family::Sm1, 0.3, 0.5, 10);
+        let mut t = Tournament::new(&registry, small_config(1));
+        t.add_cell(Cell::single("broken", 0, vec![0.3, 0.3], 0.5, 0.0));
+        assert!(matches!(t.run(), Err(SimError::InvalidShares { .. })));
     }
 
     #[test]

@@ -13,98 +13,49 @@
 //!    never drawn from a shared RNG stream).
 //! 3. *Zero-fault identity*: an explicit [`FaultPlan::none`] reproduces
 //!    the fault-unaware delay engine **bit for bit**. The hex constants
-//!    below were captured from the engine before the fault layer
-//!    existed; any drift in the zero-fault path fails loudly.
+//!    (`tests/common/mod.rs`) were captured from the engine before the
+//!    fault layer existed; any drift in the zero-fault path fails loudly.
 //!
 //! Plus the committed-artifact gates: `results/chaos_study.json` must be
 //! coherent, its gated anchor cell must reproduce the artifact's ρ*, and
 //! its cheapest cells must recompute bit for bit at their committed
 //! settings.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use selfish_ethereum::prelude::*;
 
+use seleth_bench::report::ReplayCell;
 use seleth_obs::{par_map, JsonValue};
 
 mod common;
-use common::{array_field, committed_json, f64_field, load_artifact, sm1, str_field};
+use common::{
+    array_field, committed_json, committed_replay, f64_field, load_artifact, pinned_delay_configs,
+    sm1, str_field,
+};
 
 // ---------------------------------------------------------------------
 // 3. Zero-fault bit identity
 // ---------------------------------------------------------------------
 
-/// Reference outcomes captured from the fault-unaware delay engine.
-/// Exact `f64` bit patterns: the zero-fault plan must not perturb a
-/// single rounding step. Recaptured when `PolicyTable::decide` started
-/// forcing resolution at the truncation boundary (the hand-written SM1
-/// tables below store `Wait` at `a == max_len`, which the executors now
-/// resolve exactly like the solver's boundary action set) — the
-/// fault-layer identity itself is unchanged and independently re-gated
-/// in `tests/closed_loop_study.rs` by comparing a fault-free config
-/// against an explicit `FaultPlan::none()` run.
+/// The pinned configurations of `common::pinned_delay_configs`, captured
+/// from the fault-unaware delay engine, under an explicit
+/// [`FaultPlan::none`]: the zero-fault plan must not perturb a single
+/// rounding step. The fault-layer identity is also re-gated in
+/// `tests/closed_loop_study.rs` by comparing a fault-free config against
+/// an explicit `FaultPlan::none()` run.
 #[test]
 fn zero_fault_plan_reproduces_the_delay_engine_bit_for_bit() {
-    // (name, total_reward bits, per-miner bits)
-    let honest_eth = DelayConfig::builder()
-        .shares(vec![0.25; 4])
-        .delay(6.0)
-        .blocks(40_000)
-        .seed(2)
-        .schedule(RewardSchedule::ethereum())
-        .faults(FaultPlan::none())
-        .build()
-        .expect("valid config");
-    let r = DelaySimulation::new(honest_eth).run();
-    assert_eq!(r.report.total_reward().to_bits(), 0x40e2decf00000000);
-    assert_eq!(r.miner(0).total().to_bits(), 0x40c2e9f400000000);
-
-    let sm1_btc = DelayConfig::builder()
-        .shares(vec![0.35, 0.65])
-        .policy(0, sm1(0.35, 0.5, 12))
-        .tie_gamma(0.5)
-        .delay(2.0)
-        .blocks(30_000)
-        .seed(17)
-        .schedule(RewardSchedule::bitcoin())
-        .faults(FaultPlan::none())
-        .build()
-        .expect("valid config");
-    let r = DelaySimulation::new(sm1_btc).run();
-    assert_eq!(r.report.total_reward().to_bits(), 0x40d5848000000000);
-    assert_eq!(r.miner(0).total().to_bits(), 0x40bd900000000000);
-
-    let duo_btc = DelayConfig::builder()
-        .shares(vec![0.3, 0.3, 0.4])
-        .policy(0, sm1(0.3, 0.5, 12))
-        .policy(1, sm1(0.3, 0.5, 12))
-        .tie_gamma(0.5)
-        .delay(2.0)
-        .blocks(30_000)
-        .seed(17)
-        .schedule(RewardSchedule::bitcoin())
-        .faults(FaultPlan::none())
-        .build()
-        .expect("valid config");
-    let r = DelaySimulation::new(duo_btc).run();
-    assert_eq!(r.report.total_reward().to_bits(), 0x40ce9e8000000000);
-    assert_eq!(r.miner(0).total().to_bits(), 0x40b2e70000000000);
-    assert_eq!(r.miner(1).total().to_bits(), 0x40b2840000000000);
-
-    let sm1_eth = DelayConfig::builder()
-        .shares(vec![0.4, 0.6])
-        .policy(0, sm1(0.4, 0.0, 14))
-        .tie_gamma(0.0)
-        .delay(4.0)
-        .blocks(25_000)
-        .seed(41)
-        .schedule(RewardSchedule::ethereum())
-        .faults(FaultPlan::none())
-        .build()
-        .expect("valid config");
-    let r = DelaySimulation::new(sm1_eth).run();
-    assert_eq!(r.report.total_reward().to_bits(), 0x40d3181a00000000);
-    assert_eq!(r.miner(0).total().to_bits(), 0x40b8409800000000);
+    for mut pinned in pinned_delay_configs() {
+        let config = pinned
+            .builder
+            .faults(FaultPlan::none())
+            .build()
+            .expect("valid config");
+        pinned.check(&DelaySimulation::new(config).run());
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -331,12 +282,10 @@ fn committed_chaos_study_is_coherent_and_anchored() {
 }
 
 /// Recompute the committed fault-free duopoly cell `name` of `strategy`
-/// (replaying `table`) at the study's committed runs, blocks, interval,
-/// delay and fault seed, and compare its statistics with the committed
-/// ones bit for bit.
-fn recompute_committed_cell(doc: &JsonValue, strategy: &str, table: &PolicyTable, name: &str) {
-    /// The simulation seed of `chaos_study` (not recorded in the file).
-    const STUDY_SEED: u64 = 57_005;
+/// (replaying `table`) through the studies' replay runner at the file's
+/// runs, blocks, interval, seed, delay and fault seed, and compare its
+/// statistics with the committed ones bit for bit.
+fn recompute_committed_cell(doc: &JsonValue, strategy: &str, table: PolicyTable, name: &str) {
     let series = array_field(doc, "series")
         .iter()
         .find(|s| str_field(s, "strategy") == strategy && str_field(s, "split") == "duopoly")
@@ -353,26 +302,21 @@ fn recompute_committed_cell(doc: &JsonValue, strategy: &str, table: &PolicyTable
         "a fault-free cell"
     );
     let alpha = f64_field(series, "alpha");
-    let fault_seed = f64_field(doc, "fault_seed") as u64;
-    let plan = FaultPlan::builder()
-        .seed(fault_seed)
-        .loss(0.0)
-        .build()
-        .unwrap();
-    let outcome = seleth_bench::report::replay_revenue(f64_field(doc, "runs") as u64, 1, |k| {
-        DelayConfig::builder()
-            .shares(vec![alpha, 1.0 - alpha])
-            .policy(0, table.clone())
-            .tie_gamma(f64_field(series, "gamma"))
-            .delay(f64_field(cell, "delay"))
-            .interval(f64_field(doc, "interval"))
-            .schedule(RewardSchedule::bitcoin())
-            .blocks(f64_field(doc, "blocks") as u64)
-            .seed(STUDY_SEED + k)
-            .faults(plan.with_seed(fault_seed + k))
+    let replay_cell = ReplayCell {
+        faults: FaultPlan::builder()
+            .seed(f64_field(doc, "fault_seed") as u64)
             .build()
-            .expect("valid chaos config")
-    });
+            .expect("valid plan"),
+        ..ReplayCell::new(
+            vec![Arc::new(table)],
+            vec![alpha, 1.0 - alpha],
+            f64_field(series, "gamma"),
+            f64_field(cell, "delay"),
+        )
+    };
+    let outcome = committed_replay(doc)
+        .run(&replay_cell)
+        .expect("valid chaos cell");
     for (key, got) in [
         ("revenue", outcome.mean()),
         ("std_err", outcome.std_err()),
@@ -397,9 +341,9 @@ fn recompute_committed_cell(doc: &JsonValue, strategy: &str, table: &PolicyTable
 fn committed_chaos_study_recomputes_bit_for_bit() {
     let doc = committed_json("chaos_study.json");
     let artifact = load_artifact("bitcoin_a040_g050.json");
-    recompute_committed_cell(&doc, "bitcoin_a040_g050", &artifact, "anchor_delay0");
+    recompute_committed_cell(&doc, "bitcoin_a040_g050", artifact, "anchor_delay0");
     // Family tables are lowered at the study's default truncation
     // (`SELETH_MDP_LEN`, 30).
     let sm1 = Family::Sm1.table(0.35, 0.5, 30);
-    recompute_committed_cell(&doc, "sm1", &sm1, "baseline");
+    recompute_committed_cell(&doc, "sm1", sm1, "baseline");
 }

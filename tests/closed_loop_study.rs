@@ -21,8 +21,6 @@
 
 use selfish_ethereum::prelude::*;
 
-use seleth_bench::mean_stderr;
-
 mod common;
 use common::{delay_playback, load_artifact, PLAYBACK_INTERVAL, PLAYBACK_SEED};
 
@@ -35,8 +33,8 @@ const BLOCKS: u64 = 30_000;
 fn assert_aware_dominates(aware_name: &str, delay: f64) {
     let aware = load_artifact(aware_name);
     let base = load_artifact("bitcoin_a040_g050.json");
-    let (aware_mean, aware_se) = mean_stderr(&delay_playback(&aware, delay, RUNS, BLOCKS));
-    let (base_mean, base_se) = mean_stderr(&delay_playback(&base, delay, RUNS, BLOCKS));
+    let (aware_mean, aware_se) = delay_playback(&aware, delay, RUNS, BLOCKS);
+    let (base_mean, base_se) = delay_playback(&base, delay, RUNS, BLOCKS);
     let combined = aware_se.hypot(base_se);
     assert!(
         aware_mean >= base_mean - (3.0 * combined).max(0.01),
@@ -96,7 +94,8 @@ fn fault_free_plans_replay_aware_artifacts_bit_identically() {
     // artifact: an explicit FaultPlan::none() must not perturb a single
     // rounding step of the closed-loop replay.
     let aware = load_artifact("bitcoin_a040_g050_d6.json");
-    let plain_config = DelayConfig::builder()
+    let mut builder = DelayConfig::builder();
+    builder
         .shares(vec![aware.alpha(), 1.0 - aware.alpha()])
         .policy(0, aware.clone())
         .tie_gamma(aware.gamma())
@@ -104,18 +103,9 @@ fn fault_free_plans_replay_aware_artifacts_bit_identically() {
         .interval(PLAYBACK_INTERVAL)
         .schedule(RewardSchedule::bitcoin())
         .blocks(20_000)
-        .seed(PLAYBACK_SEED)
-        .build()
-        .expect("valid delay config");
-    let none_config = DelayConfig::builder()
-        .shares(vec![aware.alpha(), 1.0 - aware.alpha()])
-        .policy(0, aware.clone())
-        .tie_gamma(aware.gamma())
-        .delay(6.0)
-        .interval(PLAYBACK_INTERVAL)
-        .schedule(RewardSchedule::bitcoin())
-        .blocks(20_000)
-        .seed(PLAYBACK_SEED)
+        .seed(PLAYBACK_SEED);
+    let plain_config = builder.build().expect("valid delay config");
+    let none_config = builder
         .faults(FaultPlan::none())
         .build()
         .expect("valid delay config");

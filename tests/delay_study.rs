@@ -27,7 +27,7 @@ fn zero_delay_strategic_run_reproduces_rho_star_below_threshold() {
     // absolute, the same bar `tests/policy_playback.rs` sets the engine.
     let table = load_artifact("bitcoin_a020_g050.json");
     let rho = table.predicted_revenue();
-    let (mean, std_err) = mean_stderr(&delay_playback(&table, 0.0, RUNS, BLOCKS));
+    let (mean, std_err) = delay_playback(&table, 0.0, RUNS, BLOCKS);
     let diff = (mean - rho).abs();
     assert!(
         diff <= 3.0 * std_err,
@@ -45,7 +45,7 @@ fn zero_delay_strategic_run_reproduces_rho_star_above_threshold() {
     // match races exercising the tie_gamma machinery.
     let table = load_artifact("bitcoin_a040_g050.json");
     let rho = table.predicted_revenue();
-    let (mean, std_err) = mean_stderr(&delay_playback(&table, 0.0, RUNS, BLOCKS));
+    let (mean, std_err) = delay_playback(&table, 0.0, RUNS, BLOCKS);
     let diff = (mean - rho).abs();
     assert!(
         diff <= (3.0 * std_err).max(0.01),
@@ -62,7 +62,7 @@ fn zero_delay_strategic_run_matches_engine_playback() {
     // simulator at delay 0 vs the engine's PoolStrategy::Table. Their
     // mean revenues must agree within combined Monte-Carlo noise.
     let table = load_artifact("bitcoin_a035_g000.json");
-    let (delay_mean, delay_se) = mean_stderr(&delay_playback(&table, 0.0, RUNS, BLOCKS));
+    let (delay_mean, delay_se) = delay_playback(&table, 0.0, RUNS, BLOCKS);
 
     let engine_config = SimConfig::builder()
         .alpha(table.alpha())
@@ -107,8 +107,8 @@ fn delay_strictly_degrades_the_above_threshold_artifact() {
     // measured revenue falls monotonically-in-spirit (0 vs 6s) once
     // propagation delay lets honest miners race its overrides.
     let table = load_artifact("bitcoin_a040_g050.json");
-    let (fast, _) = mean_stderr(&delay_playback(&table, 0.0, 4, 20_000));
-    let (slow, _) = mean_stderr(&delay_playback(&table, 6.0, 4, 20_000));
+    let (fast, _) = delay_playback(&table, 0.0, 4, 20_000);
+    let (slow, _) = delay_playback(&table, 6.0, 4, 20_000);
     assert!(
         slow < fast - 0.01,
         "6s of delay must cost the strategist: {slow} vs {fast}"

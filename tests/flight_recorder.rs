@@ -4,9 +4,9 @@
 //! Four contracts:
 //!
 //! 1. *Recording is bit-neutral*: attaching an [`EventLog`] to either
-//!    engine — including the `FaultPlan::none()` configuration whose
-//!    outcome is pinned by captured hex constants in
-//!    `tests/chaos_study.rs` — reproduces the unrecorded run bit for bit,
+//!    engine — including the `FaultPlan::none()` configurations whose
+//!    outcomes are pinned by captured hex constants in
+//!    `tests/common/mod.rs` — reproduces the unrecorded run bit for bit,
 //!    and stays thread-invariant under `par_map`.
 //! 2. *First-divergence localization*: a deliberately injected
 //!    divergence (flipping one fault coin of a mid-run block via the
@@ -27,30 +27,27 @@ use seleth_obs::par_map;
 use seleth_sim::diagnose::capacity_for;
 
 mod common;
-use common::{committed_json, f64_field};
+use common::{committed_json, f64_field, pinned_delay_configs};
 
 // ---------------------------------------------------------------------
 // 1. Recording is bit-neutral
 // ---------------------------------------------------------------------
 
-/// The `FaultPlan::none()` pinned configuration from `tests/chaos_study.rs`
-/// (`zero_fault_plan_reproduces_the_delay_engine_bit_for_bit`): the same
+/// The pinned configurations of `common::pinned_delay_configs` under
+/// `FaultPlan::none()` (as `tests/chaos_study.rs` replays them): the same
 /// captured hex constants must hold with the flight recorder attached.
 #[test]
 fn recording_preserves_the_zero_fault_captured_constants() {
-    let config = DelayConfig::builder()
-        .shares(vec![0.25; 4])
-        .delay(6.0)
-        .blocks(40_000)
-        .seed(2)
-        .schedule(RewardSchedule::ethereum())
-        .faults(FaultPlan::none())
-        .build()
-        .expect("valid config");
-    let (r, log) = record_delay_run(&config, capacity_for(config.blocks()));
-    assert_eq!(r.report.total_reward().to_bits(), 0x40e2decf00000000);
-    assert_eq!(r.miner(0).total().to_bits(), 0x40c2e9f400000000);
-    assert!(log.count() > 0, "a 40k-block run records events");
+    for mut pinned in pinned_delay_configs() {
+        let config = pinned
+            .builder
+            .faults(FaultPlan::none())
+            .build()
+            .expect("valid config");
+        let (r, log) = record_delay_run(&config, capacity_for(config.blocks()));
+        pinned.check(&r);
+        assert!(log.count() > 0, "a pinned run records events");
+    }
 }
 
 #[test]

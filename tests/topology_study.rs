@@ -15,7 +15,7 @@
 //!    partition run **bit for bit** on an equivalent complete graph.
 //! 4. *Uniform identity*: a complete graph at uniform latency reproduces
 //!    the fault-unaware delay engine bit for bit — checked against the
-//!    same hex anchors `tests/chaos_study.rs` pins, so the gossip path
+//!    same hex anchors `tests/chaos_study.rs` replays, so the gossip path
 //!    cannot drift from the engine it generalizes.
 //!
 //! Plus the committed-artifact gates: `results/topology_study.json` must
@@ -23,85 +23,43 @@
 //! hub-vs-leaf attacker spread positive at fixed mean latency, and its
 //! anchor cells must recompute bit for bit at their committed settings.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use selfish_ethereum::prelude::*;
 
+use seleth_bench::report::ReplayCell;
 use seleth_obs::{par_map, JsonValue};
 
 mod common;
-use common::{array_field, committed_json, f64_field, load_artifact, sm1, str_field};
+use common::{
+    array_field, committed_json, committed_replay, f64_field, load_artifact, pinned_delay_configs,
+    sm1, str_field,
+};
 
 // ---------------------------------------------------------------------
 // 4. Complete-graph/uniform bit identity against the pinned anchors
 // ---------------------------------------------------------------------
 
-/// The four reference outcomes `tests/chaos_study.rs` pins for the
-/// uniform delay engine, replayed through [`PropagationModel::Graph`] on
-/// a complete graph whose every edge carries exactly the uniform delay.
-/// The graph path folds each arrival into the same `pub_time + 0.0`
-/// arithmetic, so the bit patterns must match — not merely the values.
+/// The four pinned reference outcomes of `common::pinned_delay_configs`
+/// (the uniform delay engine's), replayed through
+/// [`PropagationModel::Graph`] on a complete graph whose every edge
+/// carries exactly the uniform delay. The graph path folds each arrival
+/// into the same `pub_time + 0.0` arithmetic, so the bit patterns must
+/// match — not merely the values.
 #[test]
 fn complete_graph_reproduces_the_delay_engine_bit_for_bit() {
-    let honest_eth = DelayConfig::builder()
-        .shares(vec![0.25; 4])
-        .delay(6.0)
-        .blocks(40_000)
-        .seed(2)
-        .schedule(RewardSchedule::ethereum())
-        .topology(Topology::complete(4, 6.0).expect("valid"))
-        .build()
-        .expect("valid config");
-    let r = DelaySimulation::new(honest_eth).run();
-    assert_eq!(r.report.total_reward().to_bits(), 0x40e2decf00000000);
-    assert_eq!(r.miner(0).total().to_bits(), 0x40c2e9f400000000);
-
-    let sm1_btc = DelayConfig::builder()
-        .shares(vec![0.35, 0.65])
-        .policy(0, sm1(0.35, 0.5, 12))
-        .tie_gamma(0.5)
-        .delay(2.0)
-        .blocks(30_000)
-        .seed(17)
-        .schedule(RewardSchedule::bitcoin())
-        .topology(Topology::complete(2, 2.0).expect("valid"))
-        .build()
-        .expect("valid config");
-    let r = DelaySimulation::new(sm1_btc).run();
-    assert_eq!(r.report.total_reward().to_bits(), 0x40d5848000000000);
-    assert_eq!(r.miner(0).total().to_bits(), 0x40bd900000000000);
-
-    let duo_btc = DelayConfig::builder()
-        .shares(vec![0.3, 0.3, 0.4])
-        .policy(0, sm1(0.3, 0.5, 12))
-        .policy(1, sm1(0.3, 0.5, 12))
-        .tie_gamma(0.5)
-        .delay(2.0)
-        .blocks(30_000)
-        .seed(17)
-        .schedule(RewardSchedule::bitcoin())
-        .topology(Topology::complete(3, 2.0).expect("valid"))
-        .build()
-        .expect("valid config");
-    let r = DelaySimulation::new(duo_btc).run();
-    assert_eq!(r.report.total_reward().to_bits(), 0x40ce9e8000000000);
-    assert_eq!(r.miner(0).total().to_bits(), 0x40b2e70000000000);
-    assert_eq!(r.miner(1).total().to_bits(), 0x40b2840000000000);
-
-    let sm1_eth = DelayConfig::builder()
-        .shares(vec![0.4, 0.6])
-        .policy(0, sm1(0.4, 0.0, 14))
-        .tie_gamma(0.0)
-        .delay(4.0)
-        .blocks(25_000)
-        .seed(41)
-        .schedule(RewardSchedule::ethereum())
-        .topology(Topology::complete(2, 4.0).expect("valid"))
-        .build()
-        .expect("valid config");
-    let r = DelaySimulation::new(sm1_eth).run();
-    assert_eq!(r.report.total_reward().to_bits(), 0x40d3181a00000000);
-    assert_eq!(r.miner(0).total().to_bits(), 0x40b8409800000000);
+    for mut pinned in pinned_delay_configs() {
+        let uniform = pinned.builder.build().expect("valid config");
+        let complete = Topology::complete(uniform.shares().len(), uniform.delay()).expect("valid");
+        let config = pinned
+            .builder
+            .topology(complete)
+            .build()
+            .expect("valid config");
+        pinned.check(&DelaySimulation::new(config).run());
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -400,7 +358,7 @@ fn committed_topology_study_is_coherent_and_gated() {
 #[test]
 fn committed_topology_study_recomputes_bit_for_bit() {
     let doc = committed_json("topology_study.json");
-    let artifact = load_artifact("bitcoin_a040_g050.json");
+    let artifact = Arc::new(load_artifact("bitcoin_a040_g050.json"));
     let series = array_field(&doc, "series")
         .iter()
         .find(|s| {
@@ -410,33 +368,28 @@ fn committed_topology_study_recomputes_bit_for_bit() {
     let alpha = f64_field(series, "alpha");
     let rest = (1.0 - alpha) / 3.0;
     let delay = f64_field(&doc, "mean_latency");
+    let replay = committed_replay(&doc);
     for (shape, topology) in [
         ("uniform", None),
         (
             "complete",
-            Some(Topology::complete(4, delay).expect("valid")),
+            Some(Arc::new(Topology::complete(4, delay).expect("valid"))),
         ),
     ] {
         let cell = array_field(series, "cells")
             .iter()
             .find(|c| str_field(c, "shape") == shape)
             .unwrap_or_else(|| panic!("{shape} cell"));
-        let outcome =
-            seleth_bench::report::replay_revenue(f64_field(&doc, "runs") as u64, 1, |k| {
-                let mut b = DelayConfig::builder();
-                b.shares(vec![alpha, rest, rest, rest])
-                    .policy(0, artifact.clone())
-                    .tie_gamma(f64_field(series, "gamma"))
-                    .delay(delay)
-                    .interval(f64_field(&doc, "interval"))
-                    .schedule(RewardSchedule::bitcoin())
-                    .blocks(f64_field(&doc, "blocks") as u64)
-                    .seed(f64_field(&doc, "seed") as u64 + k);
-                if let Some(t) = &topology {
-                    b.topology(t.clone());
-                }
-                b.build().expect("valid topology config")
-            });
+        let replay_cell = ReplayCell {
+            topology,
+            ..ReplayCell::new(
+                vec![Arc::clone(&artifact)],
+                vec![alpha, rest, rest, rest],
+                f64_field(series, "gamma"),
+                delay,
+            )
+        };
+        let outcome = replay.run(&replay_cell).expect("valid topology cell");
         let bits = format!("0x{:016x}", outcome.mean().to_bits());
         assert_eq!(
             bits,

@@ -18,36 +18,30 @@
 //! `results/zoo_study.json` recomputes bit for bit at its committed
 //! settings.
 
+use std::sync::Arc;
+
 use selfish_ethereum::prelude::*;
 
-use seleth_bench::mean_stderr;
+use seleth_bench::report::{Replay, ReplayCell};
 use seleth_obs::JsonValue;
 
 mod common;
-use common::{array_field, committed_json, f64_field, load_artifact};
+use common::{array_field, committed_json, committed_replay, f64_field, load_artifact};
 
 const SEED: u64 = 424_242;
 
 fn sm1_playback(alpha: f64, gamma: f64, runs: u64, blocks: u64) -> (f64, f64) {
-    let table = Family::Sm1.table(alpha, gamma, 80);
-    let config = DelayConfig::builder()
-        .shares(vec![alpha, 1.0 - alpha])
-        .policy(0, table)
-        .tie_gamma(gamma)
-        .delay(0.0)
-        .schedule(RewardSchedule::bitcoin())
-        .blocks(blocks)
-        .seed(SEED)
-        .build()
-        .expect("valid delay config");
-    let revenues: Vec<f64> = (0..runs)
-        .map(|k| {
-            DelaySimulation::new(config.with_seed(SEED + k))
-                .run()
-                .revenue_share(0)
-        })
-        .collect();
-    mean_stderr(&revenues)
+    let table = Arc::new(Family::Sm1.table(alpha, gamma, 80));
+    let cell = ReplayCell::new(vec![table], vec![alpha, 1.0 - alpha], gamma, 0.0);
+    let replay = Replay {
+        runs,
+        blocks,
+        seed: SEED,
+        threads: 1,
+        ..Replay::default()
+    };
+    let outcome = replay.run(&cell).expect("valid duopoly cell");
+    (outcome.mean(), outcome.std_err())
 }
 
 #[test]
@@ -105,7 +99,7 @@ fn optimal_artifact_dominates_every_family_at_its_own_point() {
         );
     }
 
-    let config = TournamentConfig {
+    let config = Replay {
         runs: 5,
         blocks: 20_000,
         seed: SEED,
@@ -117,7 +111,7 @@ fn optimal_artifact_dominates_every_family_at_its_own_point() {
     for &(_, idx) in &family_idx {
         tournament.add_cell(Cell::single("duopoly", idx, shares.clone(), gamma, 0.0));
     }
-    let results = tournament.run();
+    let results = tournament.run().expect("valid duopoly cells");
 
     let opt = &results[0];
     // Tournament cells replay under the lead strategist's reward
@@ -174,7 +168,7 @@ fn matchup_cells_field_two_strategists_deterministically() {
     let mut registry = StrategyRegistry::new();
     let sm1 = registry.register_family(Family::Sm1, 0.30, 0.5, 30);
     let run = || {
-        let config = TournamentConfig {
+        let config = Replay {
             runs: 2,
             blocks: 8_000,
             seed: SEED,
@@ -182,7 +176,7 @@ fn matchup_cells_field_two_strategists_deterministically() {
         };
         let mut tournament = Tournament::new(&registry, config);
         tournament.add_cell(Cell::matchup("matchup", (sm1, 0.30), (sm1, 0.30), 0.5, 2.0));
-        tournament.run()
+        tournament.run().expect("valid matchup cell")
     };
     let (a, b) = (run(), run());
     assert_eq!(a, b, "tournament cells are seed-deterministic");
@@ -194,12 +188,10 @@ fn matchup_cells_field_two_strategists_deterministically() {
 }
 
 /// Recompute the committed zero-fault duopoly cell of `family` at `point`
-/// and `delay` at the study's committed runs, blocks, interval and family
-/// truncation, and compare its statistics with the committed ones bit for
-/// bit.
+/// and `delay` at the study's committed runs, blocks, interval, seed and
+/// family truncation, and compare its statistics with the committed ones
+/// bit for bit.
 fn recompute_committed_cell(doc: &JsonValue, point: &str, family: Family, delay: f64) {
-    /// The tournament seed of `strategy_zoo` (not recorded in the file).
-    const STUDY_SEED: u64 = 90_210;
     let (cell, committed) = array_field(doc, "cells")
         .iter()
         .filter(|c| c.get("point").and_then(JsonValue::as_str) == Some(point))
@@ -214,14 +206,7 @@ fn recompute_committed_cell(doc: &JsonValue, point: &str, family: Family, delay:
     let mut registry = StrategyRegistry::new();
     let truncation = f64_field(doc, "family_truncation") as u32;
     let idx = registry.register_family(family, alpha, gamma, truncation);
-    let config = TournamentConfig {
-        interval: f64_field(doc, "interval"),
-        runs: f64_field(doc, "runs") as u64,
-        blocks: f64_field(doc, "blocks") as u64,
-        seed: STUDY_SEED,
-        threads: 1,
-    };
-    let mut tournament = Tournament::new(&registry, config);
+    let mut tournament = Tournament::new(&registry, committed_replay(doc));
     tournament.add_cell(Cell::single(
         "duopoly",
         idx,
@@ -229,7 +214,7 @@ fn recompute_committed_cell(doc: &JsonValue, point: &str, family: Family, delay:
         gamma,
         delay,
     ));
-    let result = &tournament.run()[0];
+    let result = &tournament.run().expect("valid zoo cell")[0];
     let got = &result.strategists[0];
     for (key, want, got) in [
         (

@@ -113,16 +113,19 @@ echo "==> perf_trend regression gate (smoke: first-run ledger tolerated)"
 SELETH_RESULTS=results \
     cargo run --release -q --offline --locked -p seleth-bench --bin perf_report -- --trend --smoke
 
-echo "==> perfbench ledger ingest (one short gossip_graph run into a scratch ledger)"
-# Runs the benchmark for a second, appends its summary through
+echo "==> perfbench ledger ingest (short gossip_graph and solve runs into a scratch ledger)"
+# Runs each workload for a second, appends its summary through
 # `perf_report --ingest` to a scratch ledger and trend-gates that ledger,
-# so the perfbench-to-ledger path cannot rot; `results/` is not touched.
+# so the perfbench-to-ledger path cannot rot for the delay engine or the
+# solver; `results/` is not touched.
 INGEST_SCRATCH="$(mktemp -d)"
-cargo run --release -q --offline --locked --manifest-path perfbench/Cargo.toml -- \
-    --workload gossip_graph --seconds 1 > "$INGEST_SCRATCH/perfbench.out"
-SELETH_RESULTS="$INGEST_SCRATCH" \
-    cargo run --release -q --offline --locked -p seleth-bench --bin perf_report -- \
-    --ingest gossip_graph "$INGEST_SCRATCH/perfbench.out"
+for workload in gossip_graph solve; do
+    cargo run --release -q --offline --locked --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seconds 1 > "$INGEST_SCRATCH/$workload.out"
+    SELETH_RESULTS="$INGEST_SCRATCH" \
+        cargo run --release -q --offline --locked -p seleth-bench --bin perf_report -- \
+        --ingest "$workload" "$INGEST_SCRATCH/$workload.out"
+done
 SELETH_RESULTS="$INGEST_SCRATCH" \
     cargo run --release -q --offline --locked -p seleth-bench --bin perf_report -- --trend --smoke
 rm -rf "$INGEST_SCRATCH"

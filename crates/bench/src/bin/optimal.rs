@@ -9,7 +9,7 @@
 
 use seleth_chain::{RewardSchedule, Scenario};
 use seleth_core::{Analysis, ModelParams};
-use seleth_mdp::{MdpConfig, RewardModel};
+use seleth_mdp::{MdpConfig, RewardModel, ValueCache};
 
 fn main() {
     let gamma = 0.5;
@@ -24,6 +24,9 @@ fn main() {
         "alpha", "honest", "alg1_eth", "opt_btc", "opt_eth", "opt_gain"
     );
 
+    // One value cache per reward model: each solve of the α sweep starts
+    // from the previous α's values, shifted to each ρ candidate.
+    let (mut btc_cache, mut eth_cache) = (ValueCache::new(), ValueCache::new());
     let mut rows = Vec::new();
     for alpha in seleth_bench::sweep(0.05, 0.45, 0.05) {
         let params = ModelParams::new(alpha, gamma, RewardSchedule::ethereum()).expect("valid");
@@ -34,12 +37,12 @@ fn main() {
 
         let opt_btc = MdpConfig::new(alpha, gamma, RewardModel::Bitcoin)
             .with_max_len(max_len)
-            .solve()
+            .solve_with_cache(&mut btc_cache)
             .expect("mdp")
             .revenue;
         let opt_eth = MdpConfig::new(alpha, gamma, RewardModel::EthereumApprox)
             .with_max_len(max_len)
-            .solve()
+            .solve_with_cache(&mut eth_cache)
             .expect("mdp")
             .revenue;
 

@@ -69,7 +69,7 @@ impl<S: Eq + Hash + Clone> Distribution<S> {
             .probs
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("probabilities are finite"))?;
+            .max_by(|a, b| a.1.total_cmp(b.1))?;
         Some((&self.states[i], p))
     }
 

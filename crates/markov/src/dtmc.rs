@@ -113,16 +113,10 @@ impl<S: Eq + Hash + Clone> Dtmc<S> {
 
     /// Evolve an initial distribution `n` steps: returns `π₀ Pⁿ`.
     ///
-    /// The initial distribution assigns all mass to `start`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` is not a state of the chain.
-    pub fn evolve_from(&self, start: &S, n: usize) -> Distribution<S> {
-        let i0 = *self
-            .index
-            .get(start)
-            .expect("start state must be in the chain");
+    /// The initial distribution assigns all mass to `start`; `None` if
+    /// `start` is not a state of the chain.
+    pub fn evolve_from(&self, start: &S, n: usize) -> Option<Distribution<S>> {
+        let i0 = *self.index.get(start)?;
         let mut pi = vec![0.0; self.states.len()];
         pi[i0] = 1.0;
         let mut next = vec![0.0; self.states.len()];
@@ -130,7 +124,11 @@ impl<S: Eq + Hash + Clone> Dtmc<S> {
             self.matrix.left_mul_vec(&pi, &mut next);
             std::mem::swap(&mut pi, &mut next);
         }
-        Distribution::from_parts(self.states.clone(), self.index.clone(), pi)
+        Some(Distribution::from_parts(
+            self.states.clone(),
+            self.index.clone(),
+            pi,
+        ))
     }
 }
 
@@ -169,8 +167,9 @@ mod tests {
     fn evolve_converges_to_stationary() {
         let c = chain();
         let pi = c.stationary(SolveOptions::default()).unwrap();
-        let evolved = c.evolve_from(&"a", 200);
+        let evolved = c.evolve_from(&"a", 200).unwrap();
         assert!(pi.l1_distance(&evolved) < 1e-9);
+        assert!(c.evolve_from(&"zzz", 1).is_none());
     }
 
     #[test]

@@ -38,8 +38,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Library code must degrade with typed errors, never a panic, on
-// untrusted input; invariant violations use `expect` with a message.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+// untrusted input: a lookup that can miss returns `Option`, a solver
+// that can fail returns `SolveError`.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 mod builder;
 pub mod csr;

@@ -206,11 +206,13 @@ pub(crate) fn dense_lu(matrix: &CsrMatrix) -> Result<Vec<f64>, SolveError> {
 
     // Gaussian elimination with partial pivoting.
     for col in 0..n {
-        let (pivot_row, pivot_abs) = (col..n)
+        let pivot = (col..n)
             .map(|r| (r, a[r * n + col].abs()))
-            .max_by(|x, y| x.1.partial_cmp(&y.1).expect("finite"))
-            .expect("non-empty range");
-        if pivot_abs < 1e-300 {
+            .max_by(|x, y| x.1.total_cmp(&y.1));
+        let Some((pivot_row, pivot_abs)) = pivot else {
+            return Err(SolveError::Singular);
+        };
+        if pivot_abs.is_nan() || pivot_abs < 1e-300 {
             return Err(SolveError::Singular);
         }
         if pivot_row != col {

@@ -117,7 +117,7 @@ proptest! {
         let has_self_loop = (0..chain.len()).any(|i| chain.prob(&i, &i) > 0.0);
         prop_assume!(has_self_loop);
         let pi = chain.stationary(SolveOptions::default()).expect("solve");
-        let evolved = chain.evolve_from(&0, 20_000);
+        let evolved = chain.evolve_from(&0, 20_000).expect("state 0 is in the chain");
         prop_assert!(pi.l1_distance(&evolved) < 1e-6);
     }
 }

@@ -9,10 +9,15 @@
 //! - the standard state space `(a, h, fork)` — attacker chain length,
 //!   honest chain length, and whether a published fork race is relevant or
 //!   active — with the four actions *adopt / override / match / wait*;
-//! - the relative-revenue transformation: for a candidate revenue share
-//!   `ρ`, per-step rewards become `(1−ρ)·r_attacker − ρ·r_honest`, and the
-//!   optimal share is the `ρ*` at which the optimal average reward is
-//!   zero. `ρ*` is found by bisection over relative value iterations;
+//! - the Dinkelbach transform: for a candidate revenue `ρ`, per-step
+//!   rewards become `r_attacker − ρ·units`, and the optimal revenue is the
+//!   `ρ*` at which the optimal average reward is zero. `ρ*` is found by
+//!   bisection on ρ, each candidate evaluated by relative value iteration
+//!   started from the previous values shifted by `−Δρ` times the units
+//!   bias (exact under a fixed policy). A bisection sign certified by the
+//!   value-iteration sandwich does not depend on the starting values, so
+//!   the shift changes sweep counts, not revenue bits
+//!   ([`SolveStats::unresolved_signs`] counts the uncertified ones);
 //! - two reward models: exact Bitcoin (validated against Eyal–Sirer's
 //!   closed form where SM1 is optimal, and against Sapirshtein et al.'s
 //!   published optimal revenue 0.37077 at `α = 0.35, γ = 0`), and a

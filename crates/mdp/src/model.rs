@@ -406,7 +406,16 @@ impl MdpConfig {
     }
 
     /// All outcomes of taking `action` in `state`.
+    #[cfg(test)]
     pub(crate) fn outcomes(&self, state: MdpState, action: Action) -> Vec<Outcome> {
+        let mut out = Vec::new();
+        self.push_outcomes(state, action, &mut out);
+        out
+    }
+
+    /// Append every outcome of taking `action` in `state` to `out`, in
+    /// enumeration order; outcomes of probability zero are left out.
+    pub(crate) fn push_outcomes(&self, state: MdpState, action: Action, out: &mut Vec<Outcome>) {
         let MdpState {
             a,
             h,
@@ -419,13 +428,17 @@ impl MdpConfig {
         let r = self.rewards;
         let refs = r.references_uncles();
 
-        let mk = |prob: f64, next: MdpState, ra: f64, rh: f64, regular: f64, uncles: f64| Outcome {
-            prob,
-            next,
-            attacker_reward: ra,
-            honest_reward: rh,
-            regular,
-            uncles,
+        let mut mk = |prob: f64, next: MdpState, ra: f64, rh: f64, regular: f64, uncles: f64| {
+            if prob > 0.0 {
+                out.push(Outcome {
+                    prob,
+                    next,
+                    attacker_reward: ra,
+                    honest_reward: rh,
+                    regular,
+                    uncles,
+                });
+            }
         };
 
         match action {
@@ -440,24 +453,22 @@ impl MdpConfig {
                 } else {
                     (0.0, 0.0, 0.0)
                 };
-                vec![
-                    mk(
-                        alpha,
-                        MdpState::new(1, 0, Fork::Irrelevant),
-                        ua,
-                        h as f64 + uh,
-                        h as f64,
-                        unc,
-                    ),
-                    mk(
-                        beta,
-                        MdpState::new(0, 1, Fork::Relevant),
-                        ua,
-                        h as f64 + uh,
-                        h as f64,
-                        unc,
-                    ),
-                ]
+                mk(
+                    alpha,
+                    MdpState::new(1, 0, Fork::Irrelevant),
+                    ua,
+                    h as f64 + uh,
+                    h as f64,
+                    unc,
+                );
+                mk(
+                    beta,
+                    MdpState::new(0, 1, Fork::Relevant),
+                    ua,
+                    h as f64 + uh,
+                    h as f64,
+                    unc,
+                );
             }
             Action::Override => {
                 // Attacker publishes h + 1 blocks and wins them; the
@@ -486,62 +497,56 @@ impl MdpConfig {
                 };
                 let settled = (h + 1) as f64;
                 let lost = (h + 1) as f64;
-                let mut out = vec![
-                    mk(
-                        win * alpha,
-                        MdpState::new(a - h, 0, Fork::Irrelevant),
-                        settled + kn,
-                        hu,
-                        settled,
-                        unc,
-                    ),
-                    mk(
-                        win * beta,
-                        MdpState::new(a - h - 1, 1, Fork::Relevant),
-                        settled,
-                        hu + kn,
-                        settled,
-                        unc,
-                    ),
-                    mk(
-                        loss * alpha,
-                        MdpState::new(1, 0, Fork::Irrelevant),
-                        0.0,
-                        lost,
-                        lost,
-                        0.0,
-                    ),
-                    mk(
-                        loss * beta,
-                        MdpState::new(0, 1, Fork::Relevant),
-                        0.0,
-                        lost,
-                        lost,
-                        0.0,
-                    ),
-                ];
-                out.retain(|o| o.prob > 0.0);
-                out
+                mk(
+                    win * alpha,
+                    MdpState::new(a - h, 0, Fork::Irrelevant),
+                    settled + kn,
+                    hu,
+                    settled,
+                    unc,
+                );
+                mk(
+                    win * beta,
+                    MdpState::new(a - h - 1, 1, Fork::Relevant),
+                    settled,
+                    hu + kn,
+                    settled,
+                    unc,
+                );
+                mk(
+                    loss * alpha,
+                    MdpState::new(1, 0, Fork::Irrelevant),
+                    0.0,
+                    lost,
+                    lost,
+                    0.0,
+                );
+                mk(
+                    loss * beta,
+                    MdpState::new(0, 1, Fork::Relevant),
+                    0.0,
+                    lost,
+                    lost,
+                    0.0,
+                );
             }
             Action::Wait if fork != Fork::Active => {
-                vec![
-                    mk(
-                        alpha,
-                        MdpState::new(a + 1, h, Fork::Irrelevant).with_match_d(match_d),
-                        0.0,
-                        0.0,
-                        0.0,
-                        0.0,
-                    ),
-                    mk(
-                        beta,
-                        MdpState::new(a, h + 1, Fork::Relevant).with_match_d(match_d),
-                        0.0,
-                        0.0,
-                        0.0,
-                        0.0,
-                    ),
-                ]
+                mk(
+                    alpha,
+                    MdpState::new(a + 1, h, Fork::Irrelevant).with_match_d(match_d),
+                    0.0,
+                    0.0,
+                    0.0,
+                    0.0,
+                );
+                mk(
+                    beta,
+                    MdpState::new(a, h + 1, Fork::Relevant).with_match_d(match_d),
+                    0.0,
+                    0.0,
+                    0.0,
+                    0.0,
+                );
             }
             Action::Match | Action::Wait => {
                 // A matched prefix of length h races the honest chain:
@@ -581,46 +586,50 @@ impl MdpConfig {
                 } else {
                     gamma
                 };
-                let mut out = vec![
-                    mk(
-                        alpha,
-                        MdpState::active(a + 1, h, d_active),
-                        0.0,
-                        0.0,
-                        0.0,
-                        0.0,
-                    ),
-                    mk(
-                        g_eff * beta,
-                        MdpState::new(a - h, 1, Fork::Relevant),
-                        h as f64,
-                        hu + kn,
-                        h as f64,
-                        unc,
-                    ),
-                    mk(
-                        (1.0 - g_eff) * beta,
-                        MdpState::new(a, h + 1, Fork::Relevant).with_match_d(if refs {
-                            d_active
-                        } else {
-                            0
-                        }),
-                        0.0,
-                        0.0,
-                        0.0,
-                        0.0,
-                    ),
-                ];
-                out.retain(|o| o.prob > 0.0);
-                out
+                mk(
+                    alpha,
+                    MdpState::active(a + 1, h, d_active),
+                    0.0,
+                    0.0,
+                    0.0,
+                    0.0,
+                );
+                mk(
+                    g_eff * beta,
+                    MdpState::new(a - h, 1, Fork::Relevant),
+                    h as f64,
+                    hu + kn,
+                    h as f64,
+                    unc,
+                );
+                mk(
+                    (1.0 - g_eff) * beta,
+                    MdpState::new(a, h + 1, Fork::Relevant).with_match_d(if refs {
+                        d_active
+                    } else {
+                        0
+                    }),
+                    0.0,
+                    0.0,
+                    0.0,
+                    0.0,
+                );
             }
         }
     }
 
     /// The actions legal in `state` under this configuration's truncation.
+    #[cfg(test)]
     pub(crate) fn legal_actions(&self, state: MdpState) -> Vec<Action> {
+        let mut actions = Vec::new();
+        self.push_legal_actions(state, &mut actions);
+        actions
+    }
+
+    /// Append the actions legal in `state` to `actions`, in enumeration
+    /// order.
+    pub(crate) fn push_legal_actions(&self, state: MdpState, actions: &mut Vec<Action>) {
         let MdpState { a, h, fork, .. } = state;
-        let mut actions = Vec::with_capacity(4);
         let at_boundary = a >= self.max_len || h >= self.max_len;
         if a > h {
             actions.push(Action::Override);
@@ -632,7 +641,6 @@ impl MdpConfig {
             }
             actions.push(Action::Wait);
         }
-        actions
     }
 
     /// Enumerate the truncated state space.

@@ -177,6 +177,18 @@ impl StateSpace {
         Self::with_match_d(max_len, MATCH_D_CAP)
     }
 
+    /// The shape a solve of `config` lowers to: classic for Bitcoin-model
+    /// solves (their MDP collapses the distance dimension), four-axis at
+    /// [`MATCH_D_CAP`] for Ethereum-model ones. It indexes every state of
+    /// the solve's space to its own slot, so the solver finds dense state
+    /// indices through it too.
+    pub(crate) fn of(config: &MdpConfig) -> Self {
+        match config.rewards {
+            RewardModel::Bitcoin => Self::classic(config.max_len),
+            RewardModel::EthereumApprox => Self::ethereum(config.max_len),
+        }
+    }
+
     /// Truncation: the space covers `a, h ≤ max_len`.
     pub fn max_len(&self) -> u32 {
         self.max_len
@@ -307,10 +319,7 @@ impl PolicyTable {
     pub fn from_solution(config: &MdpConfig, solution: &Solution) -> Self {
         let delay = config.delay_ratio;
         let policy = &solution.policy;
-        let space = match config.rewards {
-            RewardModel::Bitcoin => StateSpace::classic(config.max_len),
-            RewardModel::EthereumApprox => StateSpace::ethereum(config.max_len),
-        };
+        let space = StateSpace::of(config);
         let classic = !space.has_match_d();
         let lookup = |a: u32, h: u32, fork: Fork, d: u8| -> Action {
             let state = match fork {

@@ -1,14 +1,14 @@
-//! Relative value iteration + Dinkelbach bisection over the revenue `ρ`.
+//! Relative value iteration + bisection on ρ in the Dinkelbach transform.
 //!
 //! The attacker maximizes a *ratio*: expected reward per normalization
 //! unit (regular blocks for Scenario 1; regular + uncle blocks for
 //! Scenario 2 — exactly the paper's absolute revenue `U_s`). Following the
 //! fractional-programming transformation (Dinkelbach; Sapirshtein et al.
 //! use its relative-revenue special case), for a candidate ratio `ρ`
-//! per-step rewards become `w = r_attacker − ρ · units`, the optimal
-//! long-run average `g(ρ)` is strictly decreasing, and the optimal ratio
-//! is the root `g(ρ*) = 0`. `g(ρ)` itself is computed by relative value
-//! iteration on the unichain MDP.
+//! per-step rewards become `r_attacker − ρ · units`, the optimal long-run
+//! average `g(ρ)` is strictly decreasing, and the optimal ratio is the
+//! root `g(ρ*) = 0`. The solver bisects `[0, 2]` on the sign of `g`, which
+//! it computes by relative value iteration on the unichain MDP.
 //!
 //! # Performance architecture
 //!
@@ -16,10 +16,30 @@
 //! struct-of-arrays storage ([`ExpandedMdp`]): per outcome, `(prob,
 //! successor index, attacker reward, normalization units)`. Each ρ
 //! candidate then re-weights rewards once (`base = Σ p·(r − ρ·units)`
-//! per action) instead of rebuilding per-action outcome lists, and the
-//! value function is **warm-started across ρ iterates** (the optimal `v`
-//! moves continuously with ρ, so each bisection step starts next to its
-//! fixed point and converges in a fraction of the cold-start sweeps).
+//! per action) instead of rebuilding per-action outcome lists. States are
+//! indexed through a dense table over the policy artifacts' own slot
+//! indexer ([`StateSpace::index`]), so the expansion hashes nothing.
+//!
+//! **ρ-shifted warm starts.** Under a fixed policy the relative value is
+//! exactly linear in ρ, `h_ρ = h_r − ρ·h_u`, where `h_u` is the relative
+//! value of the normalization units. The solver carries that *units
+//! bias* `w` beside the value function `v` and starts every ρ candidate
+//! from `v − (ρ − ρ_prev)·w`, so a candidate only has to learn how the
+//! greedy policy moves, not the whole shift. `w` is refreshed only by
+//! the closing full-tolerance evaluation at the solved revenue, through
+//! a second accumulator in the Q pass, and a [`ValueCache`] keeps
+//! `(v, w, ρ)` for the next solve of a sweep. Only a kept cache ever
+//! reads `w`, so only [`MdpConfig::solve_with_cache`] forms it;
+//! [`MdpConfig::solve`] runs value-only sweeps throughout.
+//!
+//! What stays bit-identical: a sign-only bisection candidate stops only
+//! once the Bellman-update sandwich `min_d ≤ g ≤ max_d` clears zero,
+//! which certifies the exact sign from any starting values. So the
+//! bisection visits the same midpoints and returns the same revenue bits
+//! whatever the warm start; [`SolveStats::unresolved_signs`] counts the
+//! candidates where `|g|` was too small to certify. A cold solve has
+//! `w = 0` until its closing evaluation, so it is bit-identical in every
+//! field, sweep counts included, whether or not it fills a cache.
 //!
 //! The storage is compiled into **state tiles** of [`PARALLEL_GRAIN`]
 //! consecutive states. Inside a tile, action rows are grouped by outcome
@@ -31,17 +51,20 @@
 //! enumeration order and the tie-break is unchanged, so the grouping
 //! moves no bit of any result; a tile keeps its states' values close
 //! together in cache, which grouping the whole space at once would lose.
+//! A units-tracking sweep also forms `qw = Σ p·units + Σ p_j·w[s_j]` over
+//! the same outcome streams and copies the winning slot's `qw` into the
+//! new `w`; its Q pass is a function of its own, so value-only sweeps run
+//! the plain pass's code.
 //!
 //! The tile is the unit of every sweep and of greedy-policy extraction:
 //! a sequential sweep runs the tiles in order, a parallel sweep lets
 //! workers claim whole tiles. Every tile writes disjoint slots and all
-//! reductions (span seminorm, reference offset) run on the calling
+//! reductions (span seminorm, reference offsets) run on the calling
 //! thread, so results are bit-identical for every thread count. The span
 //! reduction runs four interleaved `min`/`max` accumulators and falls
 //! back to the index-order fold only when an extreme is exactly zero,
 //! the one case where regrouping could pick the other signed zero.
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -49,7 +72,8 @@ use serde::{Deserialize, Serialize};
 
 use seleth_chain::Scenario;
 
-use crate::model::{Action, Fork, MdpConfig, MdpError, MdpState};
+use crate::model::{Action, Fork, MdpConfig, MdpError, MdpState, Outcome};
+use crate::policy::StateSpace;
 
 /// Don't spin up worker threads below this state count; a sweep this small
 /// is cheaper than the thread handoff.
@@ -67,24 +91,67 @@ const PARALLEL_GRAIN: usize = 1024;
 /// of an unbounded loop.
 const MAX_BISECTIONS: usize = 128;
 
-/// The dense state enumeration of one solve, shared (via [`Arc`]) between
-/// the solver's flat tables and the policies it returns. The hash index
-/// exists only for boundary lookups ([`Policy::action`]); the numeric
-/// kernels address states by dense index.
+/// Marks a [`StateSpace`] slot that holds no state of the solve.
+const NO_STATE: u32 = u32::MAX;
+
+/// The dense state enumeration of one solve ([`MdpConfig::states`]
+/// order), shared (via [`Arc`]) between the solver's flat tables and the
+/// policies it returns. A state's dense index is read from a table over
+/// the flat slots of its [`StateSpace::of`] shape, so lookups hash
+/// nothing.
 ///
 /// Derives the serde traits so [`Policy`]'s own derive stays valid under
 /// the real `serde` too (which additionally needs its `rc` feature for the
 /// `Arc` field; see `vendor/README.md`).
 #[derive(Debug, Serialize, Deserialize)]
-struct StateSpace {
+struct DenseStates {
     states: Vec<MdpState>,
-    index: HashMap<MdpState, usize>,
+    shape: StateSpace,
+    /// Per slot of `shape`: the dense index of its state, or [`NO_STATE`].
+    dense: Vec<u32>,
 }
 
-impl StateSpace {
-    fn new(states: Vec<MdpState>) -> Self {
-        let index = states.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-        StateSpace { states, index }
+impl DenseStates {
+    fn new(config: &MdpConfig) -> Result<Self, MdpError> {
+        let states = config.states();
+        let n = states.len();
+        // Indices must fit a `u32` below the `NO_STATE` marker.
+        if u32::try_from(n).is_err() {
+            return Err(MdpError::InvalidSpace {
+                states: n,
+                missing: None,
+            });
+        }
+        let shape = StateSpace::of(config);
+        let mut dense = vec![NO_STATE; shape.len()];
+        for (i, &s) in states.iter().enumerate() {
+            let slot = shape.index(s.a, s.h, s.fork, s.match_d);
+            match slot.and_then(|k| dense.get_mut(k)) {
+                Some(d) if *d == NO_STATE => *d = i as u32,
+                // Off the shape, or sharing a slot with another state.
+                _ => {
+                    return Err(MdpError::InvalidSpace {
+                        states: n,
+                        missing: Some(s),
+                    })
+                }
+            }
+        }
+        Ok(DenseStates {
+            states,
+            shape,
+            dense,
+        })
+    }
+
+    /// The dense index of `s`, or `None` outside the space.
+    fn get(&self, s: MdpState) -> Option<usize> {
+        let slot = self.shape.index(s.a, s.h, s.fork, s.match_d)?;
+        let i = *self.dense.get(slot)? as usize;
+        // The shape projects coordinates the space does not carry (the
+        // distance of a Bitcoin state, a distance beyond the cap), so
+        // only the state stored at the slot is a match.
+        (self.states.get(i) == Some(&s)).then_some(i)
     }
 }
 
@@ -92,10 +159,10 @@ impl StateSpace {
 ///
 /// Index-backed: actions are stored densely in state-enumeration order and
 /// the state table is shared with the solver, so constructing and cloning
-/// policies is cheap; the state → action lookup keeps its hash-map API.
+/// policies is cheap.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Policy {
-    space: Arc<StateSpace>,
+    space: Arc<DenseStates>,
     actions: Vec<Action>,
 }
 
@@ -103,7 +170,7 @@ impl Policy {
     /// The optimal action in `state` (`None` for states outside the
     /// truncated space).
     pub fn action(&self, state: MdpState) -> Option<Action> {
-        self.space.index.get(&state).map(|&i| self.actions[i])
+        self.space.get(state).map(|i| self.actions[i])
     }
 
     /// Number of states covered.
@@ -163,14 +230,25 @@ pub struct SolveStats {
     /// iterate converged (or sign-resolved) at.
     pub residuals: Vec<f64>,
     /// Iterates after the first that converged in fewer sweeps than the
-    /// cold first iterate — warm starts paying off.
+    /// first iterate. In a cold solve the first iterate starts from zero
+    /// values, so this counts warm starts paying off; through a warm
+    /// [`ValueCache`] the first iterate is warm too (it starts from the
+    /// cached values, ρ-shifted), so the count compares warm iterates
+    /// with a warm one and reads lower for the same speed.
     pub warm_start_hits: usize,
+    /// Sign-only bisection candidates whose Bellman-update span fell below
+    /// `tolerance` before the sandwich `min_d ≤ g ≤ max_d` cleared zero.
+    /// Their sign is the sandwich midpoint's, which depends on the
+    /// starting values; every other candidate's sign is certified. It is
+    /// non-zero only when `|g|` at a midpoint is below the value
+    /// tolerance, most plainly when ρ* is itself a bisection midpoint.
+    pub unresolved_signs: usize,
 }
 
 impl SolveStats {
     fn record(&mut self, sweeps: usize, residual: f64) {
-        if let Some(&cold) = self.sweeps_per_iterate.first() {
-            if sweeps < cold {
+        if let Some(&first) = self.sweeps_per_iterate.first() {
+            if sweeps < first {
                 self.warm_start_hits += 1;
             }
         }
@@ -178,8 +256,8 @@ impl SolveStats {
         self.residuals.push(residual);
     }
 
-    /// Fraction of post-cold iterates that beat the cold iterate's sweep
-    /// count; `0.0` for a solve with at most one iterate.
+    /// Fraction of post-first iterates that beat the first iterate's
+    /// sweep count; `0.0` for a solve with at most one iterate.
     pub fn warm_start_hit_rate(&self) -> f64 {
         let later = self.sweeps_per_iterate.len().saturating_sub(1);
         if later == 0 {
@@ -224,7 +302,7 @@ pub struct Solution {
 /// *untransformed*; the ρ weighting happens in [`ExpandedMdp::fill_base`].
 #[derive(Debug)]
 struct ExpandedMdp {
-    space: Arc<StateSpace>,
+    space: Arc<DenseStates>,
     ref_state: usize,
     tiles: Vec<Tile>,
     row_groups: Vec<RowGroup>,
@@ -233,6 +311,9 @@ struct ExpandedMdp {
     actions: Vec<Action>,
     /// Per global row: the tile-local slot its value lands in.
     row_slot: Vec<u32>,
+    /// Per global row: expected normalization units, `Σ_t prob[t]·units[t]`
+    /// — the reward half of the units backup, independent of ρ.
+    unit_base: Vec<f64>,
     /// Per state-group entry: the tile-local state index.
     group_state: Vec<u32>,
     /// Per outcome, in row order: probability, successor state,
@@ -244,7 +325,7 @@ struct ExpandedMdp {
 }
 
 /// One tile: the unit of a sweep, sequential or parallel. It writes only
-/// `next_v[states]` and `q[slots]`.
+/// its own states' entries and its own slots.
 #[derive(Debug)]
 struct Tile {
     states: Range<usize>,
@@ -276,13 +357,18 @@ struct StateGroup {
 /// enumeration order: tile-local state `j` owns pairs
 /// `state_pairs[j]..state_pairs[j + 1]`, and pair `k` owns the outcomes
 /// `pair_outs[k]..pair_outs[k + 1]` of `outs`, each as `(prob, successor,
-/// attacker reward, units)`. Reused from tile to tile.
+/// attacker reward, units)`. Every buffer is reused from tile to tile, so
+/// compiling a tile allocates only while a buffer still grows.
 #[derive(Debug, Default)]
 struct TilePairs {
     state_pairs: Vec<usize>,
     actions: Vec<Action>,
     pair_outs: Vec<usize>,
     outs: Vec<(f64, u32, f64, f64)>,
+    /// The outcomes of the action being expanded.
+    scratch: Vec<Outcome>,
+    /// Tile-local slot → pair, filled by [`ExpandedMdp::push_tile`].
+    slot_pair: Vec<usize>,
 }
 
 impl TilePairs {
@@ -307,15 +393,19 @@ impl TilePairs {
     fn push_state(
         &mut self,
         config: &MdpConfig,
-        space: &StateSpace,
+        space: &DenseStates,
         s: MdpState,
     ) -> Result<(), MdpError> {
-        let legal = config.legal_actions(s);
-        debug_assert!(!legal.is_empty(), "state {s} has no legal action");
-        for action in legal {
+        let first = self.actions.len();
+        config.push_legal_actions(s, &mut self.actions);
+        debug_assert!(self.actions.len() > first, "state {s} has no legal action");
+        for k in first..self.actions.len() {
+            let action = self.actions[k];
+            self.scratch.clear();
+            config.push_outcomes(s, action, &mut self.scratch);
             let row_start = self.outs.len();
-            for o in config.outcomes(s, action) {
-                let Some(&j) = space.index.get(&o.next) else {
+            for o in &self.scratch {
+                let Some(j) = space.get(o.next) else {
                     return Err(MdpError::InvalidSpace {
                         states: space.states.len(),
                         missing: Some(o.next),
@@ -325,7 +415,7 @@ impl TilePairs {
                     Scenario::RegularRate => o.regular,
                     Scenario::RegularPlusUncleRate => o.regular + o.uncles,
                 };
-                // `build` checked that every index fits a `u32`.
+                // `DenseStates::new` checked that every index fits a `u32`.
                 self.outs.push((o.prob, j as u32, o.attacker_reward, u));
             }
             // Every row is a probability distribution; the delay-aware
@@ -339,7 +429,6 @@ impl TilePairs {
                 },
                 "transition row ({s}, {action:?}) leaks probability mass"
             );
-            self.actions.push(action);
             self.pair_outs.push(self.outs.len());
         }
         self.state_pairs.push(self.actions.len());
@@ -354,6 +443,14 @@ impl TilePairs {
 struct ValueWorkspace {
     v: Vec<f64>,
     next_v: Vec<f64>,
+    /// The units bias: the relative value of the normalization units
+    /// under the greedy policy, refreshed by full-tolerance evaluations
+    /// (all zero before the first one).
+    w: Vec<f64>,
+    next_w: Vec<f64>,
+    /// The ρ that `v` was last relaxed at, once `w` is its units bias;
+    /// `None` while `w` is still zero, which leaves `v` unshifted.
+    rho: Option<f64>,
     /// Per row: expected transformed reward at the current ρ candidate,
     /// `base[k] = Σ_t prob[t]·(r[t] − ρ·units[t])`. Computed once per
     /// candidate, so the hot sweep loop streams only `prob`/`succ` and
@@ -361,6 +458,8 @@ struct ValueWorkspace {
     base: Vec<f64>,
     /// Per slot: the action value `Q(s, a)` of the current sweep.
     q: Vec<f64>,
+    /// Per slot: the units backup of the current full-tolerance sweep.
+    qw: Vec<f64>,
 }
 
 impl ValueWorkspace {
@@ -368,8 +467,24 @@ impl ValueWorkspace {
         ValueWorkspace {
             v: vec![0.0; mdp.len()],
             next_v: vec![0.0; mdp.len()],
+            w: vec![0.0; mdp.len()],
+            next_w: vec![0.0; mdp.len()],
+            rho: None,
             base: Vec::new(),
             q: vec![0.0; mdp.actions.len()],
+            qw: vec![0.0; mdp.actions.len()],
+        }
+    }
+
+    /// Move `v` to candidate `rho`: `v ← v − (ρ − ρ_prev)·w`, exact for
+    /// the relative value of a fixed policy. A no-op while `w` is zero.
+    fn shift_to(&mut self, rho: f64) {
+        if let Some(prev) = self.rho {
+            let step = rho - prev;
+            for (v, &w) in self.v.iter_mut().zip(&self.w) {
+                *v -= step * w;
+            }
+            self.rho = Some(rho);
         }
     }
 }
@@ -377,16 +492,20 @@ impl ValueWorkspace {
 /// A cross-solve value-function cache for parameter sweeps.
 ///
 /// The Dinkelbach solver already warm-starts its value function across ρ
-/// candidates *within* one solve; a sweep over a model axis (most notably
-/// the delay axis of a delay-aware study: the optimal `v` moves
-/// continuously with `delay_ratio`) can reuse the previous solve's
-/// converged values the same way via [`MdpConfig::solve_with_cache`].
-/// The cache is consulted only when the state-space size matches, so
-/// sweeping mixed truncations or reward models through one cache is safe
-/// (those solves simply start cold).
+/// candidates *within* one solve; a sweep over a model axis (α, γ, or the
+/// delay axis of a delay-aware study: the optimal `v` moves continuously
+/// with each) can reuse the previous solve's converged values the same
+/// way via [`MdpConfig::solve_with_cache`]. The cache holds the value
+/// function, its units bias and the revenue they were converged at, so
+/// the next solve's first candidate starts ρ-shifted too. It is consulted
+/// only when the state-space size matches, so sweeping mixed truncations
+/// or reward models through one cache is safe (those solves simply start
+/// cold).
 #[derive(Debug, Clone, Default)]
 pub struct ValueCache {
     v: Vec<f64>,
+    w: Vec<f64>,
+    rho: f64,
 }
 
 impl ValueCache {
@@ -396,19 +515,61 @@ impl ValueCache {
     }
 }
 
+/// Buffers that a sweep cuts into per-tile pieces: one slice, or a pair.
+trait TileCut: Send + Sized {
+    /// Split off the first `len` entries.
+    fn cut(&mut self, len: usize) -> Self;
+}
+
+impl<T: Send> TileCut for &mut [T] {
+    fn cut(&mut self, len: usize) -> Self {
+        let (head, rest) = std::mem::take(self).split_at_mut(len);
+        *self = rest;
+        head
+    }
+}
+
+impl<A: TileCut, B: TileCut> TileCut for (A, B) {
+    fn cut(&mut self, len: usize) -> Self {
+        (self.0.cut(len), self.1.cut(len))
+    }
+}
+
+/// How far [`ExpandedMdp::optimal_average`] iterates one ρ candidate.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Eval {
+    /// Until the sandwich certifies the sign of `g(ρ)`: a bisection step.
+    Sign,
+    /// To `tolerance`, value-only: the closing evaluation of a solve that
+    /// keeps no [`ValueCache`], whose units bias nothing would read.
+    Full,
+    /// To `tolerance`, refreshing the units bias `w` every sweep: the
+    /// closing evaluation of a solve whose `(v, w)` a cache keeps.
+    Tracked,
+}
+
+/// One ρ iterate of relative value iteration.
+struct Iterate {
+    /// The sandwich midpoint `(min_d + max_d) / 2`, an estimate of `g(ρ)`.
+    gain: f64,
+    sweeps: usize,
+    /// The terminating sweep's Bellman-update span.
+    span: f64,
+    /// Whether the sandwich cleared zero, which fixes the sign of `g(ρ)`.
+    certified: bool,
+}
+
 impl ExpandedMdp {
-    /// Expand `config`'s transition table. Builds the state index (the one
-    /// hash-map construction of the whole solve) and compiles every legal
-    /// `(state, action)`'s outcomes into tiles.
+    /// Expand `config`'s transition table: enumerate and index the states,
+    /// then compile every legal `(state, action)`'s outcomes into tiles.
     fn build(config: &MdpConfig) -> Result<Self, MdpError> {
-        let space = Arc::new(StateSpace::new(config.states()));
+        let space = Arc::new(DenseStates::new(config)?);
         let n = space.states.len();
-        let invalid = |missing| MdpError::InvalidSpace { states: n, missing };
-        if u32::try_from(n).is_err() {
-            return Err(invalid(None));
-        }
         let origin = MdpState::new(0, 0, Fork::Irrelevant);
-        let ref_state = *space.index.get(&origin).ok_or(invalid(Some(origin)))?;
+        let ref_state = space.get(origin).ok_or(MdpError::InvalidSpace {
+            states: n,
+            missing: Some(origin),
+        })?;
         let mut mdp = ExpandedMdp {
             space: Arc::clone(&space),
             ref_state,
@@ -417,6 +578,7 @@ impl ExpandedMdp {
             state_groups: Vec::new(),
             actions: Vec::new(),
             row_slot: Vec::new(),
+            unit_base: Vec::new(),
             group_state: Vec::with_capacity(n),
             prob: Vec::new(),
             succ: Vec::new(),
@@ -430,7 +592,7 @@ impl ExpandedMdp {
             for &s in &space.states[states.clone()] {
                 pairs.push_state(config, &space, s)?;
             }
-            mdp.push_tile(states, &pairs);
+            mdp.push_tile(states, &mut pairs);
         }
         Ok(mdp)
     }
@@ -439,7 +601,7 @@ impl ExpandedMdp {
     /// count, states in index order), then lay its rows out by row group
     /// (ascending outcome count, rows in slot order). Counts are small,
     /// so each group is one filtered pass instead of a sort.
-    fn push_tile(&mut self, states: Range<usize>, pairs: &TilePairs) {
+    fn push_tile(&mut self, states: Range<usize>, pairs: &mut TilePairs) {
         if self.tiles.is_empty() {
             // Size the flat arrays from the first tile's density, so they
             // are not regrown (and copied) tile after tile; capacity
@@ -448,6 +610,7 @@ impl ExpandedMdp {
             let (slots, outs) = (pairs.actions.len() * tiles, pairs.outs.len() * tiles);
             self.actions.reserve(slots);
             self.row_slot.reserve(slots);
+            self.unit_base.reserve(slots);
             self.prob.reserve(outs);
             self.succ.reserve(outs);
             self.attacker_reward.reserve(outs);
@@ -455,8 +618,8 @@ impl ExpandedMdp {
         }
         let slot_start = self.actions.len();
         let state_groups_start = self.state_groups.len();
-        // Tile-local slot → pair.
-        let mut slot_pair = Vec::with_capacity(pairs.actions.len());
+        let mut slot_pair = std::mem::take(&mut pairs.slot_pair);
+        slot_pair.clear();
         let max_arity = (0..states.len()).map(|j| pairs.arity(j)).max();
         for arity in 0..=max_arity.unwrap_or(0) {
             let (first, slot) = (self.group_state.len(), slot_pair.len());
@@ -486,6 +649,11 @@ impl ExpandedMdp {
                 }
                 self.row_slot.push(slot as u32);
                 let outs = &pairs.outs[pairs.pair_outs[k]..pairs.pair_outs[k + 1]];
+                let mut units = 0.0;
+                for o in outs {
+                    units += o.0 * o.3;
+                }
+                self.unit_base.push(units);
                 self.prob.extend(outs.iter().map(|o| o.0));
                 self.succ.extend(outs.iter().map(|o| o.1));
                 self.attacker_reward.extend(outs.iter().map(|o| o.2));
@@ -499,6 +667,7 @@ impl ExpandedMdp {
                 });
             }
         }
+        pairs.slot_pair = slot_pair;
         self.tiles.push(Tile {
             states,
             slots: slot_start..self.actions.len(),
@@ -543,24 +712,46 @@ impl ExpandedMdp {
                 2 => q_rows::<2>(base, slot, prob, succ, v, q),
                 3 => q_rows::<3>(base, slot, prob, succ, v, q),
                 4 => q_rows::<4>(base, slot, prob, succ, v, q),
+                width => q_rows_wide(width, base, slot, prob, succ, v, q),
+            }
+        }
+    }
+
+    /// [`ExpandedMdp::tile_q`] plus the units backup
+    /// `qw[slot] = unit_base[row] + Σ_j p_j·w[s_j]`, formed in the same
+    /// pass over the `prob`/`succ` streams. A pass of its own, so the
+    /// value-only sweeps keep the plain pass's code.
+    fn tile_q_tracked(
+        &self,
+        tile: &Tile,
+        (base, v, q): (&[f64], &[f64], &mut [f64]),
+        (w, qw): (&[f64], &mut [f64]),
+    ) {
+        for g in &self.row_groups[tile.row_groups.clone()] {
+            let outs = g.out..g.out + g.rows.len() * g.width;
+            let (base, slot) = (&base[g.rows.clone()], &self.row_slot[g.rows.clone()]);
+            let (prob, succ) = (&self.prob[outs.clone()], &self.succ[outs]);
+            let unit_base = &self.unit_base[g.rows.clone()];
+            let (bases, values, out) = ((base, unit_base), (v, w), (&mut *q, &mut *qw));
+            match g.width {
+                1 => q_rows_tracked::<1>(bases, slot, prob, succ, values, out),
+                2 => q_rows_tracked::<2>(bases, slot, prob, succ, values, out),
+                3 => q_rows_tracked::<3>(bases, slot, prob, succ, values, out),
+                4 => q_rows_tracked::<4>(bases, slot, prob, succ, values, out),
                 width => {
-                    for (r, (&b, &k)) in base.iter().zip(slot).enumerate() {
-                        let mut acc = b;
-                        for t in r * width..(r + 1) * width {
-                            acc += prob[t] * v[succ[t] as usize];
-                        }
-                        q[k as usize] = acc;
-                    }
+                    q_rows_wide(width, base, slot, prob, succ, v, out.0);
+                    q_rows_wide(width, unit_base, slot, prob, succ, w, out.1);
                 }
             }
         }
     }
 
-    /// The max pass of one tile: for every state, the first strictly
-    /// greatest of its slots (`q > best` from `−∞`, in action order).
-    /// `sink(local_state, best, slot)` receives the tile-local state, the
-    /// value and the tile-local slot of the winner (`None` if no value
-    /// beats `−∞`). Action counts 1–4 run with a compile-time trip count.
+    /// The max pass of one tile with the winning slot: for every state,
+    /// the first strictly greatest of its slots (`q > best` from `−∞`, in
+    /// action order). `sink(local_state, best, slot)` receives the
+    /// tile-local state, the value and the tile-local slot of the winner
+    /// (`None` if no value beats `−∞`). Action counts 1–4 run with a
+    /// compile-time trip count.
     #[inline]
     fn tile_best(&self, tile: &Tile, q: &[f64], mut sink: impl FnMut(usize, f64, Option<usize>)) {
         for g in &self.state_groups[tile.state_groups.clone()] {
@@ -581,34 +772,32 @@ impl ExpandedMdp {
         }
     }
 
-    /// Run `f(tile, q[tile.slots], out[tile.states])` for every tile,
-    /// in parallel when the space is large enough. Workers claim whole
-    /// tiles from an atomic counter, the claiming rule of the workspace
-    /// work queue (`seleth_obs::sched`), so heterogeneous per-state costs
-    /// (the action fan-out varies across the space) stay load-balanced at
-    /// truncation 200+. Tiles write disjoint ranges and never share
-    /// arithmetic, so the result is deterministic for any `threads`; each
-    /// tile sits behind an uncontended mutex purely to hand its `&mut`
-    /// slices across threads. This is the one queue kept outside
-    /// `seleth_obs::sched`: it refills preallocated buffers in place on
-    /// every Bellman sweep, where a `Vec`-returning map would allocate
-    /// once per sweep.
-    fn for_each_tile<T: Send>(
+    /// Run `f(tile, q.cut(tile.slots), out.cut(tile.states))` for every
+    /// tile, in parallel when the space is large enough. `q` and `out`
+    /// are per-slot and per-state buffers (or pairs of them). Workers
+    /// claim whole tiles from an atomic counter, the claiming rule of the
+    /// workspace work queue (`seleth_obs::sched`), so heterogeneous
+    /// per-state costs (the action fan-out varies across the space) stay
+    /// load-balanced at truncation 200+. Tiles write disjoint ranges and
+    /// never share arithmetic, so the result is deterministic for any
+    /// `threads`; each tile's pieces sit behind an uncontended mutex
+    /// purely to hand them across threads. This is the one queue kept
+    /// outside `seleth_obs::sched`: it refills preallocated buffers in
+    /// place on every Bellman sweep, where a `Vec`-returning map would
+    /// allocate once per sweep.
+    fn for_each_tile<Q: TileCut, O: TileCut>(
         &self,
-        mut q: &mut [f64],
-        mut out: &mut [T],
+        mut q: Q,
+        mut out: O,
         threads: usize,
-        f: impl Fn(&Tile, &mut [f64], &mut [T]) + Sync,
+        f: impl Fn(&Tile, Q, O) + Sync,
     ) {
         use std::sync::atomic::{AtomicUsize, Ordering};
 
-        let tiles = self.tiles.iter().map(|tile| {
-            let (tile_q, rest_q) = std::mem::take(&mut q).split_at_mut(tile.slots.len());
-            let (tile_out, rest_out) = std::mem::take(&mut out).split_at_mut(tile.states.len());
-            q = rest_q;
-            out = rest_out;
-            (tile, tile_q, tile_out)
-        });
+        let tiles = self
+            .tiles
+            .iter()
+            .map(|tile| (tile, q.cut(tile.slots.len()), out.cut(tile.states.len())));
         let threads = threads.min(self.tiles.len());
         if threads <= 1 || self.len() < PARALLEL_MIN_STATES {
             for (tile, tile_q, tile_out) in tiles {
@@ -616,7 +805,7 @@ impl ExpandedMdp {
             }
             return;
         }
-        let tiles: Vec<Mutex<_>> = tiles.map(Mutex::new).collect();
+        let tiles: Vec<Mutex<Option<_>>> = tiles.map(|t| Mutex::new(Some(t))).collect();
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..threads {
@@ -624,52 +813,94 @@ impl ExpandedMdp {
                 scope.spawn(move || loop {
                     let k = next.fetch_add(1, Ordering::Relaxed);
                     let Some(tile) = tiles.get(k) else { break };
-                    // Each tile is claimed and locked exactly once, and a
-                    // worker's panic resurfaces when the scope joins, so
-                    // recovering a poisoned guard never exposes a
-                    // half-written tile.
-                    let mut tile = tile.lock().unwrap_or_else(PoisonError::into_inner);
-                    let (tile, tile_q, tile_out) = &mut *tile;
-                    f(tile, tile_q, tile_out);
+                    // Each tile is claimed exactly once, and a worker's
+                    // panic resurfaces when the scope joins, so recovering
+                    // a poisoned guard never exposes a half-written tile.
+                    let piece = tile.lock().unwrap_or_else(PoisonError::into_inner).take();
+                    if let Some((tile, tile_q, tile_out)) = piece {
+                        f(tile, tile_q, tile_out);
+                    }
                 });
             }
         });
     }
 
-    /// One Bellman sweep: `next_v[i] = max_a Q(i, a)` for every state,
-    /// from `ws.base` and `ws.v`.
+    /// One value-only Bellman sweep: `next_v[i] = max_a Q(i, a)` for
+    /// every state, from `ws.base` and `ws.v`.
     fn bellman_sweep(&self, ws: &mut ValueWorkspace, threads: usize) {
-        let ValueWorkspace { v, next_v, base, q } = ws;
+        let ValueWorkspace {
+            v, next_v, base, q, ..
+        } = ws;
         let (v, base) = (&*v, &*base);
-        self.for_each_tile(q, next_v, threads, |tile, q, next_v| {
+        self.for_each_tile(&mut q[..], &mut next_v[..], threads, |tile, q, next_v| {
             self.tile_q(tile, base, v, q);
             self.tile_best(tile, q, |s, best, _| next_v[s] = best);
         });
     }
 
+    /// One Bellman sweep that also carries the units bias: `next_v` as in
+    /// [`ExpandedMdp::bellman_sweep`], and `next_w[i]` the units backup of
+    /// the action that wins `next_v[i]`.
+    fn tracked_sweep(&self, ws: &mut ValueWorkspace, threads: usize) {
+        let ValueWorkspace {
+            v,
+            next_v,
+            w,
+            next_w,
+            base,
+            q,
+            qw,
+            ..
+        } = ws;
+        let (v, w, base) = (&*v, &*w, &*base);
+        let slots = (&mut q[..], &mut qw[..]);
+        let states = (&mut next_v[..], &mut next_w[..]);
+        self.for_each_tile(slots, states, threads, |tile, (q, qw), (next_v, next_w)| {
+            self.tile_q_tracked(tile, (base, v, q), (w, &mut *qw));
+            self.tile_best(tile, q, |s, best, slot| {
+                next_v[s] = best;
+                next_w[s] = slot.map_or(0.0, |k| qw[k]);
+            });
+        });
+    }
+
     /// Optimal average transformed reward `g(ρ)` via relative value
-    /// iteration, warm-started from (and leaving its converged values in)
-    /// `ws.v`. Returns `(g, sweeps, span)` — `span` is the Bellman-update
-    /// span seminorm of the terminating sweep (the iterate's residual).
+    /// iteration, started from `ws.v` shifted to `rho` (see
+    /// [`ValueWorkspace::shift_to`]) and leaving its converged values
+    /// there.
     ///
-    /// With `sign_only`, iteration stops as soon as the sign of `g(ρ)` is
+    /// With [`Eval::Sign`], iteration stops as soon as the sign of `g(ρ)` is
     /// certain: every sweep's Bellman-update differences bound the optimal
     /// gain (`min_d ≤ g ≤ max_d`, the classic value-iteration sandwich for
     /// unichain MDPs), so once the whole interval clears zero the returned
     /// midpoint carries the exact sign — which is all a bisection step
     /// needs. Candidates far from the root resolve in a handful of sweeps.
+    /// Otherwise iteration runs to `tolerance`; with [`Eval::Tracked`]
+    /// every sweep also refreshes the units bias `ws.w`.
     fn optimal_average(
         &self,
         rho: f64,
         tolerance: f64,
         threads: usize,
-        sign_only: bool,
+        eval: Eval,
         ws: &mut ValueWorkspace,
-    ) -> Result<(f64, usize, f64), MdpError> {
+    ) -> Result<Iterate, MdpError> {
         let max_sweeps = 200_000;
         self.fill_base(rho, &mut ws.base);
+        ws.shift_to(rho);
+        if eval == Eval::Tracked {
+            ws.rho = Some(rho);
+        }
         for sweep in 0..max_sweeps {
-            self.bellman_sweep(ws, threads);
+            if eval == Eval::Tracked {
+                self.tracked_sweep(ws, threads);
+                let offset = ws.next_w[self.ref_state];
+                for (w, &next) in ws.w.iter_mut().zip(&ws.next_w) {
+                    *w = next - offset;
+                }
+            } else {
+                self.bellman_sweep(ws, threads);
+            }
             // Span seminorm of the Bellman update, reduced on this thread
             // whatever the sweep's thread count.
             let (min_d, max_d) = update_range(&ws.next_v, &ws.v);
@@ -677,11 +908,14 @@ impl ExpandedMdp {
             for (v, &next) in ws.v.iter_mut().zip(&ws.next_v) {
                 *v = next - offset;
             }
-            if sign_only && (min_d > 0.0 || max_d < 0.0) {
-                return Ok((0.5 * (max_d + min_d), sweep + 1, max_d - min_d));
-            }
-            if max_d - min_d < tolerance {
-                return Ok((0.5 * (max_d + min_d), sweep + 1, max_d - min_d));
+            let certified = min_d > 0.0 || max_d < 0.0;
+            if (eval == Eval::Sign && certified) || max_d - min_d < tolerance {
+                return Ok(Iterate {
+                    gain: 0.5 * (max_d + min_d),
+                    sweeps: sweep + 1,
+                    span: max_d - min_d,
+                    certified,
+                });
             }
         }
         // The caller widens `rho_lo`/`rho_hi` to its live bisection
@@ -700,7 +934,7 @@ impl ExpandedMdp {
         let mut policy = vec![Action::Adopt; self.len()];
         let ValueWorkspace { v, base, q, .. } = ws;
         let (v, base) = (&*v, &*base);
-        self.for_each_tile(q, &mut policy, threads, |tile, q, policy| {
+        self.for_each_tile(&mut q[..], &mut policy[..], threads, |tile, q, policy| {
             self.tile_q(tile, base, v, q);
             self.tile_best(tile, q, |s, _, slot| {
                 if let Some(k) = slot {
@@ -728,6 +962,52 @@ fn q_rows<const W: usize>(
         let mut acc = b;
         for j in 0..W {
             acc += p[j] * v[s[j] as usize];
+        }
+        q[k as usize] = acc;
+    }
+}
+
+/// The Q pass and the units backup over rows of exactly `W` outcomes,
+/// from `(base, unit_base)` and `(v, w)` into `(q, qw)`. Each `q` is
+/// formed exactly as [`q_rows`] forms it.
+#[inline]
+fn q_rows_tracked<const W: usize>(
+    (base, unit_base): (&[f64], &[f64]),
+    slot: &[u32],
+    prob: &[f64],
+    succ: &[u32],
+    (v, w): (&[f64], &[f64]),
+    (q, qw): (&mut [f64], &mut [f64]),
+) {
+    let (prob, _) = prob.as_chunks::<W>();
+    let (succ, _) = succ.as_chunks::<W>();
+    let rows = base.iter().zip(unit_base).zip(slot).zip(prob).zip(succ);
+    for ((((&b, &u), &k), p), s) in rows {
+        let (mut acc, mut acc_w) = (b, u);
+        for j in 0..W {
+            let t = s[j] as usize;
+            acc += p[j] * v[t];
+            acc_w += p[j] * w[t];
+        }
+        q[k as usize] = acc;
+        qw[k as usize] = acc_w;
+    }
+}
+
+/// The Q pass over rows of a width known only at run time.
+fn q_rows_wide(
+    width: usize,
+    base: &[f64],
+    slot: &[u32],
+    prob: &[f64],
+    succ: &[u32],
+    v: &[f64],
+    q: &mut [f64],
+) {
+    for (r, (&b, &k)) in base.iter().zip(slot).enumerate() {
+        let mut acc = b;
+        for t in r * width..(r + 1) * width {
+            acc += prob[t] * v[succ[t] as usize];
         }
         q[k as usize] = acc;
     }
@@ -827,32 +1107,43 @@ impl MdpConfig {
     ///   bisection exhausts its step budget; the error carries the ρ
     ///   bracket reached and the sweeps spent.
     pub fn solve(&self) -> Result<Solution, MdpError> {
-        self.solve_with_cache(&mut ValueCache::new())
+        self.solve_from(None)
     }
 
     /// [`MdpConfig::solve`], warm-started from (and refreshing) a
     /// cross-solve [`ValueCache`]. When the cached value function matches
-    /// this solve's state count it seeds relative value iteration — for a
-    /// sweep along a continuous model axis (delay, α, γ) each solve then
-    /// starts next to its fixed point, exactly like the within-solve warm
-    /// start across ρ candidates. A mismatched (or empty) cache is
-    /// ignored; either way the converged values are stored back.
+    /// this solve's state count it seeds relative value iteration, shifted
+    /// to each ρ candidate by the cached units bias — for a sweep along a
+    /// continuous model axis (delay, α, γ) each solve then starts next to
+    /// its fixed point. A mismatched (or empty) cache is ignored; either
+    /// way the converged values are stored back.
     ///
     /// Sign-only bisection candidates resolve the *exact* sign of `g(ρ)`
     /// regardless of the starting values, so a warm-started solve walks
-    /// the identical ρ bracket and returns a revenue within
-    /// `rho_tolerance` of the cold solve's.
+    /// the identical ρ bracket and returns the cold solve's revenue bits,
+    /// unless a candidate's sign could not be certified
+    /// ([`SolveStats::unresolved_signs`]); it then stays within
+    /// `rho_tolerance` of it.
     ///
     /// # Errors
     ///
     /// As [`MdpConfig::solve`].
     pub fn solve_with_cache(&self, cache: &mut ValueCache) -> Result<Solution, MdpError> {
+        self.solve_from(Some(cache))
+    }
+
+    /// The solve behind [`MdpConfig::solve`] (`cache = None`) and
+    /// [`MdpConfig::solve_with_cache`]. Only a kept cache ever reads the
+    /// units bias, so only then does the closing evaluation form it.
+    fn solve_from(&self, cache: Option<&mut ValueCache>) -> Result<Solution, MdpError> {
         self.validate()?;
         let threads = self.resolved_threads();
         let expanded = ExpandedMdp::build(self)?;
         let mut ws = ValueWorkspace::new(&expanded);
-        if cache.v.len() == expanded.len() {
+        if let Some(cache) = cache.as_deref().filter(|c| c.v.len() == expanded.len()) {
             ws.v.copy_from_slice(&cache.v);
+            ws.w.copy_from_slice(&cache.w);
+            ws.rho = Some(cache.rho);
         }
         // Us ≤ static + uncle + nephew per regular block < 2 comfortably.
         let mut lo = 0.0f64;
@@ -870,12 +1161,15 @@ impl MdpConfig {
             }
             steps += 1;
             let mid = 0.5 * (lo + hi);
-            let (g, sweeps, span) = expanded
-                .optimal_average(mid, self.tolerance, threads, true, &mut ws)
+            let it = expanded
+                .optimal_average(mid, self.tolerance, threads, Eval::Sign, &mut ws)
                 .map_err(|e| widen_bracket(e, lo, hi, iterations))?;
-            iterations += sweeps;
-            stats.record(sweeps, span);
-            if g > 0.0 {
+            iterations += it.sweeps;
+            stats.record(it.sweeps, it.span);
+            if !it.certified {
+                stats.unresolved_signs += 1;
+            }
+            if it.gain > 0.0 {
                 lo = mid;
             } else {
                 hi = mid;
@@ -885,15 +1179,24 @@ impl MdpConfig {
         let revenue = 0.5 * (lo + hi);
         // One more full-tolerance evaluation at the solved revenue (cheap:
         // warm-started) so the reported policy is greedy at ρ*, not at the
-        // last bisection midpoint.
-        let (_, sweeps, span) = expanded
-            .optimal_average(revenue, self.tolerance, threads, false, &mut ws)
+        // last bisection midpoint. For a kept cache it also refreshes the
+        // units bias.
+        let eval = if cache.is_some() {
+            Eval::Tracked
+        } else {
+            Eval::Full
+        };
+        let it = expanded
+            .optimal_average(revenue, self.tolerance, threads, eval, &mut ws)
             .map_err(|e| widen_bracket(e, lo, hi, iterations))?;
-        iterations += sweeps;
-        stats.record(sweeps, span);
+        iterations += it.sweeps;
+        stats.record(it.sweeps, it.span);
         let actions = expanded.greedy_policy(&mut ws, threads);
-        cache.v.clear();
-        cache.v.extend_from_slice(&ws.v);
+        if let Some(cache) = cache {
+            cache.v.clone_from(&ws.v);
+            cache.w.clone_from(&ws.w);
+            cache.rho = revenue;
+        }
         Ok(Solution {
             revenue,
             policy: Policy {
@@ -911,6 +1214,7 @@ mod tests {
     use super::*;
     use crate::model::RewardModel;
     use seleth_core::bitcoin;
+    use std::collections::HashMap;
 
     fn solve(alpha: f64, gamma: f64, rewards: RewardModel) -> Solution {
         MdpConfig::new(alpha, gamma, rewards)
@@ -1144,23 +1448,54 @@ mod tests {
     #[test]
     fn thread_count_never_changes_solution() {
         // The parallel Bellman sweep partitions states but never reorders
-        // arithmetic: revenue, sweep counts and the full policy must be
-        // identical for every worker count.
+        // arithmetic: revenue, sweep counts, residuals and the full policy
+        // must be identical for every worker count — for cold solves and
+        // for a cached walk, whose ρ shifts use the units bias that the
+        // tracked sweeps computed.
         let base = MdpConfig::new(0.38, 0.4, RewardModel::EthereumApprox).with_max_len(16);
-        let reference = base.with_threads(1).solve().unwrap();
-        for threads in [2, 3, 8] {
-            let parallel = base.with_threads(threads).solve().unwrap();
-            assert_eq!(reference.revenue, parallel.revenue, "threads={threads}");
-            assert_eq!(
-                reference.iterations, parallel.iterations,
-                "threads={threads}"
-            );
-            let same = reference
-                .policy
+        let fingerprint = |s: &Solution| {
+            let residuals: Vec<u64> = s.stats.residuals.iter().map(|r| r.to_bits()).collect();
+            let policy: Vec<(MdpState, Action)> = s.policy.iter().collect();
+            (
+                s.revenue.to_bits(),
+                s.stats.sweeps_per_iterate.clone(),
+                residuals,
+                policy,
+            )
+        };
+        let walk = |threads: usize| {
+            let mut cache = ValueCache::new();
+            [0.36, 0.38, 0.40]
                 .iter()
-                .zip(parallel.policy.iter())
-                .all(|((s1, a1), (s2, a2))| s1 == s2 && a1 == a2);
-            assert!(same, "policy differs at threads={threads}");
+                .map(|&alpha| {
+                    let config = MdpConfig {
+                        alpha,
+                        ..base.with_threads(threads)
+                    };
+                    fingerprint(&config.solve_with_cache(&mut cache).unwrap())
+                })
+                .collect::<Vec<_>>()
+        };
+        let reference = fingerprint(&base.with_threads(1).solve().unwrap());
+        // Filling a cache only adds the units bias to the closing
+        // evaluation; the cold solve's values are the same.
+        let filled = base
+            .with_threads(1)
+            .solve_with_cache(&mut ValueCache::new());
+        assert!(
+            reference == fingerprint(&filled.unwrap()),
+            "a fresh cache moved the cold solve"
+        );
+        let reference_walk = walk(1);
+        for threads in [2, 3, 8] {
+            let parallel = fingerprint(&base.with_threads(threads).solve().unwrap());
+            assert!(reference == parallel, "solve differs at threads={threads}");
+            if threads <= 3 {
+                assert!(
+                    reference_walk == walk(threads),
+                    "cached walk differs at threads={threads}"
+                );
+            }
         }
     }
 
@@ -1221,61 +1556,89 @@ mod tests {
 
     /// The plain per-state backup the tile kernel replaced: for every
     /// state in enumeration order, every legal action's
-    /// `Σ p·(r − ρ·units) + Σ p·v[succ]`, and the first strictly greatest.
-    fn csr_backup(config: &MdpConfig, rho: f64, v: &[f64]) -> (Vec<f64>, Vec<Action>) {
+    /// `Σ p·(r − ρ·units) + Σ p·v[succ]`, the first strictly greatest,
+    /// and that action's units backup `Σ p·units + Σ p·w[succ]`.
+    fn csr_backup(
+        config: &MdpConfig,
+        rho: f64,
+        v: &[f64],
+        w: &[f64],
+    ) -> (Vec<f64>, Vec<Action>, Vec<f64>) {
         let states = config.states();
         let index: HashMap<MdpState, usize> =
             states.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-        states
-            .iter()
-            .map(|&s| {
-                let mut best = f64::NEG_INFINITY;
-                let mut best_action = Action::Adopt;
-                for action in config.legal_actions(s) {
-                    let outcomes = config.outcomes(s, action);
-                    let mut q = 0.0;
-                    for o in &outcomes {
-                        let units = match config.scenario {
-                            Scenario::RegularRate => o.regular,
-                            Scenario::RegularPlusUncleRate => o.regular + o.uncles,
-                        };
-                        q += o.prob * (o.attacker_reward - rho * units);
-                    }
-                    for o in &outcomes {
-                        q += o.prob * v[index[&o.next]];
-                    }
-                    if q > best {
-                        best = q;
-                        best_action = action;
-                    }
+        let mut out = (Vec::new(), Vec::new(), Vec::new());
+        for &s in &states {
+            let mut best = (f64::NEG_INFINITY, Action::Adopt, 0.0);
+            for action in config.legal_actions(s) {
+                let outcomes = config.outcomes(s, action);
+                let (mut q, mut qw) = (0.0, 0.0);
+                for o in &outcomes {
+                    let units = match config.scenario {
+                        Scenario::RegularRate => o.regular,
+                        Scenario::RegularPlusUncleRate => o.regular + o.uncles,
+                    };
+                    q += o.prob * (o.attacker_reward - rho * units);
+                    qw += o.prob * units;
                 }
-                (best, best_action)
-            })
-            .unzip()
+                for o in &outcomes {
+                    q += o.prob * v[index[&o.next]];
+                    qw += o.prob * w[index[&o.next]];
+                }
+                if q > best.0 {
+                    best = (q, action, qw);
+                }
+            }
+            out.0.push(best.0);
+            out.1.push(best.1);
+            out.2.push(best.2);
+        }
+        out
     }
 
-    /// One tile-kernel sweep and greedy extraction from a pseudo-random
-    /// value function, checked bit for bit against [`csr_backup`].
+    /// A pseudo-random vector of `len` values in `[−20, 20)`.
+    fn noise(len: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 11) as f64 / (1u64 << 53) as f64 * 40.0 - 20.0
+            })
+            .collect()
+    }
+
+    /// One value-only sweep, one tracked sweep and greedy extraction from
+    /// pseudo-random values and units bias, checked bit for bit against
+    /// [`csr_backup`].
     fn assert_kernel_matches_csr(config: &MdpConfig, threads: usize, seed: u64) {
         let expanded = ExpandedMdp::build(config).unwrap();
         let mut ws = ValueWorkspace::new(&expanded);
-        let mut state = seed;
-        for x in &mut ws.v {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            *x = (state >> 11) as f64 / (1u64 << 53) as f64 * 40.0 - 20.0;
-        }
+        ws.v = noise(expanded.len(), seed);
+        ws.w = noise(expanded.len(), !seed);
         let rho = 0.25 + (seed % 7) as f64 * 0.05;
         expanded.fill_base(rho, &mut ws.base);
+        let (want_v, want_actions, want_w) = csr_backup(config, rho, &ws.v, &ws.w);
+        let bits = |x: &[f64]| x.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         expanded.bellman_sweep(&mut ws, threads);
-        let (want_v, want_actions) = csr_backup(config, rho, &ws.v);
-        let same_v = ws
-            .next_v
-            .iter()
-            .zip(&want_v)
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(same_v, "{config:?}: sweep differs from the CSR backup");
+        assert_eq!(
+            bits(&ws.next_v),
+            bits(&want_v),
+            "{config:?}: sweep differs from the CSR backup"
+        );
+        ws.next_v.fill(0.0);
+        expanded.tracked_sweep(&mut ws, threads);
+        assert_eq!(
+            bits(&ws.next_v),
+            bits(&want_v),
+            "{config:?}: tracked sweep's values differ from the CSR backup"
+        );
+        assert_eq!(
+            bits(&ws.next_w),
+            bits(&want_w),
+            "{config:?}: units bias differs from the CSR backup"
+        );
         assert_eq!(
             expanded.greedy_policy(&mut ws, threads),
             want_actions,
@@ -1409,6 +1772,119 @@ mod tests {
             prev < zero - 0.01,
             "delay 1.0 should cost materially: {prev} vs {zero}"
         );
+    }
+
+    /// `ρ(π)` of the fixed policy `action` on `config`'s MDP, computed
+    /// with nothing from value iteration: the Markov chain the policy
+    /// induces on the states it reaches from `(1, 0)`, its stationary
+    /// distribution from `seleth-markov`, then expected attacker reward
+    /// over expected normalization units per step.
+    fn policy_revenue(config: &MdpConfig, action: impl Fn(MdpState) -> Action) -> f64 {
+        use seleth_markov::{ChainBuilder, SolveMethod, SolveOptions};
+        use std::collections::hash_map::Entry;
+        use std::collections::VecDeque;
+
+        let start = MdpState::new(1, 0, Fork::Irrelevant);
+        let mut chain = ChainBuilder::new();
+        let mut per_step: HashMap<MdpState, (f64, f64)> = HashMap::from([(start, (0.0, 0.0))]);
+        let mut queue = VecDeque::from([start]);
+        while let Some(s) = queue.pop_front() {
+            let a = action(s);
+            assert!(
+                config.legal_actions(s).contains(&a),
+                "{s}: {a:?} is illegal"
+            );
+            let (mut reward, mut units) = (0.0, 0.0);
+            for o in config.outcomes(s, a) {
+                chain.add_rate(s, o.next, o.prob);
+                reward += o.prob * o.attacker_reward;
+                units += o.prob
+                    * match config.scenario {
+                        Scenario::RegularRate => o.regular,
+                        Scenario::RegularPlusUncleRate => o.regular + o.uncles,
+                    };
+                if let Entry::Vacant(slot) = per_step.entry(o.next) {
+                    slot.insert((0.0, 0.0));
+                    queue.push_back(o.next);
+                }
+            }
+            per_step.insert(s, (reward, units));
+        }
+        let pi = chain
+            .build_dtmc()
+            .stationary(SolveOptions::with_method(SolveMethod::GaussSeidel))
+            .unwrap();
+        pi.expect(|s| per_step[s].0) / pi.expect(|s| per_step[s].1)
+    }
+
+    /// Check a solution against [`policy_revenue`] of its own policy.
+    fn assert_oracle_agrees(config: &MdpConfig, s: &Solution) {
+        let oracle = policy_revenue(config, |state| s.policy.action(state).unwrap());
+        assert!(
+            (oracle - s.revenue).abs() <= config.rho_tolerance,
+            "{config:?}: rho(pi) {oracle} vs solved revenue {}",
+            s.revenue
+        );
+    }
+
+    #[test]
+    fn policy_evaluation_oracle_matches_the_committed_artifacts() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/policies");
+        let mut checked = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let table = crate::PolicyTable::load(&entry.unwrap().path()).unwrap();
+            if table.max_len() != 30 {
+                continue;
+            }
+            let config = MdpConfig::new(table.alpha(), table.gamma(), table.rewards())
+                .with_max_len(table.max_len())
+                .with_scenario(table.scenario())
+                .with_delay_ratio(table.delay());
+            let oracle = policy_revenue(&config, |s| {
+                table.action(s.a, s.h, s.fork, s.match_d).unwrap()
+            });
+            let recorded = table.predicted_revenue();
+            assert!(
+                (oracle - recorded).abs() <= config.rho_tolerance,
+                "{config:?}: rho(pi) {oracle} vs recorded {recorded}"
+            );
+            checked += 1;
+        }
+        assert_eq!(checked, 4, "the four truncation-30 artifacts");
+    }
+
+    #[test]
+    fn policy_evaluation_oracle_matches_random_solves() {
+        for config in random_configs().iter().take(10) {
+            assert_oracle_agrees(config, &config.solve().unwrap());
+        }
+    }
+
+    #[test]
+    fn policy_evaluation_oracle_matches_cached_walks() {
+        // α up and back down through one cache per family, so every solve
+        // after the first starts from its neighbour's ρ-shifted values. The
+        // Bitcoin walks are perfbench's `solve` walk (51 points from 0.15
+        // to 0.40 at truncation 24), where warm starts flip the action of
+        // the near-tie corner state (23, 21, relevant) between match and
+        // wait; the oracle holds either way. The Ethereum walk is coarser.
+        let grid = |points: usize, max_len: u32| {
+            let step = (0.40 - 0.15) / (points - 1) as f64;
+            let up = (0..points).map(move |k| (0.15 + step * k as f64, max_len));
+            up.clone().chain(up.rev().skip(1))
+        };
+        for (gamma, rewards, walk) in [
+            (0.5, RewardModel::Bitcoin, grid(51, 24)),
+            (0.0, RewardModel::Bitcoin, grid(51, 24)),
+            (0.5, RewardModel::EthereumApprox, grid(6, 16)),
+        ] {
+            let mut cache = ValueCache::new();
+            for (alpha, max_len) in walk {
+                let config = MdpConfig::new(alpha, gamma, rewards).with_max_len(max_len);
+                let solution = config.solve_with_cache(&mut cache).unwrap();
+                assert_oracle_agrees(&config, &solution);
+            }
+        }
     }
 
     #[test]

@@ -53,8 +53,15 @@ fn render(s: &Solution) -> String {
     )
 }
 
+/// Render a solve whose every bisection sign was certified, which is
+/// what makes its revenue bits independent of any warm start.
+fn certified(config: &MdpConfig, solution: &Solution) -> String {
+    assert_eq!(solution.stats.unresolved_signs, 0, "{config:?}");
+    render(solution)
+}
+
 fn solve(config: MdpConfig) -> String {
-    render(&config.solve().unwrap())
+    certified(&config, &config.solve().unwrap())
 }
 
 fn base(rewards: RewardModel) -> MdpConfig {
@@ -109,10 +116,13 @@ ethereum_len16_threads2: 3fe1a89f00000000 484 [28, 9, 22, 11, 37, 3, 15, 18, 8, 
 ";
 
 /// Bitcoin at truncation 24, α = 0.30 → 0.32 → 0.34 through one cache.
+/// The first solve is cold. The warm solves' revenue bits and policy
+/// digests equal those of the unshifted warm start; their sweep counts
+/// and residual digests are the ρ-shifted warm start's.
 const ALPHA_WALK: &str = "\
 0.3: 3fd4eb8200000000 719 [35, 48, 4, 36, 38, 23, 49, 4, 22, 59, 39, 27, 52, 6, 20, 110, 4, 10, 10, 13, 10, 100] 34bfa94e8d494f02 500e70e12a08a400
-0.32: 3fd7465600000000 650 [16, 16, 23, 59, 7, 54, 67, 18, 68, 11, 12, 18, 34, 34, 7, 13, 41, 8, 11, 7, 22, 104] 3a28018b50457051 8ee579bf4905edfb
-0.34: 3fda03fe00000000 715 [16, 19, 10, 75, 24, 116, 9, 12, 13, 13, 14, 26, 122, 3, 13, 14, 14, 14, 14, 15, 41, 118] 1316e270f42fc9b9 c850aae493c40cff
+0.32: 3fd7465600000000 343 [1, 6, 3, 60, 1, 2, 5, 10, 39, 2, 2, 23, 3, 15, 2, 23, 4, 19, 4, 18, 3, 98] a24f7241f7695821 8ee579bf4905edfb
+0.34: 3fda03fe00000000 329 [2, 3, 1, 4, 1, 69, 1, 1, 1, 1, 14, 17, 85, 1, 1, 1, 1, 1, 1, 1, 2, 120] 8c6cedf3347249f5 c850aae493c40cff
 ";
 
 #[test]
@@ -126,7 +136,8 @@ fn solves_match_their_anchors() {
 
 #[test]
 fn alpha_walk_through_one_cache_matches_its_anchors() {
-    // Each solve warm-starts from the previous α's converged values.
+    // Each solve warm-starts from the previous α's converged values,
+    // shifted to each ρ candidate by the cached units bias.
     let mut cache = ValueCache::new();
     let got: String = [0.30, 0.32, 0.34]
         .iter()
@@ -135,8 +146,21 @@ fn alpha_walk_through_one_cache_matches_its_anchors() {
                 .with_max_len(24)
                 .with_threads(1);
             let solution = config.solve_with_cache(&mut cache).unwrap();
-            format!("{alpha}: {}\n", render(&solution))
+            format!("{alpha}: {}\n", certified(&config, &solution))
         })
         .collect();
     assert_eq!(got, ALPHA_WALK);
+}
+
+#[test]
+fn a_root_on_a_bisection_midpoint_leaves_its_sign_unresolved() {
+    // Bitcoin at γ = 0.5 and α = 0.25 sits at the profitability
+    // threshold: honest mining is optimal, so ρ* = 0.25 = 2 · 2⁻³ is
+    // itself a midpoint of the `[0, 2]` bisection and `g` there is zero.
+    let config = MdpConfig::new(0.25, 0.5, RewardModel::Bitcoin)
+        .with_max_len(24)
+        .with_threads(1);
+    let solution = config.solve().unwrap();
+    assert!(solution.stats.unresolved_signs >= 1, "{:?}", solution.stats);
+    assert!((solution.revenue - 0.25).abs() <= config.rho_tolerance);
 }

@@ -39,10 +39,11 @@ cargo fmt --manifest-path perfbench/Cargo.toml --check
 echo "==> cargo doc (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet --offline --locked
 
-echo "==> policy artifact-compat audit (legality + byte-identical re-save)"
+echo "==> policy artifact-compat audit (legality, byte-identical re-save and re-solve)"
 # Loads every committed results/policies/*.json through the v2 API:
-# unreadable, illegal or non-byte-stable tables fail the build. No
-# solving, no simulation, no network.
+# unreadable, illegal or non-byte-stable tables fail the build, and so
+# does a truncation-30 table that a fresh solve from its recorded
+# metadata does not reproduce byte for byte. No simulation, no network.
 SELETH_POLICIES=results/policies \
     cargo run --release -q --offline --locked -p seleth-bench --bin optimal_sim -- --audit
 

@@ -38,10 +38,12 @@
 //!   tasks, busy fraction and queue wait (`run_many_tN_workers`) and a
 //!   speedup that is flagged invalid on a 1-CPU host;
 //! - `mdp_scaling`: one cold solve per truncation 60 / 120 / 200 with
-//!   its state count, sweeps and `ns_per_state_sweep` (wall time over
-//!   states × sweeps). The truncation-60 solve is `MdpConfig::new`'s
-//!   default and feeds the solver telemetry (bisections, sweeps per ρ
-//!   iterate, warm-start hit rate, final residual).
+//!   its state count, policy evaluations, sweeps (Q passes) and
+//!   `ns_per_state_sweep` (wall time over states × Q passes, so it also
+//!   carries the exact evaluations' cost). The truncation-60 solve is
+//!   `MdpConfig::new`'s default and feeds the solver telemetry
+//!   (bisections, policy evaluations, Q passes per ρ iterate, warm-start
+//!   hit rate, final residual).
 //!
 //! Output: `BENCH_gates.json` in the results directory, with the shared
 //! `"host"` fingerprint and a closing `"telemetry"` block, plus one
@@ -343,7 +345,7 @@ fn main() {
     // dominate the bin's runtime).
     let default_mdp = MdpConfig::new(0.35, 0.5, RewardModel::Bitcoin);
     let mut scaling_rows = Vec::new();
-    // (solve ms, ns per state-sweep) of the last, truncation-200, row.
+    // (solve ms, ns per state and Q pass) of the last, truncation-200, row.
     let mut t200 = (0.0, 0.0);
     for truncation in [60u32, 120, 200] {
         let config = default_mdp.with_max_len(truncation);
@@ -356,6 +358,7 @@ fn main() {
         if truncation == default_mdp.max_len {
             let stats = &solution.stats;
             telemetry.add("solver.bisections", stats.bisection_steps as u64);
+            telemetry.add("solver.policy_evaluations", stats.policy_evaluations as u64);
             telemetry.add(
                 "solver.sweeps",
                 stats.sweeps_per_iterate.iter().map(|&s| s as u64).sum(),
@@ -373,8 +376,10 @@ fn main() {
         let states = solution.policy.len();
         let ns_per_state_sweep = solve_s * 1e9 / (states * solution.iterations) as f64;
         t200 = (solve_s * 1e3, ns_per_state_sweep);
+        let evaluations = solution.stats.policy_evaluations;
         println!(
-            "mdp_scaling         len {truncation}: {:.1} ms ({states} states, {} sweeps, \
+            "mdp_scaling         len {truncation}: {:.1} ms ({states} states, \
+             {evaluations} policy evaluations, {} sweeps, \
              {ns_per_state_sweep:.1} ns/state-sweep, ρ* {:.5})",
             solve_s * 1e3,
             solution.iterations,
@@ -382,8 +387,8 @@ fn main() {
         );
         scaling_rows.push(format!(
             "{{\"truncation\": {truncation}, \"states\": {states}, \"solve_ms\": {:.3}, \
-             \"sweeps\": {}, \"ns_per_state_sweep\": {ns_per_state_sweep:.2}, \
-             \"revenue\": {:.9}}}",
+             \"policy_evaluations\": {evaluations}, \"sweeps\": {}, \
+             \"ns_per_state_sweep\": {ns_per_state_sweep:.2}, \"revenue\": {:.9}}}",
             solve_s * 1e3,
             solution.iterations,
             solution.revenue
@@ -457,7 +462,10 @@ fn main() {
             ("graph_sim_blocks_per_sec", graph_rate),
             ("graph_vs_uniform_ratio", graph_ratio),
             ("mdp_t200_solve_ms", t200.0),
-            ("mdp_t200_state_sweep_ns", t200.1),
+            // Per state and Q pass: the passes are a dozen improvement,
+            // probe and greedy passes, so this mostly prices the exact
+            // evaluations, not a Bellman sweep.
+            ("mdp_t200_state_pass_ns", t200.1),
         ],
     );
     println!("appended history row to {}", ledger.display());

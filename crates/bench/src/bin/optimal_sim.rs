@@ -19,11 +19,12 @@
 //! `SELETH_POLICIES` (artifact directory override).
 //!
 //! With `--audit` the binary instead verifies the committed artifact set
-//! (no solving, no simulation, no network): every `*.json` under the
-//! policies directory must parse, pass the
-//! [`PolicyTable::is_legal_everywhere`] audit, and re-save
-//! byte-identically; exit code 1 otherwise. This is the CI compat gate
-//! for the artifact format.
+//! (no simulation, no network): every `*.json` under the policies
+//! directory must parse, pass the [`PolicyTable::is_legal_everywhere`]
+//! audit, and re-save byte-identically, and every truncation-30 artifact
+//! (this bin's own output) must come back byte for byte when re-solved
+//! from its recorded metadata; exit code 1 otherwise. This is the CI
+//! gate for the artifact format and for the solver's bits.
 
 use seleth_bench::json_f64;
 use seleth_bench::report::Trace;
@@ -40,9 +41,28 @@ struct Point {
     gated: bool,
 }
 
+/// Truncation of the artifacts `--audit` re-solves: this bin's default
+/// `SELETH_MDP_LEN`. The truncation-200 delay artifacts come from the
+/// delay studies and take seconds each, so they are audited for
+/// legality and re-save only.
+const AUDIT_RESOLVE_LEN: u32 = 30;
+
+/// Whether re-solving `table` from its recorded metadata (α, γ, reward
+/// model, scenario, truncation, delay) writes `text` byte for byte.
+fn resolves_identically(table: &PolicyTable, text: &str) -> bool {
+    let config = MdpConfig::new(table.alpha(), table.gamma(), table.rewards())
+        .with_max_len(table.max_len())
+        .with_scenario(table.scenario())
+        .with_delay_ratio(table.delay());
+    config
+        .solve()
+        .is_ok_and(|solution| PolicyTable::from_solution(&config, &solution).to_json() == text)
+}
+
 /// `--audit`: load every artifact in the policies directory, audit its
-/// legality and its byte-identical re-save, and exit non-zero on any
-/// unreadable, illegal or unstable table.
+/// legality and its byte-identical re-save, re-solve the truncation-30
+/// ones, and exit non-zero on any unreadable, illegal, unstable or
+/// irreproducible table.
 fn audit_artifacts() -> ! {
     let dir = seleth_bench::policies_dir();
     let mut paths: Vec<_> = std::fs::read_dir(&dir)
@@ -73,17 +93,24 @@ fn audit_artifacts() -> ! {
             Ok(table) => {
                 let legal = table.is_legal_everywhere();
                 let stable = table.to_json() == text;
+                let reproduced = (table.max_len() == AUDIT_RESOLVE_LEN)
+                    .then(|| resolves_identically(&table, &text));
                 let dims: Vec<String> = table
                     .state_space()
                     .dims()
                     .into_iter()
                     .map(|(n, s)| format!("{n}:{s}"))
                     .collect();
-                let verdict = if legal && stable { "ok" } else { "FAIL" };
-                failed |= !(legal && stable);
+                let ok = legal && stable && reproduced != Some(false);
+                let verdict = if ok { "ok" } else { "FAIL" };
+                failed |= !ok;
+                let resolved = match reproduced {
+                    Some(same) => format!("re-solved identical: {same}, "),
+                    None => String::new(),
+                };
                 println!(
                     "{name:>32}  {verdict} (legal: {legal}, byte-identical: {stable}, \
-                     dims [{}])",
+                     {resolved}dims [{}])",
                     dims.join(", ")
                 );
             }
@@ -97,7 +124,11 @@ fn audit_artifacts() -> ! {
         eprintln!("\nFAIL: the committed artifact set is not replayable");
         std::process::exit(1);
     }
-    println!("\nall {} artifacts legal and byte-stable", paths.len());
+    println!(
+        "\nall {} artifacts legal and byte-stable; every truncation-{AUDIT_RESOLVE_LEN} \
+         one re-solves byte for byte",
+        paths.len()
+    );
     std::process::exit(0);
 }
 
@@ -166,6 +197,7 @@ fn main() {
         solve_ns += solving.elapsed_ns();
         let stats = &solution.stats;
         telemetry.add("solver.bisections", stats.bisection_steps as u64);
+        telemetry.add("solver.policy_evaluations", stats.policy_evaluations as u64);
         telemetry.add(
             "solver.sweeps",
             stats.sweeps_per_iterate.iter().map(|&s| s as u64).sum(),

@@ -173,36 +173,25 @@ pub fn host_fingerprint_json() -> String {
     )
 }
 
-/// The current git commit sha, read by hand from `.git/HEAD` (following
-/// one `ref:` indirection, with a `packed-refs` fallback) — no subprocess,
-/// so the bins stay runnable in minimal containers. Walks up from the
-/// current directory to find the repository root; `"unknown"` outside a
-/// checkout.
+/// The checked-out commit's sha as `git rev-parse HEAD` reports it, with
+/// a `-dirty` suffix when `git status` lists a change to a tracked file,
+/// so a row measured before its change is committed does not carry its
+/// parent's sha; `"unknown"` when `git` cannot run here (no `git`, or not
+/// inside a checkout).
 pub fn git_sha() -> String {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        let head = dir.join(".git").join("HEAD");
-        if let Ok(text) = fs::read_to_string(&head) {
-            let text = text.trim();
-            let Some(refname) = text.strip_prefix("ref: ") else {
-                return text.to_string(); // detached HEAD: the sha itself
-            };
-            let refname = refname.trim();
-            if let Ok(sha) = fs::read_to_string(dir.join(".git").join(refname)) {
-                return sha.trim().to_string();
-            }
-            if let Ok(packed) = fs::read_to_string(dir.join(".git").join("packed-refs")) {
-                for line in packed.lines() {
-                    if let Some(sha) = line.strip_suffix(refname) {
-                        return sha.trim().to_string();
-                    }
-                }
-            }
-            return "unknown".to_string();
-        }
-        if !dir.pop() {
-            return "unknown".to_string();
-        }
+    let git = |args: &[&str]| {
+        let out = std::process::Command::new("git").args(args).output().ok()?;
+        out.status
+            .success()
+            .then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+    };
+    match (
+        git(&["rev-parse", "HEAD"]),
+        git(&["status", "--porcelain", "--untracked-files=no"]),
+    ) {
+        (Some(sha), Some(status)) if status.is_empty() => sha,
+        (Some(sha), Some(_)) => format!("{sha}-dirty"),
+        _ => "unknown".to_string(),
     }
 }
 
@@ -535,9 +524,11 @@ mod tests {
     fn git_sha_reads_this_checkout() {
         let sha = git_sha();
         // This test runs inside the repository, so a real sha is expected:
-        // 40 hex characters, stable across two reads.
-        assert_eq!(sha.len(), 40, "sha: {sha}");
-        assert!(sha.chars().all(|c| c.is_ascii_hexdigit()));
+        // 40 hex characters, marked `-dirty` in a tree with uncommitted
+        // changes, stable across two reads.
+        let hex = sha.strip_suffix("-dirty").unwrap_or(&sha);
+        assert_eq!(hex.len(), 40, "sha: {sha}");
+        assert!(hex.chars().all(|c| c.is_ascii_hexdigit()));
         assert_eq!(sha, git_sha());
     }
 

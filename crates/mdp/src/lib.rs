@@ -12,12 +12,15 @@
 //! - the Dinkelbach transform: for a candidate revenue `ρ`, per-step
 //!   rewards become `r_attacker − ρ·units`, and the optimal revenue is the
 //!   `ρ*` at which the optimal average reward is zero. `ρ*` is found by
-//!   bisection on ρ, each candidate evaluated by relative value iteration
-//!   started from the previous values shifted by `−Δρ` times the units
-//!   bias (exact under a fixed policy). A bisection sign certified by the
-//!   value-iteration sandwich does not depend on the starting values, so
-//!   the shift changes sweep counts, not revenue bits
-//!   ([`SolveStats::unresolved_signs`] counts the uncertified ones);
+//!   Dinkelbach policy iteration: each policy is evaluated exactly (every
+//!   transition either climbs one level of `a + h` or lands on a state
+//!   with `h ≤ 1`, so one small dense system over those landing states
+//!   solves the whole chain) and improved greedily at its own ratio. The
+//!   reported revenue is the `[0, 2]` bisection's, replayed from signs the
+//!   final policy certifies, so the starting policy changes how many
+//!   evaluations a solve takes, not its revenue bits
+//!   ([`SolveStats::unresolved_signs`] counts midpoints whose sign no
+//!   sandwich could certify);
 //! - two reward models: exact Bitcoin (validated against Eyal–Sirer's
 //!   closed form where SM1 is optimal, and against Sapirshtein et al.'s
 //!   published optimal revenue 0.37077 at `α = 0.35, γ = 0`), and a

@@ -234,6 +234,14 @@ pub enum MdpError {
         /// The needed state that is not in the space.
         missing: Option<MdpState>,
     },
+    /// A fixed policy's exact evaluation met a zero pivot: its dense
+    /// landing-state system is singular, which no unichain policy's is.
+    SingularEvaluation {
+        /// The column of the zero pivot.
+        pivot: usize,
+        /// The system's order: landing states plus the gain.
+        size: usize,
+    },
 }
 
 impl fmt::Display for MdpError {
@@ -275,6 +283,11 @@ impl fmt::Display for MdpError {
                 states,
                 missing: None,
             } => write!(f, "{states} states exceed the solver's u32 state index"),
+            MdpError::SingularEvaluation { pivot, size } => write!(
+                f,
+                "policy evaluation met a zero pivot in column {pivot} of its \
+                 {size}-unknown landing system"
+            ),
         }
     }
 }
@@ -310,7 +323,8 @@ pub struct MdpConfig {
     /// *override* can be out-raced and a *match* reaches only the honest
     /// miners it beats to the wire (see [`MdpConfig::with_delay_ratio`]).
     pub delay_ratio: f64,
-    /// Span tolerance for relative value iteration.
+    /// Span tolerance of the relative value iteration that resolves a
+    /// bisection midpoint inside the certified bracket around ρ*.
     pub tolerance: f64,
     /// Bisection tolerance on the optimal revenue.
     pub rho_tolerance: f64,

@@ -1,4 +1,5 @@
-//! Relative value iteration + bisection on ρ in the Dinkelbach transform.
+//! Dinkelbach policy iteration with exact policy evaluation, and the
+//! bisection on ρ replayed from certified signs.
 //!
 //! The attacker maximizes a *ratio*: expected reward per normalization
 //! unit (regular blocks for Scenario 1; regular + uncle blocks for
@@ -7,65 +8,82 @@
 //! use its relative-revenue special case), for a candidate ratio `ρ`
 //! per-step rewards become `r_attacker − ρ · units`, the optimal long-run
 //! average `g(ρ)` is strictly decreasing, and the optimal ratio is the
-//! root `g(ρ*) = 0`. The solver bisects `[0, 2]` on the sign of `g`, which
-//! it computes by relative value iteration on the unichain MDP.
+//! root `g(ρ*) = 0`.
+//!
+//! # Exact policy evaluation
+//!
+//! Every transition of this MDP either raises `a + h` by exactly one or
+//! lands on a state with `h ≤ 1`, a *landing state* (48 of 1 525 states
+//! at truncation 24, 400 of 100 701 at truncation 200). So a fixed policy
+//! is evaluated exactly, level by level: walking the states by descending
+//! `a + h`, each state's expected reward, units and step count up to its
+//! next landing reduce to a combination of the landing states' values,
+//! because its other successors sit one level up and are already reduced.
+//! One dense `(m + 1) × (m + 1)` system over the `m` landing values and
+//! the gain, normalised at `(1, 0)`, then yields the relative values
+//! `h_r` of rewards and `h_u` of units, back-substituted level by level,
+//! and `ρ(π) = g_r / g_u`. Only two level slabs of coefficients are held
+//! at a time, never a states × landing array.
+//!
+//! # Dinkelbach policy iteration
+//!
+//! Starting from honest mining (each state's first legal action), or from
+//! the policy a [`ValueCache`] kept, the solver evaluates π and improves
+//! it greedily at `ρ(π)` over `h_r − ρ(π)·h_u`, keeping the current
+//! action unless another beats it by more than a rounding margin, until
+//! no action improves. That is Dinkelbach's own update: `ρ(π)` climbs to
+//! ρ* in a handful of evaluations.
+//!
+//! # The bisection, replayed
+//!
+//! The reported revenue is still the midpoint of the `[0, 2]` bisection
+//! down to `rho_tolerance`, a walk fixed by the signs of `g` at its
+//! midpoints. The final policy certifies a bracket around ρ*: below
+//! `ρ(π) − δ` its own gain proves `g > 0`, and above `ρ(π) + δ` one
+//! Bellman sweep from `h_r − ρ·h_u` whose update sandwich
+//! `min_d ≤ g ≤ max_d` lies below zero proves `g < 0`. A midpoint outside
+//! the bracket takes its certified sign with no sweep; one inside is
+//! evaluated by relative value iteration until the sandwich clears zero
+//! ([`SolveStats::unresolved_signs`] counts those where it never does,
+//! most plainly when ρ* is itself a midpoint). The signs, and so the
+//! revenue bits, do not depend on the starting policy. The returned
+//! policy is one greedy pass at the revenue over `h_r − revenue·h_u`
+//! that takes each state's first action within the rounding margin of
+//! its greatest Q value, so exact ties break by action order, not by the
+//! last ulp of an evaluation.
 //!
 //! # Performance architecture
 //!
 //! The transition table is expanded **once per solve** into flat
 //! struct-of-arrays storage ([`ExpandedMdp`]): per outcome, `(prob,
 //! successor index, attacker reward, normalization units)`. Each ρ
-//! candidate then re-weights rewards once (`base = Σ p·(r − ρ·units)`
-//! per action) instead of rebuilding per-action outcome lists. States are
-//! indexed through a dense table over the policy artifacts' own slot
-//! indexer ([`StateSpace::index`]), so the expansion hashes nothing.
+//! re-weights rewards once (`base = Σ p·(r − ρ·units)` per action)
+//! instead of rebuilding per-action outcome lists. States are indexed
+//! through a dense table over the policy artifacts' own slot indexer
+//! ([`StateSpace::index`]), so the expansion hashes nothing.
 //!
-//! **ρ-shifted warm starts.** Under a fixed policy the relative value is
-//! exactly linear in ρ, `h_ρ = h_r − ρ·h_u`, where `h_u` is the relative
-//! value of the normalization units. The solver carries that *units
-//! bias* `w` beside the value function `v` and starts every ρ candidate
-//! from `v − (ρ − ρ_prev)·w`, so a candidate only has to learn how the
-//! greedy policy moves, not the whole shift. `w` is refreshed only by
-//! the closing full-tolerance evaluation at the solved revenue, through
-//! a second accumulator in the Q pass, and a [`ValueCache`] keeps
-//! `(v, w, ρ)` for the next solve of a sweep. Only a kept cache ever
-//! reads `w`, so only [`MdpConfig::solve_with_cache`] forms it;
-//! [`MdpConfig::solve`] runs value-only sweeps throughout.
+//! Every Q pass (an improvement pass, a Bellman sweep, the closing greedy
+//! pass) runs over **state tiles** of [`PARALLEL_GRAIN`] consecutive
+//! states. Inside a tile, action rows are grouped by outcome count and
+//! states by action count, so a pass runs two fixed-width loops per tile
+//! instead of a per-state walk whose loop trip counts change from state
+//! to state: a *Q pass* (`q = base + Σ p_j·v[s_j]`, widths 1–4 unrolled
+//! at compile time) and a *max pass* (the first strictly greatest `q` per
+//! state). Each action's sum is formed in enumeration order and the
+//! tie-break is unchanged, so the grouping moves no bit of any result; a
+//! tile keeps its states' values close together in cache.
 //!
-//! What stays bit-identical: a sign-only bisection candidate stops only
-//! once the Bellman-update sandwich `min_d ≤ g ≤ max_d` clears zero,
-//! which certifies the exact sign from any starting values. So the
-//! bisection visits the same midpoints and returns the same revenue bits
-//! whatever the warm start; [`SolveStats::unresolved_signs`] counts the
-//! candidates where `|g|` was too small to certify. A cold solve has
-//! `w = 0` until its closing evaluation, so it is bit-identical in every
-//! field, sweep counts included, whether or not it fills a cache.
-//!
-//! The storage is compiled into **state tiles** of [`PARALLEL_GRAIN`]
-//! consecutive states. Inside a tile, action rows are grouped by outcome
-//! count and states by action count, so a sweep runs two fixed-width
-//! passes per tile instead of a per-state walk whose loop trip counts
-//! change from state to state: a *Q pass* (`q = base + Σ p_j·v[s_j]`,
-//! widths 1–4 unrolled at compile time) and a *max pass* (the first
-//! strictly greatest `q` per state). Each action's sum is formed in
-//! enumeration order and the tie-break is unchanged, so the grouping
-//! moves no bit of any result; a tile keeps its states' values close
-//! together in cache, which grouping the whole space at once would lose.
-//! A units-tracking sweep also forms `qw = Σ p·units + Σ p_j·w[s_j]` over
-//! the same outcome streams and copies the winning slot's `qw` into the
-//! new `w`; its Q pass is a function of its own, so value-only sweeps run
-//! the plain pass's code.
-//!
-//! The tile is the unit of every sweep and of greedy-policy extraction:
-//! a sequential sweep runs the tiles in order, a parallel sweep lets
-//! workers claim whole tiles. Every tile writes disjoint slots and all
-//! reductions (span seminorm, reference offsets) run on the calling
-//! thread, so results are bit-identical for every thread count. The span
-//! reduction runs four interleaved `min`/`max` accumulators and falls
-//! back to the index-order fold only when an extreme is exactly zero,
-//! the one case where regrouping could pick the other signed zero.
+//! A sequential pass runs the tiles in order, a parallel one lets workers
+//! claim whole tiles. Every tile writes disjoint slots and all reductions
+//! (span seminorm, reference offsets, the improvement count) run on the
+//! calling thread or are order-free sums, and the exact evaluation is
+//! sequential, so results are bit-identical for every thread count. The
+//! span reduction runs four interleaved `min`/`max` accumulators and
+//! falls back to the index-order fold only when an extreme is exactly
+//! zero, the one case where regrouping could pick the other signed zero.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use serde::{Deserialize, Serialize};
@@ -84,12 +102,28 @@ const PARALLEL_MIN_STATES: usize = 4096;
 /// per-state threads.
 const PARALLEL_GRAIN: usize = 1024;
 
-/// Hard cap on Dinkelbach bisection steps. 128 halvings of the initial
-/// `[0, 2]` bracket reach the limit of f64 resolution, so any positive
-/// `rho_tolerance` converges well before this; the cap turns a
-/// pathological tolerance into a typed [`MdpError::NoConvergence`] instead
-/// of an unbounded loop.
-const MAX_BISECTIONS: usize = 128;
+/// Hard cap on bisection steps and on policy evaluations. 128 halvings of
+/// the initial `[0, 2]` bracket reach the limit of f64 resolution, so any
+/// positive `rho_tolerance` converges well before this; every policy
+/// improvement raises `ρ(π)` by more than the rounding margin, so policy
+/// iteration ends in a handful of evaluations. The cap turns a
+/// pathological tolerance into a typed [`MdpError::NoConvergence`]
+/// instead of an unbounded loop.
+const MAX_STEPS: usize = 128;
+
+/// Sweeps one relative value iteration may spend before
+/// [`MdpError::NoConvergence`].
+const MAX_SWEEPS: usize = 200_000;
+
+/// Rounding headroom of a Q value, in units of `ε · (1 + max|v|)`. A Q
+/// value sums at most five terms bounded by the value scale, each
+/// formed from `h_r − ρ·h_u`, so two Q values of one state carry a
+/// rounding difference of a few tens of ulps of that scale; 1024 ulps
+/// clears it with a wide factor. It sets the improvement margin (an
+/// action must beat the current one by more than this), the tie width
+/// of the closing greedy pass and, divided by the units gain, the
+/// half-width δ of the certified bracket.
+const ROUNDING_ULPS: f64 = 1024.0;
 
 /// Marks a [`StateSpace`] slot that holds no state of the solve.
 const NO_STATE: u32 = u32::MAX;
@@ -215,33 +249,38 @@ impl Policy {
 
 /// Instrumentation of one Dinkelbach solve.
 ///
-/// Collected on every [`MdpConfig::solve`]: one entry per ρ iterate — the bisection candidates in order, then the
-/// closing full-tolerance evaluation at the solved revenue. Recording is
-/// pure bookkeeping over values the solver already computes, so the
-/// numerics (and exported policy artifacts) are untouched.
+/// Collected on every [`MdpConfig::solve`]: one entry per ρ at which the
+/// solver ran Q passes, in order — each policy-improvement pass, the
+/// bracket probe sweep, every bisection midpoint evaluated by value
+/// iteration, and the closing greedy pass. Recording is pure bookkeeping
+/// over values the solver already computes, so the numerics (and
+/// exported policy artifacts) are untouched.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SolveStats {
-    /// Bisection steps taken on the ρ bracket.
+    /// Halvings of the `[0, 2]` ρ bracket, whether their sign came from
+    /// the certified bracket or from value iteration.
     pub bisection_steps: usize,
-    /// Value-iteration sweeps spent per ρ iterate (last entry: the
-    /// closing evaluation at ρ*).
+    /// Exact policy evaluations of the Dinkelbach policy iteration.
+    pub policy_evaluations: usize,
+    /// Q passes spent per ρ iterate (see the type's docs for the order).
     pub sweeps_per_iterate: Vec<usize>,
-    /// Final Bellman-update span per ρ iterate — the residual each
-    /// iterate converged (or sign-resolved) at.
+    /// Final Bellman-update span per ρ iterate: for an improvement or
+    /// greedy pass from a policy's exact values, the largest gain any
+    /// action offers over the policy's own; for value iteration, the
+    /// span it converged (or sign-resolved) at.
     pub residuals: Vec<f64>,
-    /// Iterates after the first that converged in fewer sweeps than the
-    /// first iterate. In a cold solve the first iterate starts from zero
-    /// values, so this counts warm starts paying off; through a warm
-    /// [`ValueCache`] the first iterate is warm too (it starts from the
-    /// cached values, ρ-shifted), so the count compares warm iterates
-    /// with a warm one and reads lower for the same speed.
+    /// Iterates after the first that ran fewer Q passes than the first.
+    /// Improvement, probe and greedy passes are one pass each, so this
+    /// counts only value-iteration midpoints cheaper than a multi-pass
+    /// first iterate and is mostly zero.
     pub warm_start_hits: usize,
-    /// Sign-only bisection candidates whose Bellman-update span fell below
-    /// `tolerance` before the sandwich `min_d ≤ g ≤ max_d` cleared zero.
-    /// Their sign is the sandwich midpoint's, which depends on the
-    /// starting values; every other candidate's sign is certified. It is
-    /// non-zero only when `|g|` at a midpoint is below the value
-    /// tolerance, most plainly when ρ* is itself a bisection midpoint.
+    /// Bisection midpoints inside the certified bracket whose
+    /// Bellman-update span fell below `tolerance` before the sandwich
+    /// `min_d ≤ g ≤ max_d` cleared zero. Their sign is the sandwich
+    /// midpoint's, which depends on the starting values; every other
+    /// sign is certified. It is non-zero only when `|g|` at a midpoint is
+    /// below the value tolerance, most plainly when ρ* is itself a
+    /// bisection midpoint.
     pub unresolved_signs: usize,
 }
 
@@ -277,7 +316,8 @@ pub struct Solution {
     pub revenue: f64,
     /// The optimal policy at the solved revenue.
     pub policy: Policy,
-    /// Value-iteration sweeps used across all bisection steps.
+    /// Q passes run: improvement passes, Bellman sweeps and the closing
+    /// greedy pass.
     pub iterations: usize,
     /// Per-iterate instrumentation of the solve.
     pub stats: SolveStats,
@@ -303,17 +343,17 @@ pub struct Solution {
 #[derive(Debug)]
 struct ExpandedMdp {
     space: Arc<DenseStates>,
+    /// The dense index of `(1, 0)`, where relative values are zero.
     ref_state: usize,
     tiles: Vec<Tile>,
     row_groups: Vec<RowGroup>,
     state_groups: Vec<StateGroup>,
     /// Per global slot: its action.
     actions: Vec<Action>,
+    /// Per global slot: the first of its outcomes and their count.
+    slot_outs: Vec<(usize, usize)>,
     /// Per global row: the tile-local slot its value lands in.
     row_slot: Vec<u32>,
-    /// Per global row: expected normalization units, `Σ_t prob[t]·units[t]`
-    /// — the reward half of the units backup, independent of ρ.
-    unit_base: Vec<f64>,
     /// Per state-group entry: the tile-local state index.
     group_state: Vec<u32>,
     /// Per outcome, in row order: probability, successor state,
@@ -322,6 +362,7 @@ struct ExpandedMdp {
     succ: Vec<u32>,
     attacker_reward: Vec<f64>,
     units: Vec<f64>,
+    levels: Levels,
 }
 
 /// One tile: the unit of a sweep, sequential or parallel. It writes only
@@ -351,6 +392,71 @@ struct StateGroup {
     arity: usize,
     states: Range<usize>,
     slot: usize,
+}
+
+/// The level structure behind exact policy evaluation: states ordered by
+/// descending level `a + h`, and the landing states — every successor
+/// that is not exactly one level above its predecessor.
+#[derive(Debug, Default)]
+struct Levels {
+    /// State indices, highest level first.
+    order: Vec<u32>,
+    /// `order` ranges of the levels, highest first.
+    bounds: Vec<Range<usize>>,
+    /// Per state: its position within its level's range of `order`.
+    pos: Vec<u32>,
+    /// Per state: its landing index, or [`NO_STATE`].
+    landing: Vec<u32>,
+    /// The landing states, in state-index order.
+    landing_states: Vec<u32>,
+}
+
+impl Levels {
+    /// Order `space` by level (a counting sort, state order kept within a
+    /// level) and number the states `is_landing` flags as landing states.
+    fn new(space: &DenseStates, is_landing: &[bool]) -> Self {
+        let level = |s: &MdpState| (s.a + s.h) as usize;
+        let top = space.states.iter().map(level).max().unwrap_or(0);
+        let mut count = vec![0usize; top + 1];
+        for s in &space.states {
+            count[top - level(s)] += 1;
+        }
+        let mut bounds = Vec::with_capacity(top + 1);
+        let mut start = 0;
+        for c in count {
+            bounds.push(start..start + c);
+            start += c;
+        }
+        let mut fill: Vec<usize> = bounds.iter().map(|b| b.start).collect();
+        let (mut order, mut pos) = (
+            vec![0u32; space.states.len()],
+            vec![0u32; space.states.len()],
+        );
+        for (i, s) in space.states.iter().enumerate() {
+            let l = top - level(s);
+            order[fill[l]] = i as u32;
+            pos[i] = (fill[l] - bounds[l].start) as u32;
+            fill[l] += 1;
+        }
+        let mut landing = vec![NO_STATE; space.states.len()];
+        let mut landing_states = Vec::new();
+        for (i, _) in is_landing.iter().enumerate().filter(|(_, &l)| l) {
+            landing[i] = landing_states.len() as u32;
+            landing_states.push(i as u32);
+        }
+        Levels {
+            order,
+            bounds,
+            pos,
+            landing,
+            landing_states,
+        }
+    }
+
+    /// The number of states on the widest level.
+    fn widest(&self) -> usize {
+        self.bounds.iter().map(|b| b.len()).max().unwrap_or(0)
+    }
 }
 
 /// The legal `(state, action)` pairs of the tile being compiled, in
@@ -389,12 +495,14 @@ impl TilePairs {
         self.pair_outs[k + 1] - self.pair_outs[k]
     }
 
-    /// Append every legal action of `s` with its outcomes.
+    /// Append every legal action of `s` with its outcomes, flagging in
+    /// `is_landing` every successor not exactly one level above `s`.
     fn push_state(
         &mut self,
         config: &MdpConfig,
         space: &DenseStates,
         s: MdpState,
+        is_landing: &mut [bool],
     ) -> Result<(), MdpError> {
         let first = self.actions.len();
         config.push_legal_actions(s, &mut self.actions);
@@ -411,6 +519,9 @@ impl TilePairs {
                         missing: Some(o.next),
                     });
                 };
+                if o.next.a + o.next.h != s.a + s.h + 1 {
+                    is_landing[j] = true;
+                }
                 let u = match config.scenario {
                     Scenario::RegularRate => o.regular,
                     Scenario::RegularPlusUncleRate => o.regular + o.uncles,
@@ -436,76 +547,89 @@ impl TilePairs {
     }
 }
 
-/// Reusable value-iteration buffers, retained across every ρ candidate of
-/// a solve (both the allocation and the converged values, which warm-start
-/// the next candidate). A sweep allocates nothing.
+/// Reusable buffers of one solve, retained across every policy
+/// evaluation, improvement pass and ρ candidate. A Q pass allocates
+/// nothing.
 #[derive(Debug)]
 struct ValueWorkspace {
+    /// The values the next Q pass reads.
     v: Vec<f64>,
     next_v: Vec<f64>,
-    /// The units bias: the relative value of the normalization units
-    /// under the greedy policy, refreshed by full-tolerance evaluations
-    /// (all zero before the first one).
-    w: Vec<f64>,
-    next_w: Vec<f64>,
-    /// The ρ that `v` was last relaxed at, once `w` is its units bias;
-    /// `None` while `w` is still zero, which leaves `v` unshifted.
-    rho: Option<f64>,
-    /// Per row: expected transformed reward at the current ρ candidate,
+    /// Per row: expected transformed reward at the current ρ,
     /// `base[k] = Σ_t prob[t]·(r[t] − ρ·units[t])`. Computed once per
-    /// candidate, so the hot sweep loop streams only `prob`/`succ` and
-    /// the value function.
+    /// ρ, so the hot sweep loop streams only `prob`/`succ` and the value
+    /// function.
     base: Vec<f64>,
-    /// Per slot: the action value `Q(s, a)` of the current sweep.
+    /// Per slot: the action value `Q(s, a)` of the current pass.
     q: Vec<f64>,
-    /// Per slot: the units backup of the current full-tolerance sweep.
-    qw: Vec<f64>,
+    /// Per state: the global slot of the current policy's action.
+    choice: Vec<usize>,
+    /// The current policy's exact relative values of rewards and units.
+    h_r: Vec<f64>,
+    h_u: Vec<f64>,
+    /// Two level slabs of reduced coefficients (see
+    /// [`ExpandedMdp::evaluate`]).
+    slab: Vec<f64>,
+    upper: Vec<f64>,
+    /// The dense landing system, row-major, and its two right-hand sides.
+    system: Vec<f64>,
+    rhs_r: Vec<f64>,
+    rhs_u: Vec<f64>,
 }
 
 impl ValueWorkspace {
     fn new(mdp: &ExpandedMdp) -> Self {
+        let (n, m) = (mdp.len(), mdp.levels.landing_states.len());
+        let slab = mdp.levels.widest() * (m + SLAB_SCALARS);
         ValueWorkspace {
-            v: vec![0.0; mdp.len()],
-            next_v: vec![0.0; mdp.len()],
-            w: vec![0.0; mdp.len()],
-            next_w: vec![0.0; mdp.len()],
-            rho: None,
+            v: vec![0.0; n],
+            next_v: vec![0.0; n],
             base: Vec::new(),
             q: vec![0.0; mdp.actions.len()],
-            qw: vec![0.0; mdp.actions.len()],
+            choice: vec![0; n],
+            h_r: vec![0.0; n],
+            h_u: vec![0.0; n],
+            slab: vec![0.0; slab],
+            upper: vec![0.0; slab],
+            system: vec![0.0; (m + 1) * (m + 1)],
+            rhs_r: vec![0.0; m + 1],
+            rhs_u: vec![0.0; m + 1],
         }
     }
 
-    /// Move `v` to candidate `rho`: `v ← v − (ρ − ρ_prev)·w`, exact for
-    /// the relative value of a fixed policy. A no-op while `w` is zero.
-    fn shift_to(&mut self, rho: f64) {
-        if let Some(prev) = self.rho {
-            let step = rho - prev;
-            for (v, &w) in self.v.iter_mut().zip(&self.w) {
-                *v -= step * w;
-            }
-            self.rho = Some(rho);
+    /// Q values of `v` that differ by no more than this are tied: the
+    /// rounding headroom [`ROUNDING_ULPS`] of the values' scale.
+    fn rounding_margin(&self) -> f64 {
+        let scale = self.v.iter().fold(1.0f64, |m, v| m.max(1.0 + v.abs()));
+        ROUNDING_ULPS * f64::EPSILON * scale
+    }
+
+    /// `v ← h_r − ρ·h_u`: the current policy's exact relative values of
+    /// the transformed reward at `rho`.
+    fn values_at(&mut self, rho: f64) {
+        for ((v, &r), &u) in self.v.iter_mut().zip(&self.h_r).zip(&self.h_u) {
+            *v = r - rho * u;
         }
     }
 }
 
-/// A cross-solve value-function cache for parameter sweeps.
+/// Per slab row, after the `m` landing coefficients: expected reward,
+/// expected units and expected steps up to the next landing.
+const SLAB_SCALARS: usize = 3;
+
+/// A cross-solve policy cache for parameter sweeps.
 ///
-/// The Dinkelbach solver already warm-starts its value function across ρ
-/// candidates *within* one solve; a sweep over a model axis (α, γ, or the
-/// delay axis of a delay-aware study: the optimal `v` moves continuously
-/// with each) can reuse the previous solve's converged values the same
-/// way via [`MdpConfig::solve_with_cache`]. The cache holds the value
-/// function, its units bias and the revenue they were converged at, so
-/// the next solve's first candidate starts ρ-shifted too. It is consulted
-/// only when the state-space size matches, so sweeping mixed truncations
-/// or reward models through one cache is safe (those solves simply start
-/// cold).
+/// A sweep over a model axis (α, γ, or the delay axis of a delay-aware
+/// study) moves the optimal policy little from one point to the next, so
+/// [`MdpConfig::solve_with_cache`] starts its policy iteration from the
+/// previous solve's policy, which the cache keeps; a warm solve then
+/// needs one or two policy evaluations. It is consulted only when the
+/// state-space size matches, so sweeping mixed truncations or reward
+/// models through one cache is safe (those solves simply start from
+/// honest mining).
 #[derive(Debug, Clone, Default)]
 pub struct ValueCache {
-    v: Vec<f64>,
-    w: Vec<f64>,
-    rho: f64,
+    actions: Vec<Action>,
 }
 
 impl ValueCache {
@@ -535,20 +659,7 @@ impl<A: TileCut, B: TileCut> TileCut for (A, B) {
     }
 }
 
-/// How far [`ExpandedMdp::optimal_average`] iterates one ρ candidate.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Eval {
-    /// Until the sandwich certifies the sign of `g(ρ)`: a bisection step.
-    Sign,
-    /// To `tolerance`, value-only: the closing evaluation of a solve that
-    /// keeps no [`ValueCache`], whose units bias nothing would read.
-    Full,
-    /// To `tolerance`, refreshing the units bias `w` every sweep: the
-    /// closing evaluation of a solve whose `(v, w)` a cache keeps.
-    Tracked,
-}
-
-/// One ρ iterate of relative value iteration.
+/// One ρ candidate's relative value iteration.
 struct Iterate {
     /// The sandwich midpoint `(min_d + max_d) / 2`, an estimate of `g(ρ)`.
     gain: f64,
@@ -561,11 +672,12 @@ struct Iterate {
 
 impl ExpandedMdp {
     /// Expand `config`'s transition table: enumerate and index the states,
-    /// then compile every legal `(state, action)`'s outcomes into tiles.
+    /// compile every legal `(state, action)`'s outcomes into tiles, and
+    /// order the states by level for exact policy evaluation.
     fn build(config: &MdpConfig) -> Result<Self, MdpError> {
         let space = Arc::new(DenseStates::new(config)?);
         let n = space.states.len();
-        let origin = MdpState::new(0, 0, Fork::Irrelevant);
+        let origin = MdpState::new(1, 0, Fork::Irrelevant);
         let ref_state = space.get(origin).ok_or(MdpError::InvalidSpace {
             states: n,
             missing: Some(origin),
@@ -577,23 +689,34 @@ impl ExpandedMdp {
             row_groups: Vec::new(),
             state_groups: Vec::new(),
             actions: Vec::new(),
+            slot_outs: Vec::new(),
             row_slot: Vec::new(),
-            unit_base: Vec::new(),
             group_state: Vec::with_capacity(n),
             prob: Vec::new(),
             succ: Vec::new(),
             attacker_reward: Vec::new(),
             units: Vec::new(),
+            levels: Levels::default(),
         };
         let mut pairs = TilePairs::default();
+        let mut is_landing = vec![false; n];
         for first in (0..n).step_by(PARALLEL_GRAIN) {
             let states = first..n.min(first + PARALLEL_GRAIN);
             pairs.clear();
             for &s in &space.states[states.clone()] {
-                pairs.push_state(config, &space, s)?;
+                pairs.push_state(config, &space, s, &mut is_landing)?;
             }
             mdp.push_tile(states, &mut pairs);
         }
+        // Adopting always lands on `(1, 0)`, so it is a landing state and
+        // can carry the evaluation's normalisation.
+        if !is_landing[ref_state] {
+            return Err(MdpError::InvalidSpace {
+                states: n,
+                missing: Some(origin),
+            });
+        }
+        mdp.levels = Levels::new(&space, &is_landing);
         Ok(mdp)
     }
 
@@ -609,8 +732,8 @@ impl ExpandedMdp {
             let tiles = self.len().div_ceil(states.len());
             let (slots, outs) = (pairs.actions.len() * tiles, pairs.outs.len() * tiles);
             self.actions.reserve(slots);
+            self.slot_outs.reserve(slots);
             self.row_slot.reserve(slots);
-            self.unit_base.reserve(slots);
             self.prob.reserve(outs);
             self.succ.reserve(outs);
             self.attacker_reward.reserve(outs);
@@ -640,6 +763,7 @@ impl ExpandedMdp {
         }
 
         let row_groups_start = self.row_groups.len();
+        self.slot_outs.resize(self.actions.len(), (0, 0));
         let max_width = slot_pair.iter().map(|&k| pairs.width(k)).max();
         for width in 0..=max_width.unwrap_or(0) {
             let (first, out) = (self.row_slot.len(), self.prob.len());
@@ -648,12 +772,8 @@ impl ExpandedMdp {
                     continue;
                 }
                 self.row_slot.push(slot as u32);
+                self.slot_outs[slot_start + slot] = (self.prob.len(), width);
                 let outs = &pairs.outs[pairs.pair_outs[k]..pairs.pair_outs[k + 1]];
-                let mut units = 0.0;
-                for o in outs {
-                    units += o.0 * o.3;
-                }
-                self.unit_base.push(units);
                 self.prob.extend(outs.iter().map(|o| o.0));
                 self.succ.extend(outs.iter().map(|o| o.1));
                 self.attacker_reward.extend(outs.iter().map(|o| o.2));
@@ -680,11 +800,31 @@ impl ExpandedMdp {
         self.space.states.len()
     }
 
+    /// Point every state's `choice` at its slot for `actions[state]`, or
+    /// at its first slot where `actions` is absent or names an action
+    /// not legal there. The first legal action is override when ahead and
+    /// adopt otherwise: honest mining.
+    fn init_choice(&self, actions: Option<&[Action]>, choice: &mut [usize]) {
+        for tile in &self.tiles {
+            for g in &self.state_groups[tile.state_groups.clone()] {
+                let states = &self.group_state[g.states.clone()];
+                for (j, &s) in states.iter().enumerate() {
+                    let s = tile.states.start + s as usize;
+                    let first = tile.slots.start + g.slot + j * g.arity;
+                    let wanted = actions.map(|a| a[s]);
+                    choice[s] = (first..first + g.arity)
+                        .find(|&k| Some(self.actions[k]) == wanted)
+                        .unwrap_or(first);
+                }
+            }
+        }
+    }
+
     /// Refill `base[k] = Σ_t prob[t]·(r[t] − ρ·units[t])` for every row —
     /// the reward half of the Bellman backup, hoisted out of the sweep
-    /// loop. One `O(nnz)` pass per ρ candidate buys every subsequent
-    /// sweep a multiply-add per outcome and halves the arrays the hot
-    /// loop streams.
+    /// loop. One `O(nnz)` pass per ρ buys every subsequent Q pass a
+    /// multiply-add per outcome and halves the arrays the hot loop
+    /// streams.
     fn fill_base(&self, rho: f64, base: &mut Vec<f64>) {
         base.clear();
         for g in &self.row_groups {
@@ -697,6 +837,105 @@ impl ExpandedMdp {
                 b
             }));
         }
+    }
+
+    /// Evaluate the policy `ws.choice` exactly: fill `ws.h_r` and
+    /// `ws.h_u` with its relative values of rewards and of units (zero at
+    /// `(1, 0)`) and return its gains `(g_r, g_u)`, whose ratio is `ρ(π)`.
+    ///
+    /// Walking the levels from the top, each state's row of the current
+    /// slab holds its expected reward, units and steps until the chain
+    /// first lands, and the probability of landing on each landing state:
+    /// a landing successor adds its probability to its own coefficient,
+    /// any other successor is one level up and adds its reduced row of
+    /// the slab above. A landing state's row is its equation in the dense
+    /// system `h(L) = R − g·T + Σ_K c_K·h(K)`, closed by `h(1, 0) = 0`;
+    /// one LU solve gives the landing values and the gains for rewards and
+    /// units at once, and `h = r − g + P·h` back-substitutes every other
+    /// state, level by level from the top.
+    ///
+    /// # Errors
+    ///
+    /// [`MdpError::SingularEvaluation`] if the dense system has a zero
+    /// pivot, which no unichain policy produces.
+    fn evaluate(&self, ws: &mut ValueWorkspace) -> Result<(f64, f64), MdpError> {
+        let ValueWorkspace {
+            choice,
+            h_r,
+            h_u,
+            slab,
+            upper,
+            system,
+            rhs_r,
+            rhs_u,
+            ..
+        } = ws;
+        let levels = &self.levels;
+        let m = levels.landing_states.len();
+        let (stride, k) = (m + SLAB_SCALARS, m + 1);
+        for bounds in &levels.bounds {
+            std::mem::swap(slab, upper);
+            for (j, &s) in levels.order[bounds.clone()].iter().enumerate() {
+                let s = s as usize;
+                let row = &mut slab[j * stride..(j + 1) * stride];
+                row.fill(0.0);
+                let (out, width) = self.slot_outs[choice[s]];
+                let outs = out..out + width;
+                for t in outs.clone() {
+                    row[m] += self.prob[t] * self.attacker_reward[t];
+                    row[m + 1] += self.prob[t] * self.units[t];
+                }
+                row[m + 2] = 1.0;
+                for t in outs {
+                    let (p, next) = (self.prob[t], self.succ[t] as usize);
+                    match levels.landing[next] {
+                        NO_STATE => {
+                            let above = levels.pos[next] as usize * stride;
+                            for (x, &y) in row.iter_mut().zip(&upper[above..above + stride]) {
+                                *x += p * y;
+                            }
+                        }
+                        l => row[l as usize] += p,
+                    }
+                }
+                let i = levels.landing[s];
+                if i != NO_STATE {
+                    let i = i as usize;
+                    let eq = &mut system[i * k..(i + 1) * k];
+                    for (a, &c) in eq.iter_mut().zip(&row[..m]) {
+                        *a = -c;
+                    }
+                    eq[i] += 1.0;
+                    eq[m] = row[m + 2];
+                    (rhs_r[i], rhs_u[i]) = (row[m], row[m + 1]);
+                }
+            }
+        }
+        let eq = &mut system[m * k..];
+        eq.fill(0.0);
+        eq[levels.landing[self.ref_state] as usize] = 1.0;
+        (rhs_r[m], rhs_u[m]) = (0.0, 0.0);
+        solve_dense(system, k, rhs_r, rhs_u)?;
+
+        for (&s, (&r, &u)) in levels.landing_states.iter().zip(rhs_r.iter().zip(&*rhs_u)) {
+            (h_r[s as usize], h_u[s as usize]) = (r, u);
+        }
+        let (gain_r, gain_u) = (rhs_r[m], rhs_u[m]);
+        for &s in &levels.order {
+            let s = s as usize;
+            if levels.landing[s] != NO_STATE {
+                continue;
+            }
+            let (out, width) = self.slot_outs[choice[s]];
+            let (mut r, mut u) = (-gain_r, -gain_u);
+            for t in out..out + width {
+                let next = self.succ[t] as usize;
+                r += self.prob[t] * (self.attacker_reward[t] + h_r[next]);
+                u += self.prob[t] * (self.units[t] + h_u[next]);
+            }
+            (h_r[s], h_u[s]) = (r, u);
+        }
+        Ok((gain_r, gain_u))
     }
 
     /// The Q pass of one tile: `q[slot] = base[row] + Σ_j p_j·v[s_j]`
@@ -713,35 +952,6 @@ impl ExpandedMdp {
                 3 => q_rows::<3>(base, slot, prob, succ, v, q),
                 4 => q_rows::<4>(base, slot, prob, succ, v, q),
                 width => q_rows_wide(width, base, slot, prob, succ, v, q),
-            }
-        }
-    }
-
-    /// [`ExpandedMdp::tile_q`] plus the units backup
-    /// `qw[slot] = unit_base[row] + Σ_j p_j·w[s_j]`, formed in the same
-    /// pass over the `prob`/`succ` streams. A pass of its own, so the
-    /// value-only sweeps keep the plain pass's code.
-    fn tile_q_tracked(
-        &self,
-        tile: &Tile,
-        (base, v, q): (&[f64], &[f64], &mut [f64]),
-        (w, qw): (&[f64], &mut [f64]),
-    ) {
-        for g in &self.row_groups[tile.row_groups.clone()] {
-            let outs = g.out..g.out + g.rows.len() * g.width;
-            let (base, slot) = (&base[g.rows.clone()], &self.row_slot[g.rows.clone()]);
-            let (prob, succ) = (&self.prob[outs.clone()], &self.succ[outs]);
-            let unit_base = &self.unit_base[g.rows.clone()];
-            let (bases, values, out) = ((base, unit_base), (v, w), (&mut *q, &mut *qw));
-            match g.width {
-                1 => q_rows_tracked::<1>(bases, slot, prob, succ, values, out),
-                2 => q_rows_tracked::<2>(bases, slot, prob, succ, values, out),
-                3 => q_rows_tracked::<3>(bases, slot, prob, succ, values, out),
-                4 => q_rows_tracked::<4>(bases, slot, prob, succ, values, out),
-                width => {
-                    q_rows_wide(width, base, slot, prob, succ, v, out.0);
-                    q_rows_wide(width, unit_base, slot, prob, succ, w, out.1);
-                }
             }
         }
     }
@@ -792,8 +1002,6 @@ impl ExpandedMdp {
         threads: usize,
         f: impl Fn(&Tile, Q, O) + Sync,
     ) {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
         let tiles = self
             .tiles
             .iter()
@@ -825,94 +1033,51 @@ impl ExpandedMdp {
         });
     }
 
-    /// One value-only Bellman sweep: `next_v[i] = max_a Q(i, a)` for
-    /// every state, from `ws.base` and `ws.v`.
-    fn bellman_sweep(&self, ws: &mut ValueWorkspace, threads: usize) {
+    /// One Bellman sweep, `next_v[i] = max_a Q(i, a)` from `ws.base` and
+    /// `ws.v`, then `v ← next_v − next_v(1, 0)`. Returns the update range
+    /// `(min_d, max_d)` of `next_v − v`, reduced on this thread whatever
+    /// the sweep's thread count: the sandwich `min_d ≤ g ≤ max_d` of the
+    /// optimal gain at the filled ρ.
+    fn sweep(&self, ws: &mut ValueWorkspace, threads: usize) -> (f64, f64) {
         let ValueWorkspace {
             v, next_v, base, q, ..
         } = ws;
-        let (v, base) = (&*v, &*base);
+        let (v_in, base) = (&*v, &*base);
         self.for_each_tile(&mut q[..], &mut next_v[..], threads, |tile, q, next_v| {
-            self.tile_q(tile, base, v, q);
+            self.tile_q(tile, base, v_in, q);
             self.tile_best(tile, q, |s, best, _| next_v[s] = best);
         });
+        let range = update_range(next_v, v);
+        let offset = next_v[self.ref_state];
+        for (v, &next) in v.iter_mut().zip(&*next_v) {
+            *v = next - offset;
+        }
+        range
     }
 
-    /// One Bellman sweep that also carries the units bias: `next_v` as in
-    /// [`ExpandedMdp::bellman_sweep`], and `next_w[i]` the units backup of
-    /// the action that wins `next_v[i]`.
-    fn tracked_sweep(&self, ws: &mut ValueWorkspace, threads: usize) {
-        let ValueWorkspace {
-            v,
-            next_v,
-            w,
-            next_w,
-            base,
-            q,
-            qw,
-            ..
-        } = ws;
-        let (v, w, base) = (&*v, &*w, &*base);
-        let slots = (&mut q[..], &mut qw[..]);
-        let states = (&mut next_v[..], &mut next_w[..]);
-        self.for_each_tile(slots, states, threads, |tile, (q, qw), (next_v, next_w)| {
-            self.tile_q_tracked(tile, (base, v, q), (w, &mut *qw));
-            self.tile_best(tile, q, |s, best, slot| {
-                next_v[s] = best;
-                next_w[s] = slot.map_or(0.0, |k| qw[k]);
-            });
-        });
-    }
-
-    /// Optimal average transformed reward `g(ρ)` via relative value
-    /// iteration, started from `ws.v` shifted to `rho` (see
-    /// [`ValueWorkspace::shift_to`]) and leaving its converged values
-    /// there.
+    /// The sign of the optimal average transformed reward `g(ρ)` by
+    /// relative value iteration from `ws.v`.
     ///
-    /// With [`Eval::Sign`], iteration stops as soon as the sign of `g(ρ)` is
-    /// certain: every sweep's Bellman-update differences bound the optimal
-    /// gain (`min_d ≤ g ≤ max_d`, the classic value-iteration sandwich for
-    /// unichain MDPs), so once the whole interval clears zero the returned
-    /// midpoint carries the exact sign — which is all a bisection step
-    /// needs. Candidates far from the root resolve in a handful of sweeps.
-    /// Otherwise iteration runs to `tolerance`; with [`Eval::Tracked`]
-    /// every sweep also refreshes the units bias `ws.w`.
+    /// Every sweep's Bellman-update differences bound the optimal gain
+    /// (`min_d ≤ g ≤ max_d`, the classic value-iteration sandwich for
+    /// unichain MDPs), so iteration stops as soon as the whole interval
+    /// clears zero, which certifies the sign, or once the span falls below
+    /// `tolerance`, leaving the sign of the sandwich midpoint uncertified.
     fn optimal_average(
         &self,
         rho: f64,
         tolerance: f64,
         threads: usize,
-        eval: Eval,
         ws: &mut ValueWorkspace,
     ) -> Result<Iterate, MdpError> {
-        let max_sweeps = 200_000;
         self.fill_base(rho, &mut ws.base);
-        ws.shift_to(rho);
-        if eval == Eval::Tracked {
-            ws.rho = Some(rho);
-        }
-        for sweep in 0..max_sweeps {
-            if eval == Eval::Tracked {
-                self.tracked_sweep(ws, threads);
-                let offset = ws.next_w[self.ref_state];
-                for (w, &next) in ws.w.iter_mut().zip(&ws.next_w) {
-                    *w = next - offset;
-                }
-            } else {
-                self.bellman_sweep(ws, threads);
-            }
-            // Span seminorm of the Bellman update, reduced on this thread
-            // whatever the sweep's thread count.
-            let (min_d, max_d) = update_range(&ws.next_v, &ws.v);
-            let offset = ws.next_v[self.ref_state];
-            for (v, &next) in ws.v.iter_mut().zip(&ws.next_v) {
-                *v = next - offset;
-            }
+        for sweeps in 1..=MAX_SWEEPS {
+            let (min_d, max_d) = self.sweep(ws, threads);
             let certified = min_d > 0.0 || max_d < 0.0;
-            if (eval == Eval::Sign && certified) || max_d - min_d < tolerance {
+            if certified || max_d - min_d < tolerance {
                 return Ok(Iterate {
                     gain: 0.5 * (max_d + min_d),
-                    sweeps: sweep + 1,
+                    sweeps,
                     span: max_d - min_d,
                     certified,
                 });
@@ -923,27 +1088,122 @@ impl ExpandedMdp {
         Err(MdpError::NoConvergence {
             rho_lo: rho,
             rho_hi: rho,
-            sweeps: max_sweeps,
+            sweeps: MAX_SWEEPS,
         })
     }
 
-    /// Extract the greedy policy from `ws.v` and the reward bases of the
-    /// final ρ through the sweep kernel (deterministic: ties break by
-    /// action-enumeration order in every tiling).
-    fn greedy_policy(&self, ws: &mut ValueWorkspace, threads: usize) -> Vec<Action> {
-        let mut policy = vec![Action::Adopt; self.len()];
-        let ValueWorkspace { v, base, q, .. } = ws;
+    /// One policy-improvement pass over `ws.v` and `ws.base`: a state
+    /// switches `ws.choice` to its first strictly greatest action only if
+    /// that beats its current action by more than `margin`. Writes every
+    /// state's greatest Q value to `ws.next_v` and returns how many
+    /// states switched.
+    fn improve(&self, ws: &mut ValueWorkspace, margin: f64, threads: usize) -> usize {
+        let ValueWorkspace {
+            v,
+            next_v,
+            base,
+            q,
+            choice,
+            ..
+        } = ws;
         let (v, base) = (&*v, &*base);
-        self.for_each_tile(&mut q[..], &mut policy[..], threads, |tile, q, policy| {
+        let switched = AtomicUsize::new(0);
+        let states = (&mut next_v[..], &mut choice[..]);
+        self.for_each_tile(&mut q[..], states, threads, |tile, q, (next_v, choice)| {
             self.tile_q(tile, base, v, q);
-            self.tile_best(tile, q, |s, _, slot| {
-                if let Some(k) = slot {
-                    policy[s] = self.actions[tile.slots.start + k];
+            let (q, slots, mut count) = (&*q, tile.slots.start, 0);
+            self.tile_best(tile, q, |s, best, slot| {
+                next_v[s] = best;
+                match slot {
+                    Some(k) if best > q[choice[s] - slots] + margin => {
+                        choice[s] = slots + k;
+                        count += 1;
+                    }
+                    _ => {}
                 }
             });
+            switched.fetch_add(count, Ordering::Relaxed);
+        });
+        switched.into_inner()
+    }
+
+    /// The greedy policy over `ws.v` and `ws.base`: per state, the first
+    /// action (in enumeration order) whose Q value is within `margin` of
+    /// the greatest, so an exact tie breaks by action order whatever the
+    /// rounding, in every tiling. Every state's greatest Q value lands in
+    /// `ws.next_v`.
+    fn greedy_policy(&self, ws: &mut ValueWorkspace, margin: f64, threads: usize) -> Vec<Action> {
+        let mut policy = vec![Action::Adopt; self.len()];
+        let ValueWorkspace {
+            v, next_v, base, q, ..
+        } = ws;
+        let (v, base) = (&*v, &*base);
+        let states = (&mut next_v[..], &mut policy[..]);
+        self.for_each_tile(&mut q[..], states, threads, |tile, q, (next_v, policy)| {
+            self.tile_q(tile, base, v, q);
+            for g in &self.state_groups[tile.state_groups.clone()] {
+                for (j, &s) in self.group_state[g.states.clone()].iter().enumerate() {
+                    let first = g.slot + j * g.arity;
+                    let row = &q[first..first + g.arity];
+                    let (best, _) = first_max(row);
+                    next_v[s as usize] = best;
+                    if let Some(k) = row.iter().position(|&x| x >= best - margin) {
+                        policy[s as usize] = self.actions[tile.slots.start + first + k];
+                    }
+                }
+            }
         });
         policy
     }
+}
+
+/// Solve `a·x = b` in place for the two right-hand sides `b_r`, `b_u`:
+/// Gaussian elimination with partial pivoting on the row-major `k × k`
+/// matrix `a`, then back substitution.
+fn solve_dense(a: &mut [f64], k: usize, b_r: &mut [f64], b_u: &mut [f64]) -> Result<(), MdpError> {
+    for col in 0..k {
+        let pivot = (col..k)
+            .max_by(|&x, &y| a[x * k + col].abs().total_cmp(&a[y * k + col].abs()))
+            .unwrap_or(col);
+        let p = a[pivot * k + col];
+        if !(p.abs() > 0.0 && p.is_finite()) {
+            return Err(MdpError::SingularEvaluation {
+                pivot: col,
+                size: k,
+            });
+        }
+        if pivot != col {
+            for j in col..k {
+                a.swap(pivot * k + j, col * k + j);
+            }
+            b_r.swap(pivot, col);
+            b_u.swap(pivot, col);
+        }
+        let (head, tail) = a.split_at_mut((col + 1) * k);
+        let pivot_row = &head[col * k + col..col * k + k];
+        for (r, row) in tail.chunks_exact_mut(k).enumerate() {
+            let f = row[col] / p;
+            if f == 0.0 {
+                continue;
+            }
+            for (x, &y) in row[col..].iter_mut().zip(pivot_row) {
+                *x -= f * y;
+            }
+            b_r[col + 1 + r] -= f * b_r[col];
+            b_u[col + 1 + r] -= f * b_u[col];
+        }
+    }
+    for col in (0..k).rev() {
+        let row = &a[col * k..(col + 1) * k];
+        let (mut r, mut u) = (b_r[col], b_u[col]);
+        for j in col + 1..k {
+            r -= row[j] * b_r[j];
+            u -= row[j] * b_u[j];
+        }
+        b_r[col] = r / row[col];
+        b_u[col] = u / row[col];
+    }
+    Ok(())
 }
 
 /// The Q pass over rows of exactly `W` outcomes.
@@ -964,33 +1224,6 @@ fn q_rows<const W: usize>(
             acc += p[j] * v[s[j] as usize];
         }
         q[k as usize] = acc;
-    }
-}
-
-/// The Q pass and the units backup over rows of exactly `W` outcomes,
-/// from `(base, unit_base)` and `(v, w)` into `(q, qw)`. Each `q` is
-/// formed exactly as [`q_rows`] forms it.
-#[inline]
-fn q_rows_tracked<const W: usize>(
-    (base, unit_base): (&[f64], &[f64]),
-    slot: &[u32],
-    prob: &[f64],
-    succ: &[u32],
-    (v, w): (&[f64], &[f64]),
-    (q, qw): (&mut [f64], &mut [f64]),
-) {
-    let (prob, _) = prob.as_chunks::<W>();
-    let (succ, _) = succ.as_chunks::<W>();
-    let rows = base.iter().zip(unit_base).zip(slot).zip(prob).zip(succ);
-    for ((((&b, &u), &k), p), s) in rows {
-        let (mut acc, mut acc_w) = (b, u);
-        for j in 0..W {
-            let t = s[j] as usize;
-            acc += p[j] * v[t];
-            acc_w += p[j] * w[t];
-        }
-        q[k as usize] = acc;
-        qw[k as usize] = acc_w;
     }
 }
 
@@ -1094,36 +1327,40 @@ fn widen_bracket(e: MdpError, lo: f64, hi: f64, done: usize) -> MdpError {
 impl MdpConfig {
     /// Solve for the attacker's optimal revenue and policy.
     ///
-    /// The transition table is expanded once; each Dinkelbach bisection
-    /// step re-weights it on the fly and warm-starts relative value
-    /// iteration from the previous candidate's fixed point. The reported
-    /// policy is the greedy policy at the solved revenue.
+    /// The transition table is expanded once. Dinkelbach policy iteration
+    /// with exact policy evaluation finds a policy with `ρ(π) = ρ*`, whose
+    /// values certify the sign of `g` at every bisection midpoint outside
+    /// a narrow bracket around it; the `[0, 2]` bisection is replayed from
+    /// those signs, evaluating by relative value iteration only the
+    /// midpoints inside the bracket. The reported policy is the greedy
+    /// policy at the solved revenue.
     ///
     /// # Errors
     ///
     /// - [`MdpError::InvalidAlpha`] / [`MdpError::InvalidGamma`] /
     ///   [`MdpError::InvalidTolerance`] for bad parameters;
-    /// - [`MdpError::NoConvergence`] if value iteration stalls or the
-    ///   bisection exhausts its step budget; the error carries the ρ
-    ///   bracket reached and the sweeps spent.
+    /// - [`MdpError::NoConvergence`] if value iteration stalls, or policy
+    ///   iteration or the bisection exhausts its step budget; the error
+    ///   carries the ρ bracket reached and the Q passes spent;
+    /// - [`MdpError::SingularEvaluation`] if a policy's exact evaluation
+    ///   meets a zero pivot.
     pub fn solve(&self) -> Result<Solution, MdpError> {
         self.solve_from(None)
     }
 
-    /// [`MdpConfig::solve`], warm-started from (and refreshing) a
-    /// cross-solve [`ValueCache`]. When the cached value function matches
-    /// this solve's state count it seeds relative value iteration, shifted
-    /// to each ρ candidate by the cached units bias — for a sweep along a
-    /// continuous model axis (delay, α, γ) each solve then starts next to
-    /// its fixed point. A mismatched (or empty) cache is ignored; either
-    /// way the converged values are stored back.
+    /// [`MdpConfig::solve`], started from (and refreshing) a cross-solve
+    /// [`ValueCache`]. When the cached policy matches this solve's state
+    /// count, policy iteration starts from it instead of from honest
+    /// mining — for a sweep along a continuous model axis (delay, α, γ)
+    /// the optimum moves little, so one or two evaluations suffice. A
+    /// mismatched (or empty) cache is ignored; either way the solved
+    /// policy is stored back.
     ///
-    /// Sign-only bisection candidates resolve the *exact* sign of `g(ρ)`
-    /// regardless of the starting values, so a warm-started solve walks
-    /// the identical ρ bracket and returns the cold solve's revenue bits,
-    /// unless a candidate's sign could not be certified
-    /// ([`SolveStats::unresolved_signs`]); it then stays within
-    /// `rho_tolerance` of it.
+    /// The starting policy changes how many evaluations the solve takes,
+    /// not the revenue bits: the bisection's signs are certified whatever
+    /// the start, unless a midpoint's sign could not be
+    /// ([`SolveStats::unresolved_signs`]); the revenue then stays within
+    /// `rho_tolerance` of the cold solve's.
     ///
     /// # Errors
     ///
@@ -1133,77 +1370,105 @@ impl MdpConfig {
     }
 
     /// The solve behind [`MdpConfig::solve`] (`cache = None`) and
-    /// [`MdpConfig::solve_with_cache`]. Only a kept cache ever reads the
-    /// units bias, so only then does the closing evaluation form it.
+    /// [`MdpConfig::solve_with_cache`].
     fn solve_from(&self, cache: Option<&mut ValueCache>) -> Result<Solution, MdpError> {
         self.validate()?;
         let threads = self.resolved_threads();
-        let expanded = ExpandedMdp::build(self)?;
-        let mut ws = ValueWorkspace::new(&expanded);
-        if let Some(cache) = cache.as_deref().filter(|c| c.v.len() == expanded.len()) {
-            ws.v.copy_from_slice(&cache.v);
-            ws.w.copy_from_slice(&cache.w);
-            ws.rho = Some(cache.rho);
-        }
-        // Us ≤ static + uncle + nephew per regular block < 2 comfortably.
-        let mut lo = 0.0f64;
-        let mut hi = 2.0f64;
-        let mut iterations = 0usize;
-        let mut steps = 0usize;
+        let mdp = ExpandedMdp::build(self)?;
+        let mut ws = ValueWorkspace::new(&mdp);
+        let cached = cache.as_deref().map(|c| &c.actions[..]);
+        mdp.init_choice(cached.filter(|a| a.len() == mdp.len()), &mut ws.choice);
         let mut stats = SolveStats::default();
+        let passes = |stats: &SolveStats| stats.sweeps_per_iterate.iter().sum::<usize>();
+
+        // Dinkelbach policy iteration: evaluate π exactly, then improve it
+        // greedily at ρ(π), until no action improves by more than the
+        // rounding margin.
+        let mut rho = 0.0;
+        let delta = loop {
+            if stats.policy_evaluations == MAX_STEPS {
+                return Err(MdpError::NoConvergence {
+                    rho_lo: rho,
+                    rho_hi: 2.0,
+                    sweeps: passes(&stats),
+                });
+            }
+            let (gain_r, gain_u) = mdp.evaluate(&mut ws)?;
+            stats.policy_evaluations += 1;
+            rho = gain_r / gain_u;
+            mdp.fill_base(rho, &mut ws.base);
+            ws.values_at(rho);
+            let margin = ws.rounding_margin();
+            let switched = mdp.improve(&mut ws, margin, threads);
+            let (min_d, max_d) = update_range(&ws.next_v, &ws.v);
+            stats.record(1, max_d - min_d);
+            if switched == 0 {
+                // ρ* − ρ(π) is at most about margin / g_u once no action
+                // improves; twice that clears it and the rounding of ρ(π).
+                break 2.0 * margin / gain_u;
+            }
+        };
+
+        // The certified bracket: `g(ρ) ≥ g_u·(ρ(π) − ρ) > 0` below
+        // `ρ(π) − δ`, and one sweep's sandwich below zero at `ρ(π) + δ`
+        // proves `g < 0` there and, `g` being decreasing, above.
+        let certain_above = rho - delta;
+        let probe = rho + delta;
+        mdp.fill_base(probe, &mut ws.base);
+        ws.values_at(probe);
+        let (min_d, max_d) = mdp.sweep(&mut ws, threads);
+        stats.record(1, max_d - min_d);
+        let certain_below = if max_d < 0.0 { probe } else { f64::INFINITY };
+
+        // Replay the bisection: only a midpoint inside the bracket needs
+        // value iteration, from the policy's exact values at that ρ.
+        let (mut lo, mut hi) = (0.0f64, 2.0f64);
         while hi - lo > self.rho_tolerance {
-            if steps >= MAX_BISECTIONS {
+            if stats.bisection_steps == MAX_STEPS {
                 return Err(MdpError::NoConvergence {
                     rho_lo: lo,
                     rho_hi: hi,
-                    sweeps: iterations,
+                    sweeps: passes(&stats),
                 });
             }
-            steps += 1;
+            stats.bisection_steps += 1;
             let mid = 0.5 * (lo + hi);
-            let it = expanded
-                .optimal_average(mid, self.tolerance, threads, Eval::Sign, &mut ws)
-                .map_err(|e| widen_bracket(e, lo, hi, iterations))?;
-            iterations += it.sweeps;
-            stats.record(it.sweeps, it.span);
-            if !it.certified {
-                stats.unresolved_signs += 1;
-            }
-            if it.gain > 0.0 {
+            let positive = if mid < certain_above {
+                true
+            } else if mid >= certain_below {
+                false
+            } else {
+                ws.values_at(mid);
+                let it = mdp
+                    .optimal_average(mid, self.tolerance, threads, &mut ws)
+                    .map_err(|e| widen_bracket(e, lo, hi, passes(&stats)))?;
+                stats.record(it.sweeps, it.span);
+                stats.unresolved_signs += usize::from(!it.certified);
+                it.gain > 0.0
+            };
+            if positive {
                 lo = mid;
             } else {
                 hi = mid;
             }
         }
-        stats.bisection_steps = steps;
         let revenue = 0.5 * (lo + hi);
-        // One more full-tolerance evaluation at the solved revenue (cheap:
-        // warm-started) so the reported policy is greedy at ρ*, not at the
-        // last bisection midpoint. For a kept cache it also refreshes the
-        // units bias.
-        let eval = if cache.is_some() {
-            Eval::Tracked
-        } else {
-            Eval::Full
-        };
-        let it = expanded
-            .optimal_average(revenue, self.tolerance, threads, eval, &mut ws)
-            .map_err(|e| widen_bracket(e, lo, hi, iterations))?;
-        iterations += it.sweeps;
-        stats.record(it.sweeps, it.span);
-        let actions = expanded.greedy_policy(&mut ws, threads);
+        mdp.fill_base(revenue, &mut ws.base);
+        ws.values_at(revenue);
+        let margin = ws.rounding_margin();
+        let actions = mdp.greedy_policy(&mut ws, margin, threads);
+        let (min_d, max_d) = update_range(&ws.next_v, &ws.v);
+        stats.record(1, max_d - min_d);
         if let Some(cache) = cache {
-            cache.v.clone_from(&ws.v);
-            cache.w.clone_from(&ws.w);
-            cache.rho = revenue;
+            cache.actions.clone_from(&actions);
         }
         Ok(Solution {
             revenue,
             policy: Policy {
-                space: expanded.space.clone(),
+                space: mdp.space.clone(),
                 actions,
             },
-            iterations,
+            iterations: passes(&stats),
             stats,
         })
     }
@@ -1214,6 +1479,7 @@ mod tests {
     use super::*;
     use crate::model::RewardModel;
     use seleth_core::bitcoin;
+    use seleth_markov::SolveMethod;
     use std::collections::HashMap;
 
     fn solve(alpha: f64, gamma: f64, rewards: RewardModel) -> Solution {
@@ -1266,25 +1532,27 @@ mod tests {
     }
 
     #[test]
-    fn solve_stats_trace_the_bisection() {
+    fn solve_stats_trace_the_solve() {
         let s = solve(0.35, 0.5, RewardModel::Bitcoin);
         let stats = &s.stats;
-        assert!(stats.bisection_steps > 0);
-        // One entry per bisection candidate plus the closing evaluation.
-        assert_eq!(stats.sweeps_per_iterate.len(), stats.bisection_steps + 1);
+        // The bisection still halves `[0, 2]` down to `rho_tolerance`.
+        assert_eq!(stats.bisection_steps, 21);
+        assert!((1..=10).contains(&stats.policy_evaluations), "{stats:?}");
+        // One entry per improvement pass, the probe, every midpoint that
+        // needed value iteration and the closing greedy pass.
+        assert!(stats.sweeps_per_iterate.len() >= stats.policy_evaluations + 2);
         assert_eq!(stats.residuals.len(), stats.sweeps_per_iterate.len());
         assert_eq!(
             stats.sweeps_per_iterate.iter().sum::<usize>(),
             s.iterations,
-            "per-iterate sweeps must partition the total"
+            "per-iterate Q passes must partition the total"
         );
         assert!(stats.residuals.iter().all(|r| r.is_finite() && *r >= 0.0));
-        let rate = stats.warm_start_hit_rate();
-        assert!((0.0..=1.0).contains(&rate));
-        assert!(
-            rate > 0.5,
-            "warm starts should beat the cold iterate most of the time: {rate}"
-        );
+        assert!((0.0..=1.0).contains(&stats.warm_start_hit_rate()));
+        // The last improvement pass found no action better than the
+        // policy's own beyond rounding, which is what ended the iteration.
+        let last_improvement = stats.residuals[stats.policy_evaluations - 1];
+        assert!(last_improvement < 1e-9, "{stats:?}");
     }
 
     #[test]
@@ -1450,8 +1718,8 @@ mod tests {
         // The parallel Bellman sweep partitions states but never reorders
         // arithmetic: revenue, sweep counts, residuals and the full policy
         // must be identical for every worker count — for cold solves and
-        // for a cached walk, whose ρ shifts use the units bias that the
-        // tracked sweeps computed.
+        // for a cached walk, whose policy iterations start from the
+        // previous solve's policy.
         let base = MdpConfig::new(0.38, 0.4, RewardModel::EthereumApprox).with_max_len(16);
         let fingerprint = |s: &Solution| {
             let residuals: Vec<u64> = s.stats.residuals.iter().map(|r| r.to_bits()).collect();
@@ -1477,8 +1745,7 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let reference = fingerprint(&base.with_threads(1).solve().unwrap());
-        // Filling a cache only adds the units bias to the closing
-        // evaluation; the cold solve's values are the same.
+        // Filling a fresh cache changes nothing about a cold solve.
         let filled = base
             .with_threads(1)
             .solve_with_cache(&mut ValueCache::new());
@@ -1499,7 +1766,8 @@ mod tests {
         }
     }
 
-    /// The 40 random `(α, γ, delay, rewards)` cases of the kernel tests.
+    /// The 40 random `(α, γ, delay, rewards, scenario)` cases of the
+    /// kernel tests.
     fn random_configs() -> Vec<MdpConfig> {
         let mut state = 0x5eed_cafe_f00d_u64;
         let mut next_unit = move || {
@@ -1518,9 +1786,15 @@ mod tests {
                 } else {
                     RewardModel::EthereumApprox
                 };
+                let scenario = if case % 4 < 2 {
+                    Scenario::RegularRate
+                } else {
+                    Scenario::RegularPlusUncleRate
+                };
                 MdpConfig::new(alpha, gamma, rewards)
                     .with_max_len(8)
                     .with_delay_ratio(delay)
+                    .with_scenario(scenario)
             })
             .collect()
     }
@@ -1556,44 +1830,39 @@ mod tests {
 
     /// The plain per-state backup the tile kernel replaced: for every
     /// state in enumeration order, every legal action's
-    /// `Σ p·(r − ρ·units) + Σ p·v[succ]`, the first strictly greatest,
-    /// and that action's units backup `Σ p·units + Σ p·w[succ]`.
-    fn csr_backup(
-        config: &MdpConfig,
-        rho: f64,
-        v: &[f64],
-        w: &[f64],
-    ) -> (Vec<f64>, Vec<Action>, Vec<f64>) {
+    /// `Σ p·(r − ρ·units) + Σ p·v[succ]` and the first strictly greatest.
+    fn csr_backup(config: &MdpConfig, rho: f64, v: &[f64]) -> (Vec<f64>, Vec<Action>) {
         let states = config.states();
         let index: HashMap<MdpState, usize> =
             states.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-        let mut out = (Vec::new(), Vec::new(), Vec::new());
+        let mut out = (Vec::new(), Vec::new());
         for &s in &states {
-            let mut best = (f64::NEG_INFINITY, Action::Adopt, 0.0);
+            let mut best = (f64::NEG_INFINITY, Action::Adopt);
             for action in config.legal_actions(s) {
                 let outcomes = config.outcomes(s, action);
-                let (mut q, mut qw) = (0.0, 0.0);
+                let mut q = 0.0;
                 for o in &outcomes {
-                    let units = match config.scenario {
-                        Scenario::RegularRate => o.regular,
-                        Scenario::RegularPlusUncleRate => o.regular + o.uncles,
-                    };
-                    q += o.prob * (o.attacker_reward - rho * units);
-                    qw += o.prob * units;
+                    q += o.prob * (o.attacker_reward - rho * units_of(config, o));
                 }
                 for o in &outcomes {
                     q += o.prob * v[index[&o.next]];
-                    qw += o.prob * w[index[&o.next]];
                 }
                 if q > best.0 {
-                    best = (q, action, qw);
+                    best = (q, action);
                 }
             }
             out.0.push(best.0);
             out.1.push(best.1);
-            out.2.push(best.2);
         }
         out
+    }
+
+    /// An outcome's normalization units under `config`'s scenario.
+    fn units_of(config: &MdpConfig, o: &Outcome) -> f64 {
+        match config.scenario {
+            Scenario::RegularRate => o.regular,
+            Scenario::RegularPlusUncleRate => o.regular + o.uncles,
+        }
     }
 
     /// A pseudo-random vector of `len` values in `[−20, 20)`.
@@ -1609,40 +1878,34 @@ mod tests {
             .collect()
     }
 
-    /// One value-only sweep, one tracked sweep and greedy extraction from
-    /// pseudo-random values and units bias, checked bit for bit against
-    /// [`csr_backup`].
+    /// One Bellman sweep and greedy extraction from pseudo-random values,
+    /// checked bit for bit against [`csr_backup`].
     fn assert_kernel_matches_csr(config: &MdpConfig, threads: usize, seed: u64) {
         let expanded = ExpandedMdp::build(config).unwrap();
         let mut ws = ValueWorkspace::new(&expanded);
         ws.v = noise(expanded.len(), seed);
-        ws.w = noise(expanded.len(), !seed);
         let rho = 0.25 + (seed % 7) as f64 * 0.05;
         expanded.fill_base(rho, &mut ws.base);
-        let (want_v, want_actions, want_w) = csr_backup(config, rho, &ws.v, &ws.w);
+        let (want_v, want_actions) = csr_backup(config, rho, &ws.v);
         let bits = |x: &[f64]| x.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        expanded.bellman_sweep(&mut ws, threads);
+        let v = ws.v.clone();
+        expanded.sweep(&mut ws, threads);
+        ws.v = v;
         assert_eq!(
             bits(&ws.next_v),
             bits(&want_v),
             "{config:?}: sweep differs from the CSR backup"
         );
         ws.next_v.fill(0.0);
-        expanded.tracked_sweep(&mut ws, threads);
+        assert_eq!(
+            expanded.greedy_policy(&mut ws, 0.0, threads),
+            want_actions,
+            "{config:?}: greedy actions differ from the CSR backup"
+        );
         assert_eq!(
             bits(&ws.next_v),
             bits(&want_v),
-            "{config:?}: tracked sweep's values differ from the CSR backup"
-        );
-        assert_eq!(
-            bits(&ws.next_w),
-            bits(&want_w),
-            "{config:?}: units bias differs from the CSR backup"
-        );
-        assert_eq!(
-            expanded.greedy_policy(&mut ws, threads),
-            want_actions,
-            "{config:?}: greedy actions differ from the CSR backup"
+            "{config:?}: greedy pass's values differ from the CSR backup"
         );
     }
 
@@ -1779,8 +2042,12 @@ mod tests {
     /// induces on the states it reaches from `(1, 0)`, its stationary
     /// distribution from `seleth-markov`, then expected attacker reward
     /// over expected normalization units per step.
-    fn policy_revenue(config: &MdpConfig, action: impl Fn(MdpState) -> Action) -> f64 {
-        use seleth_markov::{ChainBuilder, SolveMethod, SolveOptions};
+    fn policy_revenue(
+        config: &MdpConfig,
+        method: SolveMethod,
+        action: impl Fn(MdpState) -> Action,
+    ) -> f64 {
+        use seleth_markov::{ChainBuilder, SolveOptions};
         use std::collections::hash_map::Entry;
         use std::collections::VecDeque;
 
@@ -1798,11 +2065,7 @@ mod tests {
             for o in config.outcomes(s, a) {
                 chain.add_rate(s, o.next, o.prob);
                 reward += o.prob * o.attacker_reward;
-                units += o.prob
-                    * match config.scenario {
-                        Scenario::RegularRate => o.regular,
-                        Scenario::RegularPlusUncleRate => o.regular + o.uncles,
-                    };
+                units += o.prob * units_of(config, &o);
                 if let Entry::Vacant(slot) = per_step.entry(o.next) {
                     slot.insert((0.0, 0.0));
                     queue.push_back(o.next);
@@ -1812,14 +2075,16 @@ mod tests {
         }
         let pi = chain
             .build_dtmc()
-            .stationary(SolveOptions::with_method(SolveMethod::GaussSeidel))
+            .stationary(SolveOptions::with_method(method))
             .unwrap();
         pi.expect(|s| per_step[s].0) / pi.expect(|s| per_step[s].1)
     }
 
     /// Check a solution against [`policy_revenue`] of its own policy.
     fn assert_oracle_agrees(config: &MdpConfig, s: &Solution) {
-        let oracle = policy_revenue(config, |state| s.policy.action(state).unwrap());
+        let oracle = policy_revenue(config, SolveMethod::GaussSeidel, |state| {
+            s.policy.action(state).unwrap()
+        });
         assert!(
             (oracle - s.revenue).abs() <= config.rho_tolerance,
             "{config:?}: rho(pi) {oracle} vs solved revenue {}",
@@ -1840,7 +2105,7 @@ mod tests {
                 .with_max_len(table.max_len())
                 .with_scenario(table.scenario())
                 .with_delay_ratio(table.delay());
-            let oracle = policy_revenue(&config, |s| {
+            let oracle = policy_revenue(&config, SolveMethod::GaussSeidel, |s| {
                 table.action(s.a, s.h, s.fork, s.match_d).unwrap()
             });
             let recorded = table.predicted_revenue();
@@ -1863,11 +2128,10 @@ mod tests {
     #[test]
     fn policy_evaluation_oracle_matches_cached_walks() {
         // α up and back down through one cache per family, so every solve
-        // after the first starts from its neighbour's ρ-shifted values. The
-        // Bitcoin walks are perfbench's `solve` walk (51 points from 0.15
-        // to 0.40 at truncation 24), where warm starts flip the action of
-        // the near-tie corner state (23, 21, relevant) between match and
-        // wait; the oracle holds either way. The Ethereum walk is coarser.
+        // after the first starts its policy iteration from its neighbour's
+        // policy. The Bitcoin walks are perfbench's `solve` walk (51 points
+        // from 0.15 to 0.40 at truncation 24); the Ethereum walk is
+        // coarser.
         let grid = |points: usize, max_len: u32| {
             let step = (0.40 - 0.15) / (points - 1) as f64;
             let up = (0..points).map(move |k| (0.15 + step * k as f64, max_len));
@@ -1885,6 +2149,65 @@ mod tests {
                 assert_oracle_agrees(&config, &solution);
             }
         }
+    }
+
+    #[test]
+    fn exact_evaluation_matches_the_markov_oracle_for_random_policies() {
+        // A random legal action per state, so the evaluator meets
+        // policies far from optimal: its ρ(π) against a dense stationary
+        // solve of the chain the policy induces, and its relative values
+        // against their defining equations `h = r − g + P·h`.
+        let mut draw = 0x00c0_ffee_u64;
+        for (case, config) in random_configs().iter().enumerate() {
+            let states = config.states();
+            let index: HashMap<MdpState, usize> =
+                states.iter().enumerate().map(|(i, &s)| (s, i)).collect();
+            let actions: Vec<Action> = states
+                .iter()
+                .map(|&s| {
+                    draw = draw
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let legal = config.legal_actions(s);
+                    legal[(draw >> 33) as usize % legal.len()]
+                })
+                .collect();
+            let mdp = ExpandedMdp::build(config).unwrap();
+            let mut ws = ValueWorkspace::new(&mdp);
+            mdp.init_choice(Some(&actions), &mut ws.choice);
+            let (gain_r, gain_u) = mdp.evaluate(&mut ws).unwrap();
+            let oracle = policy_revenue(config, SolveMethod::DenseLu, |s| actions[index[&s]]);
+            assert!(
+                (gain_r / gain_u - oracle).abs() <= 1e-12,
+                "case {case} ({config:?}): rho(pi) {} vs oracle {oracle}",
+                gain_r / gain_u
+            );
+            assert_eq!((ws.h_r[mdp.ref_state], ws.h_u[mdp.ref_state]), (0.0, 0.0));
+            for (i, &s) in states.iter().enumerate() {
+                let (mut r, mut u) = (-gain_r, -gain_u);
+                for o in config.outcomes(s, actions[i]) {
+                    let next = index[&o.next];
+                    r += o.prob * (o.attacker_reward + ws.h_r[next]);
+                    u += o.prob * (units_of(config, &o) + ws.h_u[next]);
+                }
+                assert!(
+                    (r - ws.h_r[i]).abs() <= 1e-10 && (u - ws.h_u[i]).abs() <= 1e-10,
+                    "case {case}, state {s}: residuals {} / {}",
+                    r - ws.h_r[i],
+                    u - ws.h_u[i]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_singular_evaluation_system_is_a_typed_error() {
+        let mut a = vec![1.0, 2.0, 2.0, 4.0];
+        let (mut r, mut u) = (vec![1.0, 2.0], vec![0.0, 0.0]);
+        assert_eq!(
+            solve_dense(&mut a, 2, &mut r, &mut u),
+            Err(MdpError::SingularEvaluation { pivot: 1, size: 2 })
+        );
     }
 
     #[test]

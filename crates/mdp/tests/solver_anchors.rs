@@ -1,14 +1,18 @@
 //! Bit-identity anchors of the MDP solver.
 //!
 //! Each anchor pins one solve through the public API: the solved
-//! revenue's bits, the total sweep count, the sweeps of every ρ iterate,
-//! an FNV digest over the bits of every iterate's residual, and an FNV
-//! digest over every `(state, action)` of the policy. The values were
-//! captured from the per-state CSR sweep kernel that the width-grouped
-//! tile kernel replaced, so a change to the sweep arithmetic, the
-//! first-wins tie-break, the bisection walk or a warm start fails here.
+//! revenue's bits, the total Q-pass count, the Q passes of every ρ
+//! iterate, an FNV digest over the bits of every iterate's residual, and
+//! an FNV digest over every `(state, action)` of the policy. The revenue
+//! bits and policy digests were captured from the per-state CSR sweep
+//! kernel of the bisection-only solver and have held through the tile
+//! kernel, warm starts and exact policy evaluation; the pass counts and
+//! residual digests are those of Dinkelbach policy iteration (improvement
+//! passes, the bracket probe, the closing greedy pass). So a change to
+//! the Q-pass arithmetic, the first-wins tie-break, the bisection walk or
+//! the certified bracket fails here.
 //!
-//! Rendering: `revenue-bits total-sweeps [sweeps per iterate]
+//! Rendering: `revenue-bits total-passes [passes per iterate]
 //! residual-digest policy-digest`.
 
 use seleth_chain::Scenario;
@@ -103,26 +107,26 @@ fn single_solves() -> Vec<(&'static str, String)> {
     ]
 }
 
-/// Captured before the tile kernel; one `name: rendering` line each.
+/// One `name: rendering` line each.
 const SINGLE_SOLVES: &str = "\
-bitcoin: 3fdb880200000000 886 [37, 79, 2, 63, 55, 13, 47, 94, 10, 16, 17, 181, 3, 14, 14, 14, 18, 22, 18, 17, 20, 132] 4049b5f5fffa3ca1 710cd0a69cad8e96
-ethereum: 3fdfad0a00000000 790 [41, 122, 2, 37, 34, 44, 27, 60, 14, 40, 12, 7, 57, 5, 79, 3, 11, 12, 19, 19, 30, 115] e09f8f9cf52dc7ae fbab5de793ef1b9a
-ethereum_scenario2: 3fd8eed200000000 926 [27, 71, 8, 76, 22, 20, 67, 18, 31, 44, 43, 23, 33, 46, 39, 31, 50, 30, 58, 18, 29, 142] 6c6f8864a5a0a9ed cd1798a4f6656427
-bitcoin_delay_0.5: 3fd8a98200000000 570 [26, 78, 4, 24, 9, 19, 16, 28, 7, 12, 9, 33, 4, 18, 6, 78, 3, 14, 14, 14, 33, 121] 7734b4214f290ef7 46e33fb3513970f4
-bitcoin_delay_1.2: 3fd552b200000000 527 [26, 67, 6, 41, 8, 20, 8, 26, 9, 20, 12, 10, 26, 7, 31, 6, 41, 4, 20, 5, 15, 119] 351db4115ae7b863 cb2ecde3a6bfdd8e
-ethereum_delay_0.5: 3fdddaea00000000 277 [14, 39, 2, 10, 10, 13, 4, 8, 9, 9, 8, 12, 7, 13, 11, 6, 8, 11, 6, 16, 7, 54] 56d342971c9d8086 69231f98a0060ed4
-ethereum_len16_threads1: 3fe1a89f00000000 484 [28, 9, 22, 11, 37, 3, 15, 18, 8, 11, 15, 4, 11, 26, 8, 17, 97, 3, 10, 10, 14, 107] dab986b9257d174a 9bb4bb95f42e10f7
-ethereum_len16_threads2: 3fe1a89f00000000 484 [28, 9, 22, 11, 37, 3, 15, 18, 8, 11, 15, 4, 11, 26, 8, 17, 97, 3, 10, 10, 14, 107] dab986b9257d174a 9bb4bb95f42e10f7
+bitcoin: 3fdb880200000000 7 [1, 1, 1, 1, 1, 1, 1] 9558f64c2144d192 710cd0a69cad8e96
+ethereum: 3fdfad0a00000000 8 [1, 1, 1, 1, 1, 1, 1, 1] cb3926d702a72ac1 fbab5de793ef1b9a
+ethereum_scenario2: 3fd8eed200000000 9 [1, 1, 1, 1, 1, 1, 1, 1, 1] 1949bca3cceb7b2e cd1798a4f6656427
+bitcoin_delay_0.5: 3fd8a98200000000 8 [1, 1, 1, 1, 1, 1, 1, 1] ce08aceab876da92 46e33fb3513970f4
+bitcoin_delay_1.2: 3fd552b200000000 8 [1, 1, 1, 1, 1, 1, 1, 1] c6a8293cda1fe776 cb2ecde3a6bfdd8e
+ethereum_delay_0.5: 3fdddaea00000000 7 [1, 1, 1, 1, 1, 1, 1] 938e4e4fa62cac16 69231f98a0060ed4
+ethereum_len16_threads1: 3fe1a89f00000000 8 [1, 1, 1, 1, 1, 1, 1, 1] c9d5bda9f882d189 9bb4bb95f42e10f7
+ethereum_len16_threads2: 3fe1a89f00000000 8 [1, 1, 1, 1, 1, 1, 1, 1] c9d5bda9f882d189 9bb4bb95f42e10f7
 ";
 
 /// Bitcoin at truncation 24, α = 0.30 → 0.32 → 0.34 through one cache.
-/// The first solve is cold. The warm solves' revenue bits and policy
-/// digests equal those of the unshifted warm start; their sweep counts
-/// and residual digests are the ρ-shifted warm start's.
+/// The first solve is cold (five policy evaluations); the warm ones start
+/// from the previous policy and take two and three. Revenue bits and
+/// policy digests equal the cold solves' of the bisection-only solver.
 const ALPHA_WALK: &str = "\
-0.3: 3fd4eb8200000000 719 [35, 48, 4, 36, 38, 23, 49, 4, 22, 59, 39, 27, 52, 6, 20, 110, 4, 10, 10, 13, 10, 100] 34bfa94e8d494f02 500e70e12a08a400
-0.32: 3fd7465600000000 343 [1, 6, 3, 60, 1, 2, 5, 10, 39, 2, 2, 23, 3, 15, 2, 23, 4, 19, 4, 18, 3, 98] a24f7241f7695821 8ee579bf4905edfb
-0.34: 3fda03fe00000000 329 [2, 3, 1, 4, 1, 69, 1, 1, 1, 1, 14, 17, 85, 1, 1, 1, 1, 1, 1, 1, 2, 120] 8c6cedf3347249f5 c850aae493c40cff
+0.3: 3fd4eb8200000000 7 [1, 1, 1, 1, 1, 1, 1] 240c5d919b510ea5 500e70e12a08a400
+0.32: 3fd7465600000000 4 [1, 1, 1, 1] a9ce21f8deee9e75 8ee579bf4905edfb
+0.34: 3fda03fe00000000 5 [1, 1, 1, 1, 1] 70acd130ead3774f c850aae493c40cff
 ";
 
 #[test]
@@ -136,8 +140,8 @@ fn solves_match_their_anchors() {
 
 #[test]
 fn alpha_walk_through_one_cache_matches_its_anchors() {
-    // Each solve warm-starts from the previous α's converged values,
-    // shifted to each ρ candidate by the cached units bias.
+    // Each solve starts its policy iteration from the previous α's
+    // policy.
     let mut cache = ValueCache::new();
     let got: String = [0.30, 0.32, 0.34]
         .iter()
@@ -163,4 +167,78 @@ fn a_root_on_a_bisection_midpoint_leaves_its_sign_unresolved() {
     let solution = config.solve().unwrap();
     assert!(solution.stats.unresolved_signs >= 1, "{:?}", solution.stats);
     assert!((solution.revenue - 0.25).abs() <= config.rho_tolerance);
+}
+
+/// The `solve` benchmark's α walk: 51 grid points from 0.15 to 0.40, up
+/// and back down (`0, 1, …, 50, 49, …, 1`, 100 solves) through one cache,
+/// for one `(γ, rewards, truncation)` family.
+fn benchmark_walk(gamma: f64, rewards: RewardModel, max_len: u32) -> Vec<(f64, Solution)> {
+    const POINTS: usize = 51;
+    let step = (0.40 - 0.15) / (POINTS - 1) as f64;
+    let mut cache = ValueCache::new();
+    (0..POINTS)
+        .chain((1..POINTS - 1).rev())
+        .map(|k| {
+            let alpha = 0.15 + step * k as f64;
+            let config = MdpConfig::new(alpha, gamma, rewards)
+                .with_max_len(max_len)
+                .with_threads(1);
+            (alpha, config.solve_with_cache(&mut cache).unwrap())
+        })
+        .collect()
+}
+
+/// The benchmark walks' revenue bits, captured from the bisection-only
+/// solver (ρ-shifted warm starts) before exact policy evaluation replaced
+/// it: `name: digest [index:bits, …]`. The digest folds the revenue bits
+/// of every solve whose bisection signs were all certified; the list names
+/// the solves that left a sign unresolved (`unresolved_signs ≥ 1`, both
+/// visits to α = 0.25, where ρ* = 0.25 is itself a bisection midpoint)
+/// and their revenue then, which may move within `rho_tolerance`.
+const BENCHMARK_WALKS: &str = "\
+bitcoin_g50_t24: 4eb570c5cf1b98a2 [20:3fd0000200000000, 80:3fd0000200000000]
+bitcoin_g0_t24: 6a8e50692743c783 [20:3fd0000200000000, 80:3fd0000200000000]
+ethereum_g50_t16: 5f1159aac09d3334 []
+";
+
+#[test]
+fn benchmark_walks_keep_their_revenue_bits() {
+    let families = [
+        ("bitcoin_g50_t24", 0.5, RewardModel::Bitcoin, 24),
+        ("bitcoin_g0_t24", 0.0, RewardModel::Bitcoin, 24),
+        ("ethereum_g50_t16", 0.5, RewardModel::EthereumApprox, 16),
+    ];
+    for ((name, gamma, rewards, max_len), line) in families.into_iter().zip(BENCHMARK_WALKS.lines())
+    {
+        let (anchor_name, rest) = line.split_once(": ").unwrap();
+        assert_eq!(anchor_name, name);
+        let (digest, list) = rest.split_once(' ').unwrap();
+        let moved: Vec<(usize, f64)> = list
+            .trim_matches(|c| c == '[' || c == ']')
+            .split(", ")
+            .filter(|item| !item.is_empty())
+            .map(|item| {
+                let (k, bits) = item.split_once(':').unwrap();
+                let bits = u64::from_str_radix(bits, 16).unwrap();
+                (k.parse().unwrap(), f64::from_bits(bits))
+            })
+            .collect();
+        let walk = benchmark_walk(gamma, rewards, max_len);
+        assert_eq!(walk.len(), 100);
+        let mut h = FNV_OFFSET;
+        for (k, (alpha, s)) in walk.iter().enumerate() {
+            match moved.iter().find(|&&(j, _)| j == k) {
+                Some(&(_, then)) => assert!(
+                    (s.revenue - then).abs() <= 1e-6,
+                    "{name} solve {k} (alpha {alpha}): {} vs {then}",
+                    s.revenue
+                ),
+                None => {
+                    let bits = s.revenue.to_bits();
+                    h = fold(fold(h, bits >> 32), bits);
+                }
+            }
+        }
+        assert_eq!(format!("{h:016x}"), digest, "{name}");
+    }
 }

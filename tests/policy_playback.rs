@@ -1,7 +1,7 @@
 //! Cross-validation of the policy subsystem: MDP-optimal strategies,
 //! exported as artifacts, replayed by the Monte-Carlo simulator.
 //!
-//! The MDP solver predicts the optimal revenue ρ* by value iteration over
+//! The MDP solver predicts the optimal revenue ρ* by policy iteration over
 //! an abstract state space; the simulator plays the exported table over a
 //! real block tree with real fork choice and real reward accounting.
 //! Nothing is shared between the two computations except the policy

@@ -53,6 +53,17 @@ echo "==> optimal_sim agreement gate (fast settings)"
 SELETH_RESULTS="$(mktemp -d)" SELETH_RUNS=4 SELETH_BLOCKS=20000 SELETH_MDP_LEN=24 \
     cargo run --release -q --offline --locked -p seleth-bench --bin optimal_sim
 
+echo "==> paper-figure bins (fig6, fig10, discussion)"
+# Each bin expects every profitability-threshold search it runs to solve,
+# so a stationary solve that fails anywhere in the swept (alpha, gamma)
+# range fails CI here. Their CSVs go to a scratch dir.
+FIGURE_SCRATCH="$(mktemp -d)"
+for bin in fig6 fig10 discussion; do
+    SELETH_RESULTS="$FIGURE_SCRATCH" \
+        cargo run --release -q --offline --locked -p seleth-bench --bin "$bin"
+done
+rm -rf "$FIGURE_SCRATCH"
+
 # The five delay-study smoke gates write into one scratch dir, which the
 # perf_report gate below then renders: every fresh study JSON (and the
 # chaos trace) must flow through the profiler end to end. The committed

@@ -1,8 +1,8 @@
 //! Fig. 7 / Eq. (2): stationary-distribution self-check.
 //!
 //! Cross-validates three independent computations of the stationary
-//! distribution of the 2-D Markov process — the numeric Gauss–Seidel
-//! solve, the paper's closed forms, and the empirical state frequencies of
+//! distribution of the 2-D Markov process — the exact numeric solve of
+//! the truncated chain, the paper's closed forms, and the empirical state frequencies of
 //! a long simulation run — and prints the visit mass of the leading states.
 
 use seleth_core::{stationary, Analysis, ModelParams, State};

@@ -61,12 +61,12 @@ impl Analysis {
 
     /// The long-term revenue breakdown (Eqs. (3)–(12)).
     pub fn revenue(&self) -> RevenueBreakdown {
-        revenue_from_distribution(&self.params, &self.dist)
+        revenue_from_distribution(&self.params, self.dist.probs())
     }
 
     /// The honest miners' uncle reference-distance distribution (Table II).
     pub fn honest_uncle_distances(&self) -> DistanceDistribution {
-        distances::honest_uncle_distances(&self.params, &self.dist)
+        distances::honest_uncle_distances(&self.params, self.dist.probs())
     }
 
     /// Expected private-branch length `E[Ls]` in steady state — a measure

@@ -55,8 +55,8 @@ pub fn eyal_sirer_threshold(gamma: f64) -> f64 {
 /// Propagates solver failures.
 pub fn model_revenue(alpha: f64, gamma: f64, truncation: u32) -> Result<f64, AnalysisError> {
     let params = ModelParams::with_truncation(alpha, gamma, RewardSchedule::bitcoin(), truncation)?;
-    let dist = stationary::solve(&params)?;
-    Ok(revenue_from_distribution(&params, &dist).relative_pool_share())
+    let pi = stationary::probabilities(&params)?;
+    Ok(revenue_from_distribution(&params, &pi).relative_pool_share())
 }
 
 #[cfg(test)]

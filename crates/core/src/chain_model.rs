@@ -11,7 +11,8 @@
 //! fate of the block minted by that transition, so the reward analysis
 //! ([`crate::rewards`]) can consume the exact same enumeration.
 
-use seleth_markov::{ChainBuilder, Dtmc};
+use seleth_markov::csr::CsrBuilder;
+use seleth_markov::Dtmc;
 
 use crate::params::ModelParams;
 use crate::state::State;
@@ -82,7 +83,28 @@ pub fn states(truncation: u32) -> Vec<State> {
     v
 }
 
-/// Enumerate every transition of the truncated model.
+/// Position of `state` in [`states`]: `(0,0)`, `(1,0)` and `(1,1)` first,
+/// then row `Ls = i ≥ 2` from `3 + (i−2)(i−1)/2`, in `Lh` order.
+///
+/// `state` must be a state of the model ([`State::is_valid`]).
+///
+/// ```
+/// use seleth_core::chain_model::{index, states};
+/// for (k, s) in states(12).into_iter().enumerate() {
+///     assert_eq!(index(s), k);
+/// }
+/// ```
+pub fn index(state: State) -> usize {
+    debug_assert!(state.is_valid(), "{state} is not a model state");
+    match (state.ls as usize, state.lh as usize) {
+        (0, 0) => 0,
+        (1, lh) => 1 + lh,
+        (i, j) => 3 + (i - 2) * (i - 1) / 2 + j,
+    }
+}
+
+/// Enumerate every transition of the truncated model, grouped by source
+/// state in [`states`] order.
 ///
 /// At the truncation boundary `i = truncation` the pool-extend transition
 /// (Case 6) is redirected to a self-loop so the chain stays stochastic; the
@@ -155,19 +177,34 @@ pub fn transitions(params: &ModelParams) -> Vec<Transition> {
 
 /// Build the embedded DTMC of the truncated model.
 ///
-/// Self-loops and parallel edges (Cases 8 + 12) are merged by the builder;
-/// the [`Case`] tags are only needed for reward analysis and are not part of
-/// the chain itself.
+/// Each state's transitions become one CSR row in [`states`] order:
+/// parallel edges (Cases 8 + 12) are merged and the boundary's pool-extend
+/// self-loop is an ordinary entry. The [`Case`] tags are only needed for
+/// reward analysis and are not part of the chain itself.
 pub fn build_dtmc(params: &ModelParams) -> Dtmc<State> {
-    let mut b = ChainBuilder::new();
-    // Pre-intern in canonical order so dense indices follow `states()`.
-    for s in states(params.truncation()) {
-        b.intern(s);
-    }
+    let states = states(params.truncation());
+    let mut rates = CsrBuilder::with_capacity(states.len(), 3 * states.len());
+    let mut row: Vec<(usize, f64)> = Vec::with_capacity(3);
+    let mut push = |row: &mut Vec<(usize, f64)>| {
+        row.sort_unstable_by_key(|&(col, _)| col);
+        rates.push_row(row);
+        row.clear();
+    };
+    let mut from = 0;
     for t in transitions(params) {
-        b.add_rate(t.from, t.to, t.rate);
+        let (i, col) = (index(t.from), index(t.to));
+        if i != from {
+            debug_assert_eq!(i, from + 1, "every state has a transition");
+            push(&mut row);
+            from = i;
+        }
+        match row.iter_mut().find(|(c, _)| *c == col) {
+            Some((_, rate)) => *rate += t.rate,
+            None => row.push((col, t.rate)),
+        }
     }
-    b.build_dtmc()
+    push(&mut row);
+    Dtmc::from_rates(states, rates.finish())
 }
 
 #[cfg(test)]
@@ -304,6 +341,37 @@ mod tests {
         assert!(transitions(&p)
             .iter()
             .all(|t| !matches!(t.case, Case::HonestOnPrefix | Case::HonestOnPrefixClose)));
+    }
+
+    #[test]
+    fn dtmc_matches_the_chain_builder_route_bit_for_bit() {
+        for &(alpha, gamma, n) in &[
+            (0.0, 0.5, 3),
+            (0.3, 0.0, 12),
+            (0.35, 0.5, 30),
+            (0.45, 1.0, 25),
+            (0.499, 0.7, 40),
+        ] {
+            let p = params(alpha, gamma, n);
+            let mut b = seleth_markov::ChainBuilder::new();
+            for s in states(n) {
+                b.intern(s);
+            }
+            for t in transitions(&p) {
+                b.add_rate(t.from, t.to, t.rate);
+            }
+            let (want, got) = (b.build_dtmc(), build_dtmc(&p));
+            assert_eq!(got.states(), want.states());
+            let (want, got) = (want.matrix(), got.matrix());
+            assert_eq!(got.n_rows(), want.n_rows());
+            for i in 0..got.n_rows() {
+                let (gc, gv) = got.row_entries(i);
+                let (wc, wv) = want.row_entries(i);
+                assert_eq!(gc, wc, "row {i} columns at alpha={alpha} gamma={gamma}");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(gv), bits(wv), "row {i} at alpha={alpha} gamma={gamma}");
+            }
+        }
     }
 
     #[test]

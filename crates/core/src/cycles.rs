@@ -50,9 +50,9 @@ pub struct CycleStats {
 /// Propagates solver failures from the stationary and first-passage
 /// computations.
 pub fn cycle_stats(params: &ModelParams) -> Result<CycleStats, AnalysisError> {
-    let dist = stationary::solve(params)?;
-    let revenue = crate::revenue::revenue_from_distribution(params, &dist);
-    let pi00 = dist.prob(&State::START);
+    let pi = stationary::probabilities(params)?;
+    let revenue = crate::revenue::revenue_from_distribution(params, &pi);
+    let pi00 = pi[chain_model::index(State::START)];
     let cycle = 1.0 / pi00;
 
     let dtmc = chain_model::build_dtmc(params);
@@ -150,8 +150,8 @@ mod tests {
     fn revenue_per_cycle_consistent_with_rates() {
         let p = ModelParams::with_truncation(0.3, 0.5, RewardSchedule::ethereum(), 120).unwrap();
         let s = cycle_stats(&p).unwrap();
-        let dist = stationary::solve(&p).unwrap();
-        let r = crate::revenue::revenue_from_distribution(&p, &dist);
+        let pi = stationary::probabilities(&p).unwrap();
+        let r = crate::revenue::revenue_from_distribution(&p, &pi);
         assert!(((s.pool_revenue / s.expected_length) - r.pool.total()).abs() < 1e-12);
     }
 }

@@ -8,12 +8,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use seleth_markov::Distribution;
-
-use crate::chain_model::transitions;
+use crate::chain_model::{index, transitions};
 use crate::params::ModelParams;
 use crate::rewards::case_outcome;
-use crate::state::State;
 
 /// A probability distribution over uncle reference distances.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -76,12 +73,10 @@ impl DistanceDistribution {
 }
 
 /// Compute the honest miners' uncle-distance distribution from the
-/// stationary distribution: the per-distance uncle creation *flows* of the
+/// stationary distribution `pi` (in [`crate::chain_model::states`] order):
+/// the per-distance uncle creation *flows* of the
 /// Appendix-B cases (4, 7, 8, 9, 10), normalized.
-pub fn honest_uncle_distances(
-    params: &ModelParams,
-    dist: &Distribution<State>,
-) -> DistanceDistribution {
+pub fn honest_uncle_distances(params: &ModelParams, pi: &[f64]) -> DistanceDistribution {
     let max_d = params.schedule().max_uncle_distance().max(1) as usize;
     let mut masses = vec![0.0; max_d];
     for t in transitions(params) {
@@ -89,7 +84,7 @@ pub fn honest_uncle_distances(
         if o.p_uncle == 0.0 || o.pool_share > 0.0 {
             continue; // not an honest uncle
         }
-        let flow = dist.prob(&t.from) * t.rate * o.p_uncle;
+        let flow = pi[index(t.from)] * t.rate * o.p_uncle;
         let d = o.uncle_distance as usize;
         if (1..=max_d).contains(&d) {
             masses[d - 1] += flow;
@@ -107,8 +102,7 @@ mod tests {
     fn distances(alpha: f64, gamma: f64) -> DistanceDistribution {
         let p =
             ModelParams::with_truncation(alpha, gamma, RewardSchedule::ethereum(), 150).unwrap();
-        let dist = stationary::solve(&p).unwrap();
-        honest_uncle_distances(&p, &dist)
+        honest_uncle_distances(&p, &stationary::probabilities(&p).unwrap())
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //!
 //! - [`ModelParams`] / [`State`] / [`chain_model`]: the Markov process of
 //!   Fig. 7 with its eleven transition-rate families (Section IV-C);
-//! - [`stationary`]: the numerical stationary distribution (via
-//!   `seleth-markov`) and the paper's closed forms — `π₀₀`, `πᵢ₀`, `π₁₁` and
-//!   the general `πᵢⱼ` built on the multiple-summation function `f(x,y,z)`
-//!   (Eq. (2), Appendix A);
+//! - [`stationary`]: the exact stationary distribution of the truncated
+//!   chain (one dense LU over the column-`Lh = 1` masses) and the paper's
+//!   closed forms — `π₀₀`, `πᵢ₀`, `π₁₁` and the general `πᵢⱼ` built on
+//!   the multiple-summation function `f(x,y,z)` (Eq. (2), Appendix A);
 //! - [`rewards`]: the per-transition expected-reward analysis of
 //!   Appendix B (Cases 1–12);
 //! - [`revenue`]: long-term revenue rates `r_b^s, r_b^h, r_u^s, r_u^h,

@@ -3,12 +3,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use seleth_markov::Distribution;
-
-use crate::chain_model::transitions;
+use crate::chain_model::{index, transitions};
 use crate::params::ModelParams;
 use crate::rewards::{case_outcome, expected_uncle_rewards};
-use crate::state::State;
 
 pub use seleth_chain::Scenario;
 
@@ -99,13 +96,12 @@ impl RevenueBreakdown {
 
 /// Fold the Appendix-B reward outcomes over a stationary distribution.
 ///
-/// `dist` must be the stationary distribution of the chain built from the
-/// same `params` (see [`crate::stationary::solve`]); [`crate::Analysis`]
-/// packages the two together.
-pub fn revenue_from_distribution(
-    params: &ModelParams,
-    dist: &Distribution<State>,
-) -> RevenueBreakdown {
+/// `pi` must be the stationary distribution of the chain built from the
+/// same `params`, in [`crate::chain_model::states`] order
+/// ([`crate::stationary::probabilities`], or the `probs()` of
+/// [`crate::stationary::solve`]); [`crate::Analysis`] packages the two
+/// together.
+pub fn revenue_from_distribution(params: &ModelParams, pi: &[f64]) -> RevenueBreakdown {
     let schedule = params.schedule();
     let ks = schedule.static_reward();
     let mut out = RevenueBreakdown {
@@ -117,7 +113,7 @@ pub fn revenue_from_distribution(
         alpha: params.alpha(),
     };
     for t in transitions(params) {
-        let flow = dist.prob(&t.from) * t.rate;
+        let flow = pi[index(t.from)] * t.rate;
         if flow == 0.0 {
             continue;
         }
@@ -173,8 +169,7 @@ mod tests {
 
     fn breakdown(alpha: f64, gamma: f64, schedule: RewardSchedule) -> RevenueBreakdown {
         let p = ModelParams::with_truncation(alpha, gamma, schedule, 150).unwrap();
-        let dist = stationary::solve(&p).unwrap();
-        revenue_from_distribution(&p, &dist)
+        revenue_from_distribution(&p, &stationary::probabilities(&p).unwrap())
     }
 
     #[test]

@@ -47,8 +47,8 @@ pub fn excess_revenue(
     truncation: u32,
 ) -> Result<f64, AnalysisError> {
     let params = ModelParams::with_truncation(alpha, gamma, schedule.clone(), truncation)?;
-    let dist = stationary::solve(&params)?;
-    let revenue = revenue_from_distribution(&params, &dist);
+    let pi = stationary::probabilities(&params)?;
+    let revenue = revenue_from_distribution(&params, &pi);
     Ok(revenue.absolute_pool(scenario) - alpha)
 }
 

@@ -103,17 +103,8 @@ impl<S: Eq + Hash + Clone> ChainBuilder<S> {
     /// Finish as a discrete-time chain: each row of accumulated rates is
     /// normalized into a probability distribution (the embedded jump chain).
     pub fn build_dtmc(self) -> Dtmc<S> {
-        let (states, index, mut matrix) = self.into_parts();
-        for i in 0..matrix.n_rows() {
-            let values = matrix.row_values_mut(i);
-            let total: f64 = values.iter().sum();
-            if total > 0.0 {
-                for v in values {
-                    *v /= total;
-                }
-            }
-        }
-        Dtmc::from_parts(states, index, matrix)
+        let (states, index, matrix) = self.into_parts();
+        Dtmc::normalized(states, index, matrix)
     }
 }
 

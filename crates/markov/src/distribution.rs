@@ -33,6 +33,30 @@ impl<S: Eq + Hash + Clone> Distribution<S> {
         }
     }
 
+    /// A distribution over `states` (which must be distinct), `probs[i]`
+    /// being the probability of `states[i]`.
+    ///
+    /// ```
+    /// use seleth_markov::Distribution;
+    /// let d = Distribution::from_probs(vec!['x', 'y'], vec![0.25, 0.75]);
+    /// assert_eq!(d.prob(&'y'), 0.75);
+    /// assert_eq!(d.probs(), &[0.25, 0.75]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `states` and `probs` differ in length.
+    pub fn from_probs(states: Vec<S>, probs: Vec<f64>) -> Self {
+        assert_eq!(states.len(), probs.len(), "one probability per state");
+        let index = states.iter().cloned().zip(0..).collect();
+        Distribution::from_parts(states, index, probs)
+    }
+
+    /// The probabilities in dense-index order.
+    pub fn probs(&self) -> &[f64] {
+        &self.probs
+    }
+
     /// Probability of `state`; `0.0` for states not in the chain.
     pub fn prob(&self, state: &S) -> f64 {
         self.index.get(state).map_or(0.0, |&i| self.probs[i])

@@ -8,11 +8,11 @@ use crate::solve::{self, SolveOptions};
 
 /// A discrete-time Markov chain with row-stochastic transition matrix.
 ///
-/// Built with [`crate::ChainBuilder::build_dtmc`]; rows are normalized at
-/// build time, so `prob` always returns a probability. Transitions are
-/// stored in a contiguous [`CsrMatrix`]; the state → index
-/// [`HashMap`] exists only for boundary lookups (`prob`, `index_of`), never
-/// inside the numeric kernels.
+/// Built with [`crate::ChainBuilder::build_dtmc`] or [`Dtmc::from_rates`];
+/// rows are normalized at build time, so `prob` always returns a
+/// probability. Transitions are stored in a contiguous [`CsrMatrix`]; the
+/// state → index [`HashMap`] exists only for boundary lookups (`prob`,
+/// `index_of`), never inside the numeric kernels.
 ///
 /// ```
 /// use seleth_markov::{ChainBuilder, SolveOptions};
@@ -33,7 +33,45 @@ pub struct Dtmc<S> {
 }
 
 impl<S: Eq + Hash + Clone> Dtmc<S> {
-    pub(crate) fn from_parts(states: Vec<S>, index: HashMap<S, usize>, matrix: CsrMatrix) -> Self {
+    /// Build a chain from per-state rate rows: row `i` of `rates` holds the
+    /// (column-sorted) rates out of `states[i]`, which must be distinct.
+    /// Each row is normalized into probabilities, the embedded jump chain,
+    /// exactly as [`crate::ChainBuilder::build_dtmc`] normalizes its rows.
+    ///
+    /// ```
+    /// use seleth_markov::{csr::CsrBuilder, Dtmc};
+    /// let mut rates = CsrBuilder::new();
+    /// rates.push_row(&[(0, 1.0), (1, 3.0)]);
+    /// rates.push_row(&[(0, 2.0)]);
+    /// let chain = Dtmc::from_rates(vec!["a", "b"], rates.finish());
+    /// assert_eq!(chain.prob(&"a", &"b"), 0.75);
+    /// assert_eq!(chain.prob(&"b", &"a"), 1.0);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rates` does not have exactly one row per state.
+    pub fn from_rates(states: Vec<S>, rates: CsrMatrix) -> Self {
+        assert_eq!(states.len(), rates.n_rows(), "one rate row per state");
+        let index = states.iter().cloned().zip(0..).collect();
+        Self::normalized(states, index, rates)
+    }
+
+    /// [`Dtmc::from_rates`] with the state index already built.
+    pub(crate) fn normalized(
+        states: Vec<S>,
+        index: HashMap<S, usize>,
+        mut matrix: CsrMatrix,
+    ) -> Self {
+        for i in 0..matrix.n_rows() {
+            let values = matrix.row_values_mut(i);
+            let total: f64 = values.iter().sum();
+            if total > 0.0 {
+                for v in values {
+                    *v /= total;
+                }
+            }
+        }
         Dtmc {
             states,
             index,

@@ -57,7 +57,7 @@ pub use builder::ChainBuilder;
 pub use distribution::Distribution;
 pub use dtmc::Dtmc;
 pub use error::SolveError;
-pub use solve::{SolveMethod, SolveOptions};
+pub use solve::{solve_dense, SolveMethod, SolveOptions};
 
 /// Helpers for constructing standard textbook chains, used in tests and
 /// benchmarks as ground truth.

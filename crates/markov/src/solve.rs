@@ -201,47 +201,9 @@ pub(crate) fn dense_lu(matrix: &CsrMatrix) -> Result<Vec<f64>, SolveError> {
     for i in 0..n {
         a[(n - 1) * n + i] = 1.0;
     }
-    let mut b = vec![0.0; n];
-    b[n - 1] = 1.0;
-
-    // Gaussian elimination with partial pivoting.
-    for col in 0..n {
-        let pivot = (col..n)
-            .map(|r| (r, a[r * n + col].abs()))
-            .max_by(|x, y| x.1.total_cmp(&y.1));
-        let Some((pivot_row, pivot_abs)) = pivot else {
-            return Err(SolveError::Singular);
-        };
-        if pivot_abs.is_nan() || pivot_abs < 1e-300 {
-            return Err(SolveError::Singular);
-        }
-        if pivot_row != col {
-            for k in 0..n {
-                a.swap(pivot_row * n + k, col * n + k);
-            }
-            b.swap(pivot_row, col);
-        }
-        let pivot = a[col * n + col];
-        for r in (col + 1)..n {
-            let factor = a[r * n + col] / pivot;
-            if factor == 0.0 {
-                continue;
-            }
-            for k in col..n {
-                a[r * n + k] -= factor * a[col * n + k];
-            }
-            b[r] -= factor * b[col];
-        }
-    }
-    // Back substitution.
     let mut x = vec![0.0; n];
-    for row in (0..n).rev() {
-        let mut acc = b[row];
-        for k in (row + 1)..n {
-            acc -= a[row * n + k] * x[k];
-        }
-        x[row] = acc / a[row * n + row];
-    }
+    x[n - 1] = 1.0;
+    solve_dense(&mut a, n, &mut x)?;
     // Clip tiny negative round-off and renormalize.
     for v in &mut x {
         if *v < 0.0 && *v > -1e-9 {
@@ -250,6 +212,64 @@ pub(crate) fn dense_lu(matrix: &CsrMatrix) -> Result<Vec<f64>, SolveError> {
     }
     normalize(&mut x);
     Ok(x)
+}
+
+/// Solve `a·x = b` in place, `x` overwriting `b`: Gaussian elimination
+/// with partial pivoting on the row-major `k × k` matrix `a`, then back
+/// substitution.
+///
+/// ```
+/// let mut a = [0.0, 2.0, 4.0, 0.0];
+/// let mut b = [2.0, 8.0];
+/// seleth_markov::solve_dense(&mut a, 2, &mut b).unwrap();
+/// assert_eq!(b, [2.0, 1.0]);
+/// ```
+///
+/// # Errors
+///
+/// [`SolveError::Singular`] if elimination meets a zero or non-finite
+/// pivot.
+///
+/// # Panics
+///
+/// Panics if `a` is shorter than `k × k` or `b` shorter than `k`.
+pub fn solve_dense(a: &mut [f64], k: usize, b: &mut [f64]) -> Result<(), SolveError> {
+    for col in 0..k {
+        let pivot = (col..k)
+            .max_by(|&x, &y| a[x * k + col].abs().total_cmp(&a[y * k + col].abs()))
+            .unwrap_or(col);
+        let p = a[pivot * k + col];
+        if !(p.abs() > 0.0 && p.is_finite()) {
+            return Err(SolveError::Singular);
+        }
+        if pivot != col {
+            for j in col..k {
+                a.swap(pivot * k + j, col * k + j);
+            }
+            b.swap(pivot, col);
+        }
+        let (head, tail) = a[..k * k].split_at_mut((col + 1) * k);
+        let pivot_row = &head[col * k + col..col * k + k];
+        for (r, row) in tail.chunks_exact_mut(k).enumerate() {
+            let f = row[col] / p;
+            if f == 0.0 {
+                continue;
+            }
+            for (x, &y) in row[col..].iter_mut().zip(pivot_row) {
+                *x -= f * y;
+            }
+            b[col + 1 + r] -= f * b[col];
+        }
+    }
+    for col in (0..k).rev() {
+        let row = &a[col * k..(col + 1) * k];
+        let mut x = b[col];
+        for j in col + 1..k {
+            x -= row[j] * b[j];
+        }
+        b[col] = x / row[col];
+    }
+    Ok(())
 }
 
 pub(crate) fn normalize(v: &mut [f64]) {
@@ -328,6 +348,20 @@ mod tests {
         let matrix = CsrMatrix::from_rows(&[vec![(1, 1.0)], vec![(0, 1.0)]]);
         let pi = solve(&matrix, &SolveOptions::default()).unwrap();
         assert!((pi[0] - 0.5).abs() < 1e-6);
+    }
+
+    #[test]
+    fn solve_dense_rejects_zero_and_non_finite_pivots() {
+        let mut singular = [1.0, 2.0, 2.0, 4.0];
+        assert_eq!(
+            solve_dense(&mut singular, 2, &mut [1.0, 1.0]),
+            Err(SolveError::Singular)
+        );
+        let mut nan = [f64::NAN, 0.0, 0.0, 1.0];
+        assert_eq!(
+            solve_dense(&mut nan, 2, &mut [1.0, 1.0]),
+            Err(SolveError::Singular)
+        );
     }
 
     #[test]

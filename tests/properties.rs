@@ -52,7 +52,7 @@ proptest! {
         let params = ModelParams::with_truncation(alpha, gamma, RewardSchedule::ethereum(), 80)
             .expect("valid");
         let dist = stationary::solve(&params).expect("solve");
-        let r = revenue::revenue_from_distribution(&params, &dist);
+        let r = revenue::revenue_from_distribution(&params, dist.probs());
         prop_assert!((r.regular_rate + r.uncle_rate + r.stale_rate - 1.0).abs() < 1e-9);
         for v in [
             r.pool.static_reward, r.pool.uncle_reward, r.pool.nephew_reward,

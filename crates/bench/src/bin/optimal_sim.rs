@@ -16,7 +16,9 @@
 //! `results/optimal_sim.json`. `--trace <path>` additionally dumps span
 //! events as JSON lines. Environment knobs: `SELETH_RUNS` (8),
 //! `SELETH_BLOCKS` (50 000), `SELETH_MDP_LEN` (30), `SELETH_RESULTS`,
-//! `SELETH_POLICIES` (artifact directory override).
+//! `SELETH_POLICIES` (artifact directory override). A budget of
+//! `SELETH_RUNS × SELETH_BLOCKS` below 80 000 blocks is refused (exit
+//! code 2): the 1% bound is fixed, so a smaller sample fails it by chance.
 //!
 //! With `--audit` the binary instead verifies the committed artifact set
 //! (no simulation, no network): every `*.json` under the policies
@@ -40,6 +42,12 @@ struct Point {
     /// Whether the 3σ/1% agreement gate applies.
     gated: bool,
 }
+
+/// The smallest simulated budget (`SELETH_RUNS × SELETH_BLOCKS`, the CI
+/// run's 4 × 20 000) that the gate accepts. Its 1% absolute bound does not
+/// shrink with the budget, so below this an ordinary sample fails it: at
+/// 2 × 5 000 blocks the α = 0.35, γ = 0 row sat 2.07σ off.
+const MIN_BUDGET: u64 = 80_000;
 
 /// Truncation of the artifacts `--audit` re-solves: this bin's default
 /// `SELETH_MDP_LEN`. The truncation-200 delay artifacts come from the
@@ -142,6 +150,14 @@ fn main() {
     let mut telemetry = Telemetry::new();
     let runs = seleth_bench::env_u64("SELETH_RUNS", 8);
     let blocks = seleth_bench::env_u64("SELETH_BLOCKS", 50_000);
+    if runs.saturating_mul(blocks) < MIN_BUDGET {
+        eprintln!(
+            "optimal_sim: SELETH_RUNS × SELETH_BLOCKS = {runs} × {blocks} is below the \
+             minimum budget of {MIN_BUDGET} blocks (4 × 20 000) that the 1% agreement \
+             bound needs"
+        );
+        std::process::exit(2);
+    }
     let max_len = u32::try_from(seleth_bench::env_u64("SELETH_MDP_LEN", 30)).unwrap_or(30);
 
     // One point below the γ = 0.5 profitability threshold (optimal play is

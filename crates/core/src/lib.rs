@@ -46,8 +46,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Library code must degrade with typed errors, never a panic, on
-// untrusted input; invariant violations use `expect` with a message.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
+// untrusted input.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 mod analysis;
 pub mod bitcoin;

@@ -54,13 +54,17 @@
 //!
 //! # Performance architecture
 //!
-//! The transition table is expanded **once per solve** into flat
-//! struct-of-arrays storage ([`ExpandedMdp`]): per outcome, `(prob,
-//! successor index, attacker reward, normalization units)`. Each ρ
-//! re-weights rewards once (`base = Σ p·(r − ρ·units)` per action)
-//! instead of rebuilding per-action outcome lists. States are indexed
-//! through a dense table over the policy artifacts' own slot indexer
-//! ([`StateSpace::index`]), so the expansion hashes nothing.
+//! The transition table is expanded into flat struct-of-arrays storage
+//! ([`ExpandedMdp`]): per outcome, `(prob, successor index, attacker
+//! reward, normalization units)`. A cold solve expands it once; a
+//! [`ValueCache`] keeps the expansion, and the next solve through it
+//! refills only the probabilities, rewards and units in place, after
+//! checking that every action, row width and successor is unchanged (a
+//! mismatch expands afresh). Each ρ re-weights rewards once (`base = Σ
+//! p·(r − ρ·units)` per action) instead of rebuilding per-action outcome
+//! lists. States are indexed through a dense table over the policy
+//! artifacts' own slot indexer ([`StateSpace::index`]), so the expansion
+//! hashes nothing.
 //!
 //! Every Q pass (an improvement pass, a Bellman sweep, the closing greedy
 //! pass) runs over **state tiles** of [`PARALLEL_GRAIN`] consecutive
@@ -323,7 +327,7 @@ pub struct Solution {
     pub stats: SolveStats,
 }
 
-/// The transition table of one solve, compiled into state tiles.
+/// The transition table of a solve, compiled into state tiles.
 ///
 /// States are cut into tiles of [`PARALLEL_GRAIN`] consecutive indices.
 /// Inside a tile, every legal `(state, action)` pair owns one *slot*
@@ -340,7 +344,7 @@ pub struct Solution {
 /// A tile's slots and rows are two orderings of the same pairs, so both
 /// occupy the global range [`Tile::slots`]. Rewards are stored
 /// *untransformed*; the ρ weighting happens in [`ExpandedMdp::fill_base`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ExpandedMdp {
     space: Arc<DenseStates>,
     /// The dense index of `(1, 0)`, where relative values are zero.
@@ -367,7 +371,7 @@ struct ExpandedMdp {
 
 /// One tile: the unit of a sweep, sequential or parallel. It writes only
 /// its own states' entries and its own slots.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Tile {
     states: Range<usize>,
     /// Global slot range, which is also the tile's global row range.
@@ -378,7 +382,7 @@ struct Tile {
 
 /// Rows with `width` outcomes each: global rows `rows`, whose outcomes
 /// start at `out` (row `rows.start + r` owns `out + r·width ..`).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct RowGroup {
     width: usize,
     rows: Range<usize>,
@@ -387,7 +391,7 @@ struct RowGroup {
 
 /// States with `arity` legal actions each: `group_state[states]`, whose
 /// slots start at tile-local slot `slot` (`arity` per state, in order).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct StateGroup {
     arity: usize,
     states: Range<usize>,
@@ -397,7 +401,7 @@ struct StateGroup {
 /// The level structure behind exact policy evaluation: states ordered by
 /// descending level `a + h`, and the landing states — every successor
 /// that is not exactly one level above its predecessor.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct Levels {
     /// State indices, highest level first.
     order: Vec<u32>,
@@ -508,10 +512,7 @@ impl TilePairs {
         config.push_legal_actions(s, &mut self.actions);
         debug_assert!(self.actions.len() > first, "state {s} has no legal action");
         for k in first..self.actions.len() {
-            let action = self.actions[k];
-            self.scratch.clear();
-            config.push_outcomes(s, action, &mut self.scratch);
-            let row_start = self.outs.len();
+            expand_row(config, s, self.actions[k], &mut self.scratch);
             for o in &self.scratch {
                 let Some(j) = space.get(o.next) else {
                     return Err(MdpError::InvalidSpace {
@@ -522,28 +523,38 @@ impl TilePairs {
                 if o.next.a + o.next.h != s.a + s.h + 1 {
                     is_landing[j] = true;
                 }
-                let u = match config.scenario {
-                    Scenario::RegularRate => o.regular,
-                    Scenario::RegularPlusUncleRate => o.regular + o.uncles,
-                };
                 // `DenseStates::new` checked that every index fits a `u32`.
+                let u = units_of(config.scenario, o);
                 self.outs.push((o.prob, j as u32, o.attacker_reward, u));
             }
-            // Every row is a probability distribution; the delay-aware
-            // race folding (win/loss branch splits, effective-γ scaling)
-            // makes silent mass leakage easy, so rows are validated at
-            // construction.
-            debug_assert!(
-                {
-                    let row_sum: f64 = self.outs[row_start..].iter().map(|o| o.0).sum();
-                    (row_sum - 1.0).abs() < 1e-12
-                },
-                "transition row ({s}, {action:?}) leaks probability mass"
-            );
             self.pair_outs.push(self.outs.len());
         }
         self.state_pairs.push(self.actions.len());
         Ok(())
+    }
+}
+
+/// Replace `row` with the outcomes of `action` in `s`, in enumeration
+/// order: the one expansion of a row that [`ExpandedMdp::build`] and
+/// [`ExpandedMdp::refill`] share.
+fn expand_row(config: &MdpConfig, s: MdpState, action: Action, row: &mut Vec<Outcome>) {
+    row.clear();
+    config.push_outcomes(s, action, row);
+    // Every row is a probability distribution; the delay-aware race
+    // folding (win/loss branch splits, effective-γ scaling) makes silent
+    // mass leakage easy, so rows are validated as they are expanded.
+    debug_assert!(
+        (row.iter().map(|o| o.prob).sum::<f64>() - 1.0).abs() < 1e-12,
+        "transition row ({s}, {action:?}) leaks probability mass"
+    );
+}
+
+/// An outcome's normalization units under `scenario`: its regular blocks,
+/// plus its uncle blocks in Scenario 2.
+fn units_of(scenario: Scenario, o: &Outcome) -> f64 {
+    match scenario {
+        Scenario::RegularRate => o.regular,
+        Scenario::RegularPlusUncleRate => o.regular + o.uncles,
     }
 }
 
@@ -617,19 +628,27 @@ impl ValueWorkspace {
 /// expected units and expected steps up to the next landing.
 const SLAB_SCALARS: usize = 3;
 
-/// A cross-solve policy cache for parameter sweeps.
+/// A cross-solve cache for parameter sweeps: the last solve's policy and
+/// its expanded transition table.
 ///
 /// A sweep over a model axis (α, γ, or the delay axis of a delay-aware
 /// study) moves the optimal policy little from one point to the next, so
 /// [`MdpConfig::solve_with_cache`] starts its policy iteration from the
-/// previous solve's policy, which the cache keeps; a warm solve then
-/// needs one or two policy evaluations. It is consulted only when the
-/// state-space size matches, so sweeping mixed truncations or reward
-/// models through one cache is safe (those solves simply start from
-/// honest mining).
+/// previous solve's policy; a warm solve then needs one or two policy
+/// evaluations. The axis also leaves the table's layout alone (states,
+/// actions, successors, tiles), so a warm solve refills only the
+/// probabilities, rewards and units of the kept expansion in place,
+/// checking every action, row width and successor against it. The policy
+/// is used only when the state count matches, and the expansion only
+/// when the layout does; otherwise the solve starts from honest mining
+/// or expands afresh, so sweeping mixed truncations, reward models or
+/// zero and positive γ and delay through one cache is safe.
 #[derive(Debug, Clone, Default)]
 pub struct ValueCache {
     actions: Vec<Action>,
+    /// The last solve's expansion, refilled by the next solve. Boxed, so
+    /// a cache embedded in a caller's type adds one pointer for it.
+    mdp: Option<Box<ExpandedMdp>>,
 }
 
 impl ValueCache {
@@ -717,7 +736,74 @@ impl ExpandedMdp {
             });
         }
         mdp.levels = Levels::new(&space, &is_landing);
+        // A `ValueCache` keeps the expansion between solves, so return the
+        // capacity `push_tile` reserved beyond the final lengths.
+        for v in [&mut mdp.prob, &mut mdp.attacker_reward, &mut mdp.units] {
+            v.shrink_to_fit();
+        }
+        mdp.succ.shrink_to_fit();
+        mdp.actions.shrink_to_fit();
+        mdp.slot_outs.shrink_to_fit();
+        mdp.row_slot.shrink_to_fit();
         Ok(mdp)
+    }
+
+    /// Refill the probabilities, rewards and units for `config` in place,
+    /// keeping every index, tile, group and level, and return whether the
+    /// layout still fits: the same state space, and per state the same
+    /// actions, row widths and successors. The tiles are walked in slot
+    /// order; the first mismatch returns `false` and leaves the expansion
+    /// half-refilled, to be dropped for a fresh [`ExpandedMdp::build`].
+    /// Pruning zero-probability outcomes changes row widths as γ reaches
+    /// 0 or 1, or the delay leaves or reaches zero.
+    fn refill(&mut self, config: &MdpConfig) -> bool {
+        let ExpandedMdp {
+            space,
+            tiles,
+            state_groups,
+            group_state,
+            actions,
+            slot_outs,
+            prob,
+            succ,
+            attacker_reward,
+            units,
+            ..
+        } = self;
+        if space.shape != StateSpace::of(config) {
+            return false;
+        }
+        let (mut legal, mut row) = (Vec::new(), Vec::new());
+        for tile in tiles.iter() {
+            for g in &state_groups[tile.state_groups.clone()] {
+                for (j, &s) in group_state[g.states.clone()].iter().enumerate() {
+                    let state = space.states[tile.states.start + s as usize];
+                    legal.clear();
+                    config.push_legal_actions(state, &mut legal);
+                    let first = tile.slots.start + g.slot + j * g.arity;
+                    let slots = first..first + g.arity;
+                    if legal[..] != actions[slots.clone()] {
+                        return false;
+                    }
+                    for (slot, &action) in slots.zip(&legal) {
+                        expand_row(config, state, action, &mut row);
+                        let (out, width) = slot_outs[slot];
+                        if row.len() != width {
+                            return false;
+                        }
+                        for (t, o) in (out..).zip(&row) {
+                            if space.states[succ[t] as usize] != o.next {
+                                return false;
+                            }
+                            prob[t] = o.prob;
+                            attacker_reward[t] = o.attacker_reward;
+                            units[t] = units_of(config.scenario, o);
+                        }
+                    }
+                }
+            }
+        }
+        true
     }
 
     /// Append one tile: number its slots by state group (ascending action
@@ -1349,18 +1435,18 @@ impl MdpConfig {
     }
 
     /// [`MdpConfig::solve`], started from (and refreshing) a cross-solve
-    /// [`ValueCache`]. When the cached policy matches this solve's state
-    /// count, policy iteration starts from it instead of from honest
-    /// mining — for a sweep along a continuous model axis (delay, α, γ)
-    /// the optimum moves little, so one or two evaluations suffice. A
-    /// mismatched (or empty) cache is ignored; either way the solved
-    /// policy is stored back.
+    /// [`ValueCache`]: policy iteration starts from the cached policy when
+    /// its state count matches, and the cached expansion is refilled in
+    /// place when its layout fits; otherwise the solve starts from honest
+    /// mining or expands afresh. Either way the solved policy and the
+    /// expansion are stored back.
     ///
-    /// The starting policy changes how many evaluations the solve takes,
-    /// not the revenue bits: the bisection's signs are certified whatever
-    /// the start, unless a midpoint's sign could not be
-    /// ([`SolveStats::unresolved_signs`]); the revenue then stays within
-    /// `rho_tolerance` of the cold solve's.
+    /// A refilled expansion holds the same values in the same order as a
+    /// fresh one, so it moves no bit. The starting policy changes how many
+    /// evaluations the solve takes, not the revenue bits: the bisection's
+    /// signs are certified whatever the start, unless a midpoint's sign
+    /// could not be ([`SolveStats::unresolved_signs`]); the revenue then
+    /// stays within `rho_tolerance` of the cold solve's.
     ///
     /// # Errors
     ///
@@ -1371,10 +1457,14 @@ impl MdpConfig {
 
     /// The solve behind [`MdpConfig::solve`] (`cache = None`) and
     /// [`MdpConfig::solve_with_cache`].
-    fn solve_from(&self, cache: Option<&mut ValueCache>) -> Result<Solution, MdpError> {
+    fn solve_from(&self, mut cache: Option<&mut ValueCache>) -> Result<Solution, MdpError> {
         self.validate()?;
         let threads = self.resolved_threads();
-        let mdp = ExpandedMdp::build(self)?;
+        let kept = cache.as_mut().and_then(|c| c.mdp.take());
+        let mdp = match kept.and_then(|mut mdp| mdp.refill(self).then_some(mdp)) {
+            Some(mdp) => mdp,
+            None => Box::new(ExpandedMdp::build(self)?),
+        };
         let mut ws = ValueWorkspace::new(&mdp);
         let cached = cache.as_deref().map(|c| &c.actions[..]);
         mdp.init_choice(cached.filter(|a| a.len() == mdp.len()), &mut ws.choice);
@@ -1459,15 +1549,14 @@ impl MdpConfig {
         let actions = mdp.greedy_policy(&mut ws, margin, threads);
         let (min_d, max_d) = update_range(&ws.next_v, &ws.v);
         stats.record(1, max_d - min_d);
+        let space = Arc::clone(&mdp.space);
         if let Some(cache) = cache {
             cache.actions.clone_from(&actions);
+            cache.mdp = Some(mdp);
         }
         Ok(Solution {
             revenue,
-            policy: Policy {
-                space: mdp.space.clone(),
-                actions,
-            },
+            policy: Policy { space, actions },
             iterations: passes(&stats),
             stats,
         })
@@ -1842,7 +1931,7 @@ mod tests {
                 let outcomes = config.outcomes(s, action);
                 let mut q = 0.0;
                 for o in &outcomes {
-                    q += o.prob * (o.attacker_reward - rho * units_of(config, o));
+                    q += o.prob * (o.attacker_reward - rho * units_of(config.scenario, o));
                 }
                 for o in &outcomes {
                     q += o.prob * v[index[&o.next]];
@@ -1855,14 +1944,6 @@ mod tests {
             out.1.push(best.1);
         }
         out
-    }
-
-    /// An outcome's normalization units under `config`'s scenario.
-    fn units_of(config: &MdpConfig, o: &Outcome) -> f64 {
-        match config.scenario {
-            Scenario::RegularRate => o.regular,
-            Scenario::RegularPlusUncleRate => o.regular + o.uncles,
-        }
     }
 
     /// A pseudo-random vector of `len` values in `[−20, 20)`.
@@ -2016,6 +2097,82 @@ mod tests {
     }
 
     #[test]
+    fn a_cached_walk_refills_exactly_where_the_layout_holds() {
+        // One cache through every change of layout. γ reaching 0 or 1 and
+        // the delay leaving or reaching 0 prune or restore outcomes (γ 0 →
+        // 1 keeps every width and moves successors); the reward model and
+        // the truncation change the space; α and the scenario change only
+        // values. At every step the kept expansion must equal a fresh
+        // build bit for bit, the refill must have kept the layout (its
+        // state table) exactly where the layout held, and the solve must
+        // match a cold one wherever its signs are certified.
+        let btc = MdpConfig::new(0.3, 0.5, RewardModel::Bitcoin).with_max_len(16);
+        let eth = MdpConfig {
+            rewards: RewardModel::EthereumApprox,
+            ..btc
+        };
+        let long = btc.with_max_len(24);
+        let walk = [
+            (btc, false),
+            (MdpConfig { alpha: 0.35, ..btc }, true),
+            (MdpConfig { gamma: 0.0, ..btc }, false),
+            (MdpConfig { gamma: 1.0, ..btc }, false),
+            (btc, false),
+            (btc.with_delay_ratio(0.1), false),
+            (MdpConfig { alpha: 0.35, ..btc }.with_delay_ratio(0.2), true),
+            (btc, false),
+            (eth, false),
+            (eth.with_scenario(Scenario::RegularPlusUncleRate), true),
+            (btc, false),
+            (long, false),
+            (long.with_scenario(Scenario::RegularPlusUncleRate), true),
+        ];
+        let bits = |x: &[f64]| x.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut cache = ValueCache::new();
+        let mut kept_space: Option<Arc<DenseStates>> = None;
+        for (step, (config, refills)) in walk.into_iter().enumerate() {
+            let warm = config.solve_with_cache(&mut cache).unwrap();
+            let kept = cache.mdp.as_ref().unwrap();
+            let fresh = ExpandedMdp::build(&config).unwrap();
+            let at = format!("step {step} ({config:?})");
+            assert_eq!(bits(&kept.prob), bits(&fresh.prob), "{at}: prob");
+            assert_eq!(kept.succ, fresh.succ, "{at}: succ");
+            assert_eq!(
+                bits(&kept.attacker_reward),
+                bits(&fresh.attacker_reward),
+                "{at}: attacker_reward"
+            );
+            assert_eq!(bits(&kept.units), bits(&fresh.units), "{at}: units");
+            assert_eq!(kept.slot_outs, fresh.slot_outs, "{at}: slot_outs");
+            assert_eq!(kept.actions, fresh.actions, "{at}: actions");
+            assert_eq!(
+                kept.levels.landing_states, fresh.levels.landing_states,
+                "{at}: landing set"
+            );
+            let same = kept_space
+                .as_ref()
+                .is_some_and(|s| Arc::ptr_eq(s, &kept.space));
+            assert_eq!(same, refills, "{at}: refilled {same}, expected {refills}");
+            kept_space = Some(Arc::clone(&kept.space));
+
+            if warm.stats.unresolved_signs == 0 {
+                let cold = config.solve().unwrap();
+                assert_eq!(
+                    warm.revenue.to_bits(),
+                    cold.revenue.to_bits(),
+                    "{at}: warm {} vs cold {}",
+                    warm.revenue,
+                    cold.revenue
+                );
+                assert!(
+                    warm.policy.iter().eq(cold.policy.iter()),
+                    "{at}: warm and cold policies differ"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn revenue_degrades_as_delay_grows() {
         // The race window only ever costs the attacker (releases can now
         // lose), so optimal revenue is monotone non-increasing in delay —
@@ -2065,7 +2222,7 @@ mod tests {
             for o in config.outcomes(s, a) {
                 chain.add_rate(s, o.next, o.prob);
                 reward += o.prob * o.attacker_reward;
-                units += o.prob * units_of(config, &o);
+                units += o.prob * units_of(config.scenario, &o);
                 if let Entry::Vacant(slot) = per_step.entry(o.next) {
                     slot.insert((0.0, 0.0));
                     queue.push_back(o.next);
@@ -2188,7 +2345,7 @@ mod tests {
                 for o in config.outcomes(s, actions[i]) {
                     let next = index[&o.next];
                     r += o.prob * (o.attacker_reward + ws.h_r[next]);
-                    u += o.prob * (units_of(config, &o) + ws.h_u[next]);
+                    u += o.prob * (units_of(config.scenario, &o) + ws.h_u[next]);
                 }
                 assert!(
                     (r - ws.h_r[i]).abs() <= 1e-10 && (u - ws.h_u[i]).abs() <= 1e-10,

@@ -169,7 +169,7 @@ pub fn host_fingerprint_json() -> String {
         "{{\"os\": \"{}\", \"arch\": \"{}\", \"available_parallelism\": {}}}",
         std::env::consts::OS,
         std::env::consts::ARCH,
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        seleth_obs::resolve_threads(0)
     )
 }
 

@@ -15,11 +15,15 @@ use crate::params::ModelParams;
 use crate::revenue::revenue_from_distribution;
 use crate::stationary;
 
-/// Eyal & Sirer's closed-form relative pool revenue:
+/// Eyal & Sirer's closed-form relative pool revenue of SM1 (Majority is
+/// not Enough, Eq. 8):
 ///
 /// ```text
 /// R = (α(1−α)²(4α + γ(1−2α)) − α³) / (1 − α(1 + (2−α)α))
 /// ```
+///
+/// The squares and the cube are formed as plain products, the rounding
+/// the strategy zoo's committed `predicted` revenues carry.
 ///
 /// ```
 /// use seleth_core::bitcoin::eyal_sirer_revenue;
@@ -29,7 +33,7 @@ use crate::stationary;
 /// ```
 pub fn eyal_sirer_revenue(alpha: f64, gamma: f64) -> f64 {
     let a = alpha;
-    let num = a * (1.0 - a).powi(2) * (4.0 * a + gamma * (1.0 - 2.0 * a)) - a.powi(3);
+    let num = a * (1.0 - a) * (1.0 - a) * (4.0 * a + gamma * (1.0 - 2.0 * a)) - a * a * a;
     let den = 1.0 - a * (1.0 + (2.0 - a) * a);
     num / den
 }
@@ -97,6 +101,15 @@ mod tests {
             assert!(eyal_sirer_revenue(t - 0.01, gamma) < t - 0.01);
             assert!(eyal_sirer_revenue(t + 0.01, gamma) > t + 0.01);
         }
+    }
+
+    #[test]
+    fn closed_form_anchors() {
+        // Sapirshtein et al. report SM1 ≈ 0.36650 at α = 0.35, γ = 0
+        // (optimal play only adds ≈ 0.004).
+        assert!((eyal_sirer_revenue(0.35, 0.0) - 0.366_50).abs() < 1e-4);
+        // γ strictly helps the attacker.
+        assert!(eyal_sirer_revenue(0.30, 0.5) > eyal_sirer_revenue(0.30, 0.0));
     }
 
     #[test]

@@ -26,7 +26,10 @@ pub enum SolveError {
     NotConverged {
         /// Iterations performed before giving up.
         iterations: usize,
-        /// L1 residual at the final iteration.
+        /// The final iteration's change, in the norm the solver tests
+        /// against its tolerance: L1 for the stationary solvers, max-abs
+        /// for the hitting-time and hitting-probability sweeps (infinite
+        /// if no iteration ran).
         residual: f64,
     },
     /// A transition was registered with a non-finite or negative rate.

@@ -80,8 +80,9 @@ impl<S: Eq + Hash + Clone> Dtmc<S> {
         let reach = self.can_reach(&is_target);
 
         let mut h = vec![0.0f64; n];
-        for it in 0..opts.max_iterations {
-            let mut delta = 0.0f64;
+        let mut delta = f64::INFINITY;
+        for _ in 0..opts.max_iterations {
+            delta = 0.0;
             for i in 0..n {
                 if is_target[i] || !reach[i] {
                     continue;
@@ -126,13 +127,10 @@ impl<S: Eq + Hash + Clone> Dtmc<S> {
                     })
                     .collect());
             }
-            if it == opts.max_iterations - 1 {
-                break;
-            }
         }
         Err(SolveError::NotConverged {
             iterations: opts.max_iterations,
-            residual: f64::NAN,
+            residual: delta,
         })
     }
 
@@ -167,8 +165,9 @@ impl<S: Eq + Hash + Clone> Dtmc<S> {
         let n = self.len();
         let mut p = vec![0.0f64; n];
         p[ia] = 1.0;
+        let mut delta = f64::INFINITY;
         for _ in 0..opts.max_iterations {
-            let mut delta = 0.0f64;
+            delta = 0.0;
             for i in 0..n {
                 if i == ia || i == ib {
                     continue;
@@ -196,7 +195,7 @@ impl<S: Eq + Hash + Clone> Dtmc<S> {
         }
         Err(SolveError::NotConverged {
             iterations: opts.max_iterations,
-            residual: f64::NAN,
+            residual: delta,
         })
     }
 
@@ -293,6 +292,32 @@ mod tests {
             let want = (i * (n - i)) as f64;
             assert!((got - want).abs() < 1e-7, "i={i}: got {got}, want {want}");
         }
+    }
+
+    /// A one-sweep budget on a chain that needs more: the error carries
+    /// that sweep's finite max-abs change.
+    fn assert_last_delta<T: std::fmt::Debug>(result: Result<T, SolveError>, opts: HittingOptions) {
+        match result {
+            Err(SolveError::NotConverged {
+                iterations: 1,
+                residual,
+            }) => assert!(
+                residual.is_finite() && residual >= opts.tolerance,
+                "residual {residual}"
+            ),
+            other => panic!("expected NotConverged, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unconverged_sweeps_report_their_last_change() {
+        let opts = HittingOptions {
+            max_iterations: 1,
+            ..HittingOptions::default()
+        };
+        let q = classic::mm1k(1.0, 1.0, 10);
+        assert_last_delta(q.expected_hitting_times(&[0, 10], opts), opts);
+        assert_last_delta(q.probability_hits_before(&10, &0, opts), opts);
     }
 
     #[test]

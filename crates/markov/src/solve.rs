@@ -150,8 +150,9 @@ pub(crate) fn gauss_seidel(
     // entry is skipped during accumulation and solved for explicitly.
     let transpose = matrix.transpose();
     let mut pi = vec![1.0 / n as f64; n];
+    let mut residual = f64::INFINITY;
     for _ in 0..opts.max_iterations {
-        let mut residual = 0.0;
+        residual = 0.0;
         for j in 0..n {
             let mut incoming = 0.0;
             let mut diag = 0.0;
@@ -180,7 +181,7 @@ pub(crate) fn gauss_seidel(
     }
     Err(SolveError::NotConverged {
         iterations: opts.max_iterations,
-        residual: f64::NAN,
+        residual,
     })
 }
 
@@ -318,6 +319,24 @@ mod tests {
             for (p, e) in pi.iter().zip(expected.iter()) {
                 assert!((p - e).abs() < 1e-9, "{method:?}: {pi:?}");
             }
+        }
+    }
+
+    #[test]
+    fn gauss_seidel_reports_its_last_residual() {
+        let opts = SolveOptions {
+            max_iterations: 1,
+            ..SolveOptions::with_method(SolveMethod::GaussSeidel)
+        };
+        match solve(&two_state(), &opts) {
+            Err(SolveError::NotConverged {
+                iterations: 1,
+                residual,
+            }) => assert!(
+                residual.is_finite() && residual >= opts.tolerance,
+                "residual {residual}"
+            ),
+            other => panic!("expected NotConverged, got {other:?}"),
         }
     }
 

@@ -328,9 +328,6 @@ pub struct MdpConfig {
     pub tolerance: f64,
     /// Bisection tolerance on the optimal revenue.
     pub rho_tolerance: f64,
-    /// Worker threads for the Bellman sweeps (`0` = use
-    /// `available_parallelism`). Results are identical for every value.
-    pub threads: usize,
 }
 
 impl MdpConfig {
@@ -346,7 +343,6 @@ impl MdpConfig {
             delay_ratio: 0.0,
             tolerance: 1e-9,
             rho_tolerance: 1e-6,
-            threads: 0,
         }
     }
 
@@ -387,10 +383,9 @@ impl MdpConfig {
         self
     }
 
-    /// Override the Bellman-sweep worker count (`0` = auto). The solution
-    /// is identical for every thread count; this only trades wall-clock.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    /// Accepted for source compatibility and ignored: the solver runs on
+    /// the calling thread, so there is no worker count to set.
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -412,11 +407,6 @@ impl MdpConfig {
         let tie_win = self.alpha + self.gamma * beta;
         let loss = (p1 * (1.0 - tie_win) + p2).clamp(0.0, 1.0);
         (loss, keep)
-    }
-
-    /// The effective worker count for this configuration.
-    pub(crate) fn resolved_threads(&self) -> usize {
-        seleth_obs::resolve_threads(self.threads)
     }
 
     /// All outcomes of taking `action` in `state`.

@@ -67,28 +67,23 @@
 //! hashes nothing.
 //!
 //! Every Q pass (an improvement pass, a Bellman sweep, the closing greedy
-//! pass) runs over **state tiles** of [`PARALLEL_GRAIN`] consecutive
-//! states. Inside a tile, action rows are grouped by outcome count and
-//! states by action count, so a pass runs two fixed-width loops per tile
-//! instead of a per-state walk whose loop trip counts change from state
-//! to state: a *Q pass* (`q = base + Σ p_j·v[s_j]`, widths 1–4 unrolled
-//! at compile time) and a *max pass* (the first strictly greatest `q` per
-//! state). Each action's sum is formed in enumeration order and the
-//! tie-break is unchanged, so the grouping moves no bit of any result; a
-//! tile keeps its states' values close together in cache.
+//! pass) runs on the calling thread over **state tiles** of
+//! [`TILE_STATES`] consecutive states, in order. Inside a tile, action
+//! rows are grouped by outcome count and states by action count, so a
+//! pass runs two fixed-width loops per tile instead of a per-state walk
+//! whose loop trip counts change from state to state: a *Q pass*
+//! (`q = base + Σ p_j·v[s_j]`, widths 1–4 unrolled at compile time) and a
+//! *max pass* (the first strictly greatest `q` per state). Each action's
+//! sum is formed in enumeration order and the tie-break is unchanged, so
+//! the grouping moves no bit of any result; a tile keeps its states'
+//! values close together in cache.
 //!
-//! A sequential pass runs the tiles in order, a parallel one lets workers
-//! claim whole tiles. Every tile writes disjoint slots and all reductions
-//! (span seminorm, reference offsets, the improvement count) run on the
-//! calling thread or are order-free sums, and the exact evaluation is
-//! sequential, so results are bit-identical for every thread count. The
-//! span reduction runs four interleaved `min`/`max` accumulators and
+//! The span reduction runs four interleaved `min`/`max` accumulators and
 //! falls back to the index-order fold only when an extreme is exactly
 //! zero, the one case where regrouping could pick the other signed zero.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -97,14 +92,10 @@ use seleth_chain::Scenario;
 use crate::model::{Action, Fork, MdpConfig, MdpError, MdpState, Outcome};
 use crate::policy::StateSpace;
 
-/// Don't spin up worker threads below this state count; a sweep this small
-/// is cheaper than the thread handoff.
-const PARALLEL_MIN_STATES: usize = 4096;
-
-/// States per sweep tile. The effective worker count is clamped to the
-/// tile count, so arbitrarily large `with_threads` values cannot spawn
-/// per-state threads.
-const PARALLEL_GRAIN: usize = 1024;
+/// States per tile. A tile is the unit the expansion compiles, refills
+/// and sweeps; building it stages only this many states' outcomes at a
+/// time, so the staging buffers stay small however large the space.
+const TILE_STATES: usize = 1024;
 
 /// Hard cap on bisection steps and on policy evaluations. 128 halvings of
 /// the initial `[0, 2]` bracket reach the limit of f64 resolution, so any
@@ -329,7 +320,7 @@ pub struct Solution {
 
 /// The transition table of a solve, compiled into state tiles.
 ///
-/// States are cut into tiles of [`PARALLEL_GRAIN`] consecutive indices.
+/// States are cut into tiles of [`TILE_STATES`] consecutive indices.
 /// Inside a tile, every legal `(state, action)` pair owns one *slot*
 /// (one entry of the `q` buffer) and one *row* (its outcomes):
 ///
@@ -369,8 +360,8 @@ struct ExpandedMdp {
     levels: Levels,
 }
 
-/// One tile: the unit of a sweep, sequential or parallel. It writes only
-/// its own states' entries and its own slots.
+/// One tile: the unit of a sweep. It writes only its own states' entries
+/// and its own slots.
 #[derive(Debug, Clone)]
 struct Tile {
     states: Range<usize>,
@@ -658,26 +649,6 @@ impl ValueCache {
     }
 }
 
-/// Buffers that a sweep cuts into per-tile pieces: one slice, or a pair.
-trait TileCut: Send + Sized {
-    /// Split off the first `len` entries.
-    fn cut(&mut self, len: usize) -> Self;
-}
-
-impl<T: Send> TileCut for &mut [T] {
-    fn cut(&mut self, len: usize) -> Self {
-        let (head, rest) = std::mem::take(self).split_at_mut(len);
-        *self = rest;
-        head
-    }
-}
-
-impl<A: TileCut, B: TileCut> TileCut for (A, B) {
-    fn cut(&mut self, len: usize) -> Self {
-        (self.0.cut(len), self.1.cut(len))
-    }
-}
-
 /// One ρ candidate's relative value iteration.
 struct Iterate {
     /// The sandwich midpoint `(min_d + max_d) / 2`, an estimate of `g(ρ)`.
@@ -704,7 +675,7 @@ impl ExpandedMdp {
         let mut mdp = ExpandedMdp {
             space: Arc::clone(&space),
             ref_state,
-            tiles: Vec::with_capacity(n.div_ceil(PARALLEL_GRAIN)),
+            tiles: Vec::with_capacity(n.div_ceil(TILE_STATES)),
             row_groups: Vec::new(),
             state_groups: Vec::new(),
             actions: Vec::new(),
@@ -719,8 +690,8 @@ impl ExpandedMdp {
         };
         let mut pairs = TilePairs::default();
         let mut is_landing = vec![false; n];
-        for first in (0..n).step_by(PARALLEL_GRAIN) {
-            let states = first..n.min(first + PARALLEL_GRAIN);
+        for first in (0..n).step_by(TILE_STATES) {
+            let states = first..n.min(first + TILE_STATES);
             pairs.clear();
             for &s in &space.states[states.clone()] {
                 pairs.push_state(config, &space, s, &mut is_landing)?;
@@ -1068,71 +1039,20 @@ impl ExpandedMdp {
         }
     }
 
-    /// Run `f(tile, q.cut(tile.slots), out.cut(tile.states))` for every
-    /// tile, in parallel when the space is large enough. `q` and `out`
-    /// are per-slot and per-state buffers (or pairs of them). Workers
-    /// claim whole tiles from an atomic counter, the claiming rule of the
-    /// workspace work queue (`seleth_obs::sched`), so heterogeneous
-    /// per-state costs (the action fan-out varies across the space) stay
-    /// load-balanced at truncation 200+. Tiles write disjoint ranges and
-    /// never share arithmetic, so the result is deterministic for any
-    /// `threads`; each tile's pieces sit behind an uncontended mutex
-    /// purely to hand them across threads. This is the one queue kept
-    /// outside `seleth_obs::sched`: it refills preallocated buffers in
-    /// place on every Bellman sweep, where a `Vec`-returning map would
-    /// allocate once per sweep.
-    fn for_each_tile<Q: TileCut, O: TileCut>(
-        &self,
-        mut q: Q,
-        mut out: O,
-        threads: usize,
-        f: impl Fn(&Tile, Q, O) + Sync,
-    ) {
-        let tiles = self
-            .tiles
-            .iter()
-            .map(|tile| (tile, q.cut(tile.slots.len()), out.cut(tile.states.len())));
-        let threads = threads.min(self.tiles.len());
-        if threads <= 1 || self.len() < PARALLEL_MIN_STATES {
-            for (tile, tile_q, tile_out) in tiles {
-                f(tile, tile_q, tile_out);
-            }
-            return;
-        }
-        let tiles: Vec<Mutex<Option<_>>> = tiles.map(|t| Mutex::new(Some(t))).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let (tiles, next, f) = (&tiles, &next, &f);
-                scope.spawn(move || loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(tile) = tiles.get(k) else { break };
-                    // Each tile is claimed exactly once, and a worker's
-                    // panic resurfaces when the scope joins, so recovering
-                    // a poisoned guard never exposes a half-written tile.
-                    let piece = tile.lock().unwrap_or_else(PoisonError::into_inner).take();
-                    if let Some((tile, tile_q, tile_out)) = piece {
-                        f(tile, tile_q, tile_out);
-                    }
-                });
-            }
-        });
-    }
-
     /// One Bellman sweep, `next_v[i] = max_a Q(i, a)` from `ws.base` and
     /// `ws.v`, then `v ← next_v − next_v(1, 0)`. Returns the update range
-    /// `(min_d, max_d)` of `next_v − v`, reduced on this thread whatever
-    /// the sweep's thread count: the sandwich `min_d ≤ g ≤ max_d` of the
-    /// optimal gain at the filled ρ.
-    fn sweep(&self, ws: &mut ValueWorkspace, threads: usize) -> (f64, f64) {
+    /// `(min_d, max_d)` of `next_v − v`: the sandwich `min_d ≤ g ≤ max_d`
+    /// of the optimal gain at the filled ρ.
+    fn sweep(&self, ws: &mut ValueWorkspace) -> (f64, f64) {
         let ValueWorkspace {
             v, next_v, base, q, ..
         } = ws;
-        let (v_in, base) = (&*v, &*base);
-        self.for_each_tile(&mut q[..], &mut next_v[..], threads, |tile, q, next_v| {
-            self.tile_q(tile, base, v_in, q);
+        for tile in &self.tiles {
+            let q = &mut q[tile.slots.clone()];
+            self.tile_q(tile, base, v, q);
+            let next_v = &mut next_v[tile.states.clone()];
             self.tile_best(tile, q, |s, best, _| next_v[s] = best);
-        });
+        }
         let range = update_range(next_v, v);
         let offset = next_v[self.ref_state];
         for (v, &next) in v.iter_mut().zip(&*next_v) {
@@ -1153,12 +1073,11 @@ impl ExpandedMdp {
         &self,
         rho: f64,
         tolerance: f64,
-        threads: usize,
         ws: &mut ValueWorkspace,
     ) -> Result<Iterate, MdpError> {
         self.fill_base(rho, &mut ws.base);
         for sweeps in 1..=MAX_SWEEPS {
-            let (min_d, max_d) = self.sweep(ws, threads);
+            let (min_d, max_d) = self.sweep(ws);
             let certified = min_d > 0.0 || max_d < 0.0;
             if certified || max_d - min_d < tolerance {
                 return Ok(Iterate {
@@ -1183,7 +1102,7 @@ impl ExpandedMdp {
     /// that beats its current action by more than `margin`. Writes every
     /// state's greatest Q value to `ws.next_v` and returns how many
     /// states switched.
-    fn improve(&self, ws: &mut ValueWorkspace, margin: f64, threads: usize) -> usize {
+    fn improve(&self, ws: &mut ValueWorkspace, margin: f64) -> usize {
         let ValueWorkspace {
             v,
             next_v,
@@ -1192,25 +1111,25 @@ impl ExpandedMdp {
             choice,
             ..
         } = ws;
-        let (v, base) = (&*v, &*base);
-        let switched = AtomicUsize::new(0);
-        let states = (&mut next_v[..], &mut choice[..]);
-        self.for_each_tile(&mut q[..], states, threads, |tile, q, (next_v, choice)| {
+        let mut switched = 0;
+        for tile in &self.tiles {
+            let q = &mut q[tile.slots.clone()];
             self.tile_q(tile, base, v, q);
-            let (q, slots, mut count) = (&*q, tile.slots.start, 0);
+            let (q, slots) = (&*q, tile.slots.start);
+            let next_v = &mut next_v[tile.states.clone()];
+            let choice = &mut choice[tile.states.clone()];
             self.tile_best(tile, q, |s, best, slot| {
                 next_v[s] = best;
                 match slot {
                     Some(k) if best > q[choice[s] - slots] + margin => {
                         choice[s] = slots + k;
-                        count += 1;
+                        switched += 1;
                     }
                     _ => {}
                 }
             });
-            switched.fetch_add(count, Ordering::Relaxed);
-        });
-        switched.into_inner()
+        }
+        switched
     }
 
     /// The greedy policy over `ws.v` and `ws.base`: per state, the first
@@ -1218,15 +1137,18 @@ impl ExpandedMdp {
     /// the greatest, so an exact tie breaks by action order whatever the
     /// rounding, in every tiling. Every state's greatest Q value lands in
     /// `ws.next_v`.
-    fn greedy_policy(&self, ws: &mut ValueWorkspace, margin: f64, threads: usize) -> Vec<Action> {
+    fn greedy_policy(&self, ws: &mut ValueWorkspace, margin: f64) -> Vec<Action> {
         let mut policy = vec![Action::Adopt; self.len()];
         let ValueWorkspace {
             v, next_v, base, q, ..
         } = ws;
-        let (v, base) = (&*v, &*base);
-        let states = (&mut next_v[..], &mut policy[..]);
-        self.for_each_tile(&mut q[..], states, threads, |tile, q, (next_v, policy)| {
+        for tile in &self.tiles {
+            let q = &mut q[tile.slots.clone()];
             self.tile_q(tile, base, v, q);
+            let (next_v, policy) = (
+                &mut next_v[tile.states.clone()],
+                &mut policy[tile.states.clone()],
+            );
             for g in &self.state_groups[tile.state_groups.clone()] {
                 for (j, &s) in self.group_state[g.states.clone()].iter().enumerate() {
                     let first = g.slot + j * g.arity;
@@ -1238,7 +1160,7 @@ impl ExpandedMdp {
                     }
                 }
             }
-        });
+        }
         policy
     }
 }
@@ -1459,7 +1381,6 @@ impl MdpConfig {
     /// [`MdpConfig::solve_with_cache`].
     fn solve_from(&self, mut cache: Option<&mut ValueCache>) -> Result<Solution, MdpError> {
         self.validate()?;
-        let threads = self.resolved_threads();
         let kept = cache.as_mut().and_then(|c| c.mdp.take());
         let mdp = match kept.and_then(|mut mdp| mdp.refill(self).then_some(mdp)) {
             Some(mdp) => mdp,
@@ -1489,7 +1410,7 @@ impl MdpConfig {
             mdp.fill_base(rho, &mut ws.base);
             ws.values_at(rho);
             let margin = ws.rounding_margin();
-            let switched = mdp.improve(&mut ws, margin, threads);
+            let switched = mdp.improve(&mut ws, margin);
             let (min_d, max_d) = update_range(&ws.next_v, &ws.v);
             stats.record(1, max_d - min_d);
             if switched == 0 {
@@ -1506,7 +1427,7 @@ impl MdpConfig {
         let probe = rho + delta;
         mdp.fill_base(probe, &mut ws.base);
         ws.values_at(probe);
-        let (min_d, max_d) = mdp.sweep(&mut ws, threads);
+        let (min_d, max_d) = mdp.sweep(&mut ws);
         stats.record(1, max_d - min_d);
         let certain_below = if max_d < 0.0 { probe } else { f64::INFINITY };
 
@@ -1530,7 +1451,7 @@ impl MdpConfig {
             } else {
                 ws.values_at(mid);
                 let it = mdp
-                    .optimal_average(mid, self.tolerance, threads, &mut ws)
+                    .optimal_average(mid, self.tolerance, &mut ws)
                     .map_err(|e| widen_bracket(e, lo, hi, passes(&stats)))?;
                 stats.record(it.sweeps, it.span);
                 stats.unresolved_signs += usize::from(!it.certified);
@@ -1546,7 +1467,7 @@ impl MdpConfig {
         mdp.fill_base(revenue, &mut ws.base);
         ws.values_at(revenue);
         let margin = ws.rounding_margin();
-        let actions = mdp.greedy_policy(&mut ws, margin, threads);
+        let actions = mdp.greedy_policy(&mut ws, margin);
         let (min_d, max_d) = update_range(&ws.next_v, &ws.v);
         stats.record(1, max_d - min_d);
         let space = Arc::clone(&mdp.space);
@@ -1803,13 +1724,10 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_never_changes_solution() {
-        // The parallel Bellman sweep partitions states but never reorders
-        // arithmetic: revenue, sweep counts, residuals and the full policy
-        // must be identical for every worker count — for cold solves and
-        // for a cached walk, whose policy iterations start from the
-        // previous solve's policy.
-        let base = MdpConfig::new(0.38, 0.4, RewardModel::EthereumApprox).with_max_len(16);
+    fn a_fresh_cache_moves_no_bit_of_a_cold_solve() {
+        // Filling a fresh cache must leave revenue, Q-pass counts,
+        // residuals and the full policy of a cold solve untouched.
+        let config = MdpConfig::new(0.38, 0.4, RewardModel::EthereumApprox).with_max_len(16);
         let fingerprint = |s: &Solution| {
             let residuals: Vec<u64> = s.stats.residuals.iter().map(|r| r.to_bits()).collect();
             let policy: Vec<(MdpState, Action)> = s.policy.iter().collect();
@@ -1820,39 +1738,12 @@ mod tests {
                 policy,
             )
         };
-        let walk = |threads: usize| {
-            let mut cache = ValueCache::new();
-            [0.36, 0.38, 0.40]
-                .iter()
-                .map(|&alpha| {
-                    let config = MdpConfig {
-                        alpha,
-                        ..base.with_threads(threads)
-                    };
-                    fingerprint(&config.solve_with_cache(&mut cache).unwrap())
-                })
-                .collect::<Vec<_>>()
-        };
-        let reference = fingerprint(&base.with_threads(1).solve().unwrap());
-        // Filling a fresh cache changes nothing about a cold solve.
-        let filled = base
-            .with_threads(1)
-            .solve_with_cache(&mut ValueCache::new());
+        let cold = fingerprint(&config.solve().unwrap());
+        let filled = config.solve_with_cache(&mut ValueCache::new()).unwrap();
         assert!(
-            reference == fingerprint(&filled.unwrap()),
+            cold == fingerprint(&filled),
             "a fresh cache moved the cold solve"
         );
-        let reference_walk = walk(1);
-        for threads in [2, 3, 8] {
-            let parallel = fingerprint(&base.with_threads(threads).solve().unwrap());
-            assert!(reference == parallel, "solve differs at threads={threads}");
-            if threads <= 3 {
-                assert!(
-                    reference_walk == walk(threads),
-                    "cached walk differs at threads={threads}"
-                );
-            }
-        }
     }
 
     /// The 40 random `(α, γ, delay, rewards, scenario)` cases of the
@@ -1961,7 +1852,7 @@ mod tests {
 
     /// One Bellman sweep and greedy extraction from pseudo-random values,
     /// checked bit for bit against [`csr_backup`].
-    fn assert_kernel_matches_csr(config: &MdpConfig, threads: usize, seed: u64) {
+    fn assert_kernel_matches_csr(config: &MdpConfig, seed: u64) {
         let expanded = ExpandedMdp::build(config).unwrap();
         let mut ws = ValueWorkspace::new(&expanded);
         ws.v = noise(expanded.len(), seed);
@@ -1970,7 +1861,7 @@ mod tests {
         let (want_v, want_actions) = csr_backup(config, rho, &ws.v);
         let bits = |x: &[f64]| x.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let v = ws.v.clone();
-        expanded.sweep(&mut ws, threads);
+        expanded.sweep(&mut ws);
         ws.v = v;
         assert_eq!(
             bits(&ws.next_v),
@@ -1979,7 +1870,7 @@ mod tests {
         );
         ws.next_v.fill(0.0);
         assert_eq!(
-            expanded.greedy_policy(&mut ws, 0.0, threads),
+            expanded.greedy_policy(&mut ws, 0.0),
             want_actions,
             "{config:?}: greedy actions differ from the CSR backup"
         );
@@ -2044,25 +1935,18 @@ mod tests {
     #[test]
     fn tile_kernel_matches_the_csr_backup() {
         for (case, config) in random_configs().iter().enumerate() {
-            assert_kernel_matches_csr(config, 1, case as u64);
+            assert_kernel_matches_csr(config, case as u64);
         }
-        // Several tiles, the last one partial, on the sequential and the
-        // parallel path (above `PARALLEL_MIN_STATES`).
-        for (config, threads) in [
-            (
-                MdpConfig::new(0.3, 0.5, RewardModel::Bitcoin).with_max_len(40),
-                1,
-            ),
-            (
-                MdpConfig::new(0.38, 0.4, RewardModel::EthereumApprox)
-                    .with_max_len(16)
-                    .with_delay_ratio(0.5),
-                2,
-            ),
+        // Several tiles, the last one partial.
+        for config in [
+            MdpConfig::new(0.3, 0.5, RewardModel::Bitcoin).with_max_len(40),
+            MdpConfig::new(0.38, 0.4, RewardModel::EthereumApprox)
+                .with_max_len(16)
+                .with_delay_ratio(0.5),
         ] {
             let n = config.states().len();
-            assert!(n > PARALLEL_GRAIN && n % PARALLEL_GRAIN != 0, "{n} states");
-            assert_kernel_matches_csr(&config, threads, 7);
+            assert!(n > TILE_STATES && n % TILE_STATES != 0, "{n} states");
+            assert_kernel_matches_csr(&config, 7);
         }
     }
 

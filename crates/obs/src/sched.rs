@@ -100,6 +100,8 @@ where
         }
         (produced, shard)
     };
+    // The workspace's one spawn site (see `clippy.toml`).
+    #[allow(clippy::disallowed_methods)]
     let workers = if threads == 1 {
         vec![work(0)]
     } else {

@@ -44,9 +44,10 @@ use std::fmt::Write as _;
 
 use seleth_bench::json_f64;
 use seleth_bench::report::{json_block, Study};
+use seleth_core::bitcoin::eyal_sirer_revenue;
 use seleth_mdp::{MdpConfig, RewardModel};
 use seleth_sim::pools;
-use seleth_zoo::{sm1_closed_form, Cell, CellResult, Family, StrategyRegistry, Tournament};
+use seleth_zoo::{Cell, CellResult, Family, StrategyRegistry, Tournament};
 
 const INTERVAL: f64 = 13.0;
 const SEED: u64 = 90_210;
@@ -302,7 +303,7 @@ fn main() {
     for p in points {
         // Gate 1: SM1 vs the Eyal–Sirer closed form.
         let sm1 = zero_duopoly("sm1", p.artifact).expect("sm1 zero-delay duopoly cell");
-        let cf = sm1_closed_form(p.alpha, p.gamma);
+        let cf = eyal_sirer_revenue(p.alpha, p.gamma);
         let (mean, se) = (sm1.lead_revenue(), sm1.strategists[0].std_err);
         let tol = study.tolerance(se);
         if (mean - cf).abs() > tol {

@@ -20,7 +20,7 @@
 //! - [`Family::Sm1`] — Eyal–Sirer selfish mining, the paper's
 //!   Algorithm 1 ([`rules::sm1`]): withhold, match when the honest chain
 //!   draws level, override when the lead shrinks to one. Its revenue has
-//!   the closed form [`sm1_closed_form`].
+//!   the closed form [`eyal_sirer_revenue`].
 //! - [`Family::LeadStubborn`] `L_k` — SM1 that refuses to cash in a lead
 //!   while the public branch is short: instead of overriding at `a = h+1`
 //!   it *matches* (keeping one block hidden) until the honest branch
@@ -48,6 +48,7 @@
 //! never hit the forced-adopt fallback except at the truncation boundary.
 
 use seleth_chain::Scenario;
+use seleth_core::bitcoin::eyal_sirer_revenue;
 use seleth_mdp::{rules, Action, Fork, PolicyTable, RewardModel, StateSpace};
 
 /// A parametric hand-written withholding strategy (see the
@@ -175,7 +176,7 @@ impl Family {
     /// stubborn variants.
     pub fn predicted_revenue(&self, alpha: f64, gamma: f64) -> f64 {
         match self {
-            Family::Sm1 => sm1_closed_form(alpha, gamma),
+            Family::Sm1 => eyal_sirer_revenue(alpha, gamma),
             _ => alpha,
         }
     }
@@ -245,46 +246,9 @@ fn trail_stubborn_action(a: u32, h: u32, fork: Fork, k: u32) -> Action {
     }
 }
 
-/// Eyal–Sirer's closed-form SM1 relative revenue (Majority is not Enough,
-/// Eq. 8):
-///
-/// ```text
-///        α(1−α)²(4α + γ(1−2α)) − α³
-/// R  =  ─────────────────────────────
-///          1 − α(1 + (2−α)α)
-/// ```
-///
-/// At `γ = 0` the profitability threshold is `α = 1/3`, where `R = α`
-/// exactly — the anchor the unit tests pin. The zero-delay duopoly replay
-/// of [`Family::Sm1`]'s table must reproduce this value within
-/// Monte-Carlo noise (gated in `tests/zoo_study.rs` and the
-/// `strategy_zoo` experiment).
-pub fn sm1_closed_form(alpha: f64, gamma: f64) -> f64 {
-    let a = alpha;
-    let num = a * (1.0 - a) * (1.0 - a) * (4.0 * a + gamma * (1.0 - 2.0 * a)) - a * a * a;
-    let den = 1.0 - a * (1.0 + (2.0 - a) * a);
-    num / den
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn closed_form_anchors() {
-        // At the γ = 0 threshold α = 1/3 the closed form crosses the fair
-        // share exactly.
-        let third = 1.0 / 3.0;
-        assert!((sm1_closed_form(third, 0.0) - third).abs() < 1e-12);
-        // Sapirshtein et al. report SM1 ≈ 0.36650 at α = 0.35, γ = 0
-        // (optimal play only adds ≈ 0.004).
-        assert!((sm1_closed_form(0.35, 0.0) - 0.366_50).abs() < 1e-4);
-        // Below the threshold SM1 loses money; above, it gains.
-        assert!(sm1_closed_form(0.25, 0.0) < 0.25);
-        assert!(sm1_closed_form(0.40, 0.0) > 0.40);
-        // γ strictly helps the attacker.
-        assert!(sm1_closed_form(0.30, 0.5) > sm1_closed_form(0.30, 0.0));
-    }
 
     #[test]
     fn family_ids_are_stable() {

@@ -14,8 +14,9 @@
 //! - [`families`]: parametric strategy generators. Each [`Family`] lowers
 //!   into a legal [`seleth_mdp::PolicyTable`] via `from_fn`, tagged with
 //!   a machine-readable family id, so every artifact executor in the
-//!   workspace can replay it unchanged. [`sm1_closed_form`] provides the
-//!   Eyal–Sirer reference revenue the SM1 replays are gated against.
+//!   workspace can replay it unchanged. SM1 replays are gated against
+//!   the Eyal–Sirer closed form,
+//!   [`seleth_core::bitcoin::eyal_sirer_revenue`].
 //! - [`registry`]: the contestant pool — families at chosen `(α, γ)`
 //!   points plus solver artifacts loaded from `results/policies/`,
 //!   shared behind [`std::sync::Arc`].
@@ -63,6 +64,6 @@ pub mod families;
 pub mod registry;
 pub mod tournament;
 
-pub use families::{canonicalize_boundary, sm1_closed_form, Family};
+pub use families::{canonicalize_boundary, Family};
 pub use registry::{RegisteredStrategy, StrategyRegistry, StrategySource};
 pub use tournament::{Cell, CellResult, StrategistOutcome, Tournament};

@@ -138,7 +138,8 @@ mod tests {
         assert_eq!(reg.get(sm1).name, "sm1");
         assert_eq!(reg.get(sm1).source, StrategySource::Family(Family::Sm1));
         assert!(
-            (reg.get(sm1).predicted - crate::sm1_closed_form(0.3, 0.5)).abs() < 1e-12,
+            (reg.get(sm1).predicted - seleth_core::bitcoin::eyal_sirer_revenue(0.3, 0.5)).abs()
+                < 1e-12,
             "family prediction is the closed form"
         );
         assert_eq!(reg.get(honest).name, "baseline");

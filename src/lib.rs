@@ -97,5 +97,5 @@ pub mod prelude {
         record_engine_run, FaultPlan, FaultPlanBuilder, PoolStrategy, SimConfig, SimReport,
         Simulation, TRACE_ON_FAIL_ENV,
     };
-    pub use seleth_zoo::{sm1_closed_form, Cell, Family, StrategyRegistry, Tournament};
+    pub use seleth_zoo::{Cell, Family, StrategyRegistry, Tournament};
 }

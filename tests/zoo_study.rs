@@ -20,6 +20,7 @@
 
 use std::sync::Arc;
 
+use selfish_ethereum::core::bitcoin::eyal_sirer_revenue;
 use selfish_ethereum::prelude::*;
 
 use seleth_bench::report::{Replay, ReplayCell};
@@ -49,7 +50,7 @@ fn sm1_zero_delay_duopoly_reproduces_the_closed_form() {
     // Above the γ = 0 threshold and in the γ-rich regime: both must land
     // on Eyal–Sirer's formula.
     for (alpha, gamma) in [(0.35, 0.0), (0.30, 0.5)] {
-        let cf = sm1_closed_form(alpha, gamma);
+        let cf = eyal_sirer_revenue(alpha, gamma);
         let (mean, se) = sm1_playback(alpha, gamma, 8, 25_000);
         let diff = (mean - cf).abs();
         assert!(
@@ -65,8 +66,8 @@ fn sm1_zero_delay_duopoly_reproduces_the_closed_form() {
 fn closed_form_anchors_the_known_thresholds() {
     // The formula itself: R = α exactly at the published thresholds.
     let third = 1.0 / 3.0;
-    assert!((sm1_closed_form(third, 0.0) - third).abs() < 1e-12);
-    assert!((sm1_closed_form(0.25, 0.5) - 0.25).abs() < 1e-12);
+    assert!((eyal_sirer_revenue(third, 0.0) - third).abs() < 1e-12);
+    assert!((eyal_sirer_revenue(0.25, 0.5) - 0.25).abs() < 1e-12);
 }
 
 #[test]
